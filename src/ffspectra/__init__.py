@@ -4,7 +4,6 @@ from .field import (
     Field,
     FieldElement,
     FieldError,
-    arith,
     make_field,
     omega,
     quadratic_character,
@@ -38,7 +37,7 @@ from .closed_forms import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Field", "FieldElement", "FieldError", "arith", "make_field", "omega",
+    "Field", "FieldElement", "FieldError", "make_field", "omega",
     "quadratic_character", "solve_quadratic", "special_elements", "trace",
     "FunctionError", "FunctionUnderTest", "GammaTraceInverse", "InversePlusTrace",
     "Monomial", "TableFunction", "canonical_exponent", "gapn_derivative",

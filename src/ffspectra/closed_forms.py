@@ -2,8 +2,9 @@
 Kloosterman sums, vanishing-flat counting formulas, and the verification
 harness that checks every closed form against brute-force recomputation.
 
-Each supported claim has a short id (see ``THEOREMS``).  ``predict`` returns
-the claimed table value for a single cell, ``vanishing_count_formula`` returns
+Each supported claim is one :class:`Claim` record in ``CLAIMS`` (``THEOREMS``
+is its summary view) whose one ``check`` states its hypothesis.  ``predict``
+returns the claimed table value for a single cell, ``vanishing_count_formula``
 a claimed vanishing-flat count, and ``verify`` recomputes the relevant object
 from scratch (spectra, flat enumeration, kernel dimensions) and compares,
 returning a :class:`TheoremVerdict`.  Hypothesis violations are reported as a
@@ -12,12 +13,13 @@ distinct verdict state, never as cell mismatches.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,121 +55,6 @@ class HypothesisError(ValueError):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise HypothesisError(message)
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-#: Supported claim ids mapped to a hypothesis summary and accepted parameters.
-THEOREMS = {
-    "L1": {
-        "summary": "x^(2^n-2) on GF(2^n), n even: nontrivial cells are 0 "
-                   "except value 4 exactly at a in {b*w, b*w^2}, w a "
-                   "primitive cube root of unity",
-        "params": ("p", "n"),
-    },
-    "L2": {
-        "summary": "x^(2^n-2) on GF(2^n), n odd: every cell with "
-                   "a,b nonzero and a != b is 0",
-        "params": ("p", "n"),
-    },
-    "T1": {
-        "summary": "x^((2q-1)/3) on GF(q), q = p^n ≡ 2 (mod 3), p odd: "
-                   "every cell with ab != 0 equals 1",
-        "params": ("p", "n"),
-    },
-    "T2": {
-        "summary": "x^((p^k+1)/2) on GF(p^n), p > 3, gcd(k, 2n) = 1: "
-                   "nontrivial values lie in {0, 1, (p-3)/2} with maximum "
-                   "(p-3)/2 (checked at the spectrum level)",
-        "params": ("p", "n", "k"),
-    },
-    "T3": {
-        "summary": "x^4 on GF(p^n), p > 3, n > 1: cell value for ab != 0 is "
-                   "1 + eta(-(a^2+b^2)/3)",
-        "params": ("p", "n"),
-    },
-    "T4": {
-        "summary": "x^((3^n-1)/2+2) on GF(3^n), n odd: cell value for "
-                   "ab != 0 is 1 or 3 according to the signs of eta(ab) and "
-                   "eta(a^2+b^2); maximum 3",
-        "params": ("p", "n"),
-    },
-    "THMT": {
-        "summary": "x^(2^t-1) on GF(2^n), 0 < t < n: row-one values "
-                   "classified through B = (b^(2^t)+b)/(b(b+1)) and the "
-                   "kernel dimension of x^(2^t)+Bx^2+(B+1)x; other rows "
-                   "follow by monomial homogeneity",
-        "params": ("p", "n", "t"),
-    },
-    "C_F1": {
-        "summary": "x^(2^m-1) on GF(2^(2m)), m > 2: F-boomerang uniformity "
-                   "2^m-4, attained on the b with b^(2^m-1) = 1",
-        "params": ("p", "n"),
-    },
-    "C_F1_VB": {
-        "summary": "vanishing-flat count of x^(2^m-1) on GF(2^(2m)): "
-                   "(2^(m-2)-1)(2^(m-1)-1)(2^n-1)/3, plus (2^n-1)/3 when m "
-                   "is odd",
-        "params": ("p", "n"),
-    },
-    "C_F2": {
-        "summary": "x^(2^m-1) on GF(2^(2m+1)), m > 2: F-boomerang "
-                   "uniformity 8 if m ≡ 1 (mod 3), else 4",
-        "params": ("p", "n"),
-    },
-    "C_F2_VB": {
-        "summary": "vanishing-flat count of x^(2^m-1) on GF(2^(2m+1)) "
-                   "written in terms of the Kloosterman sum K(1)",
-        "params": ("p", "n"),
-    },
-    "C_F3": {
-        "summary": "x^(2^t-1) on GF(2^n), n odd, t = (n+3)/2: F-boomerang "
-                   "uniformity 4",
-        "params": ("p", "n"),
-    },
-    "C_F3_VB": {
-        "summary": "vanishing-flat count of x^(2^t-1) on GF(2^n), n odd, "
-                   "t = (n+3)/2, written in terms of K(1)",
-        "params": ("p", "n"),
-    },
-    "T6": {
-        "summary": "x^(2^n-2) + Tr(x^2/(x+1)) on GF(2^n), n even: "
-                   "nontrivial values lie in {0, 4, 8}, classified by "
-                   "explicit trace conditions",
-        "params": ("p", "n"),
-    },
-    "T7": {
-        "summary": "1/(x + g*Tr(x^(2^t+1))) on GF(2^n) for admissible "
-                   "(t, g) (g nonzero in the 2^(2t)-element subfield meet, "
-                   "Tr(g^(2^t+1)) = 0): nontrivial values lie in {0, 4, 8}",
-        "params": ("p", "n", "t", "gamma"),
-    },
-    "TABLE1": {
-        "summary": "catalogue of power maps in odd characteristic with a "
-                   "claimed second-order zero differential uniformity; each "
-                   "row's maximum is recomputed on small admissible fields",
-        "params": (),
-    },
-    "PROP_VB": {
-        "summary": "for every function on GF(2^n) the nontrivial "
-                   "second-order spectrum sums to 24 times the "
-                   "vanishing-flat count",
-        "params": ("p", "n", "num_random_tables", "seed"),
-    },
-    "APN_IFF_FBCT0": {
-        "summary": "a function on GF(2^n) is APN exactly when its "
-                   "second-order spectrum vanishes off the trivial cells; "
-                   "checked in both directions across all monomials",
-        "params": ("p", "n"),
-    },
-}
-
-#: ids with a per-cell predictor usable through :func:`predict`.
-_PER_CELL_IDS = frozenset(
-    {"L1", "L2", "T1", "T3", "T4", "THMT", "C_F1", "C_F2", "C_F3", "T6", "T7"}
-)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +143,118 @@ def kloosterman(n: int, method: str = "direct") -> int:
 
 
 # ---------------------------------------------------------------------------
+# hypotheses: one check per claim, shared by verify and predict
+# ---------------------------------------------------------------------------
+
+def _n_given(kw: dict) -> None:
+    _require(kw["n"] is not None, "the field parameter n is required")
+
+
+def _char2(tid: str, kw: dict) -> None:
+    """Opening of most GF(2^n) claims: p = 2, then n given."""
+    _require(kw["p"] == 2, f"{tid} is stated over GF(2^n), got p={kw['p']}")
+    _require(kw["n"] is not None, f"{tid} requires n")
+
+
+_PARITY = ("even", "odd")
+
+
+def _check_inverse(tid: str, parity: int, least: int, kw: dict) -> None:
+    """L1 (n even), L2 (n odd) and T6 (n even, n >= 4)."""
+    _n_given(kw)
+    n = kw["n"]
+    _require(kw["p"] == 2, f"{tid} is stated over GF(2^n), got p={kw['p']}")
+    _require(n % 2 == parity and n >= least,
+             f"{tid} requires {_PARITY[parity]} n"
+             f"{f' >= {least}' if least else ''}, got n={n}")
+
+
+def _check_T1(kw: dict) -> None:
+    p, n = kw["p"], kw["n"]
+    _require(p is not None and n is not None, "T1 requires p and n")
+    _require(p % 2 == 1, f"T1 requires odd characteristic, got p={p}")
+    _require(p ** n % 3 == 2, f"T1 requires p^n ≡ 2 (mod 3), got p^n={p ** n}")
+
+
+def _check_T2(kw: dict) -> None:
+    p, n, k = kw["p"], kw["n"], kw["k"]
+    _require(p is not None and n is not None, "T2 requires p and n")
+    _require(p > 3, f"T2 requires p > 3, got p={p}")
+    g = math.gcd(k, 2 * n)
+    _require(g == 1, f"T2 requires gcd(k, 2n) = 1, got gcd({k}, {2 * n}) = {g}")
+
+
+def _check_T3(kw: dict) -> None:
+    _n_given(kw)
+    _require(kw["p"] is not None, "the field parameter p is required")
+    _require(kw["p"] > 3, f"T3 requires p > 3, got p={kw['p']}")
+    _require(kw["n"] > 1, f"T3 requires n > 1, got n={kw['n']}")
+
+
+def _check_T4(kw: dict) -> None:
+    _require(kw["n"] is not None, "T4 requires n")
+    _require(kw["p"] == 3, f"T4 requires p = 3, got p={kw['p']}")
+    _require(kw["n"] % 2 == 1, f"T4 requires odd n, got n={kw['n']}")
+
+
+def _check_THMT(kw: dict) -> None:
+    _char2("THMT", kw)
+    n, t = kw["n"], kw["t"]
+    _require(t is not None and 0 < t < n,
+             f"THMT requires 0 < t < n, got t={t}, n={n}")
+
+
+def _check_m(tid: str, parity: int, kw: dict) -> None:
+    """C_F1 (n = 2m) and C_F2 (n = 2m+1): m > 2."""
+    _char2(tid, kw)
+    n = kw["n"]
+    why = ("the m = 2 function is APN and the special b-sets degenerate",
+           "for m = 2 the value-4 set is empty and the function is APN")[parity]
+    _require(n % 2 == parity, f"{tid} requires {_PARITY[parity]} n, got n={n}")
+    _require(n // 2 > 2, f"{tid} requires m > 2 ({why}), got m={n // 2}")
+
+
+def _check_C_F3(kw: dict) -> None:
+    _char2("C_F3", kw)
+    n = kw["n"]
+    _require(n % 2 == 1 and n >= 7,
+             f"C_F3 requires odd n >= 7 (for n = 5 the value-4 sets are "
+             f"empty and the function is APN), got n={n}")
+
+
+#: (parity of n, least n) for which each vanishing-flat formula is stated.
+_VB_N = {"C_F1_VB": (0, 4), "C_F2_VB": (1, 3), "C_F3_VB": (1, 5)}
+
+
+def _require_vb_n(tid: str, n: int) -> None:
+    parity, least = _VB_N[tid]
+    _require(n % 2 == parity and n >= least,
+             f"n must be {_PARITY[parity]} and >= {least}, got {n}")
+
+
+def _check_vb(tid: str, kw: dict) -> None:
+    _char2(tid, kw)
+    _require_vb_n(tid, kw["n"])
+
+
+def _check_T7(kw: dict) -> None:
+    """The admissibility of a given gamma is checked when the function is
+    built, since it needs the field."""
+    _char2("T7", kw)
+    n, t = kw["n"], kw["t"]
+    if kw["gamma"] is not None:
+        _require(t is not None, "a gamma value requires t as well")
+    elif t is not None:
+        _require(0 < t < n, f"T7 requires 0 < t < n, got t={t}, n={n}")
+
+
+def _check_every_function(tid: str, kw: dict) -> None:
+    """PROP_VB and APN_IFF_FBCT0: statements about all functions on GF(2^n)."""
+    _require(kw["p"] == 2, f"{tid} is stated over GF(2^n), got p={kw['p']}")
+    _require(kw["n"] is not None and kw["n"] >= 2, f"{tid} requires n >= 2")
+
+
+# ---------------------------------------------------------------------------
 # vanishing-flat count formulas
 # ---------------------------------------------------------------------------
 
@@ -272,41 +271,35 @@ def vanishing_count_formula(theorem_id: str, n: int) -> int:
     :class:`HypothesisError` since it signals parameters outside the formula's
     scope.
     """
+    if theorem_id not in _VB_N:
+        raise ValueError(f"no vanishing-flat count formula for id {theorem_id!r}")
+    _require_vb_n(theorem_id, n)
+    what = f"vanishing-flat count for {theorem_id}"
     if theorem_id == "C_F1_VB":
-        _require(n % 2 == 0 and n >= 4, f"n must be even and >= 4, got {n}")
         m = n // 2
         base = (2 ** (m - 2) - 1) * (2 ** (m - 1) - 1)
         if m % 2 == 1:
             base += 1
-        return _exact_int(Fraction(base * (2 ** n - 1), 3),
-                          "vanishing-flat count for C_F1_VB")
+        return _exact_int(Fraction(base * (2 ** n - 1), 3), what)
+    K = kloosterman(n, "direct")
     if theorem_id == "C_F2_VB":
-        _require(n % 2 == 1 and n >= 3, f"n must be odd and >= 3, got {n}")
-        m = (n - 1) // 2
-        shift = 7 if m % 3 == 1 else 1
-        K = kloosterman(n, "direct")
+        shift = 7 if ((n - 1) // 2) % 3 == 1 else 1
         val = (Fraction(2 ** (n - 2) + shift, 6) - Fraction(K, 8)) * (2 ** n - 1)
-        return _exact_int(val, "vanishing-flat count for C_F2_VB")
-    if theorem_id == "C_F3_VB":
-        _require(n % 2 == 1 and n >= 5, f"n must be odd and >= 5, got {n}")
-        K = kloosterman(n, "direct")
-        val = (2 ** n - 1) * (Fraction(2 ** (n - 2) + 1, 6) - Fraction(K, 8))
-        return _exact_int(val, "vanishing-flat count for C_F3_VB")
-    raise ValueError(f"no vanishing-flat count formula for id {theorem_id!r}")
+        return _exact_int(val, what)
+    val = (2 ** n - 1) * (Fraction(2 ** (n - 2) + 1, 6) - Fraction(K, 8))
+    return _exact_int(val, what)
 
 
 def s6_count_formula(theorem_id: str, n: int) -> int:
     """Claimed size of the value-4 support set S_6 (the b outside the named
     special sets whose row-one differential count at B equals 6) for the
-    C_F2 / C_F3 families, expressed through K(1)."""
-    if theorem_id in ("C_F2", "C_F2_VB"):
-        _require(n % 2 == 1 and n >= 3, f"n must be odd and >= 3, got {n}")
-        rich = ((n - 1) // 2) % 3 == 1
-    elif theorem_id in ("C_F3", "C_F3_VB"):
-        _require(n % 2 == 1 and n >= 5, f"n must be odd and >= 5, got {n}")
-        rich = n % 3 == 0
-    else:
+    C_F2 / C_F3 families, expressed through K(1).  Its range of n is that of
+    the family's vanishing-flat formula."""
+    family = theorem_id.removesuffix("_VB")
+    if family not in ("C_F2", "C_F3"):
         raise ValueError(f"no S_6 count formula for id {theorem_id!r}")
+    _require_vb_n(family + "_VB", n)
+    rich = ((n - 1) // 2) % 3 == 1 if family == "C_F2" else n % 3 == 0
     K = kloosterman(n, "direct")
     lead = 2 ** (n - 2) - 5 if rich else 2 ** (n - 2) + 1
     val = 6 * (Fraction(lead, 6) - Fraction(K, 8))
@@ -317,627 +310,316 @@ def s6_count_formula(theorem_id: str, n: int) -> int:
 # per-cell predictors
 # ---------------------------------------------------------------------------
 
-_OMEGA_CACHE: dict = {}
-_KDIM_CACHE: dict = {}
-_S6_CACHE: dict = {}
-
-
-def _field_key(field: Field):
-    return (field.p, field.n, tuple(field.modulus))
-
-
+@functools.cache
 def _omega_codes(field: Field) -> tuple:
     """Codes of the two primitive cube roots of unity (n even, char 2)."""
-    key = _field_key(field)
-    got = _OMEGA_CACHE.get(key)
-    if got is None:
-        w = omega(field).code
-        got = (w, field.mul_code(w, w))
-        _OMEGA_CACHE[key] = got
-    return got
+    w = omega(field).code
+    return w, field.mul_code(w, w)
 
 
-def _kernel_dim_cached(field: Field, t: int, B_code: int) -> int:
-    key = (_field_key(field), t, B_code)
-    r = _KDIM_CACHE.get(key)
-    if r is None:
-        r = linearized_kernel_dim(t, field.from_code(B_code))
-        _KDIM_CACHE[key] = r
-    return r
+@functools.cache
+def _kernel_dim(field: Field, t: int, B_code: int) -> int:
+    return linearized_kernel_dim(t, field.from_code(B_code))
 
 
+def _b_codes(field: Field, t: int) -> np.ndarray:
+    """B(c) = (c^(2^t) + c) / (c(c+1)) for every code c; 0 at c in {0, 1},
+    since inv(0) = 0."""
+    cs = np.arange(field.q, dtype=np.int64)
+    return field.vmul(field.vpow(cs, 2 ** t) ^ cs,
+                      field.vinv(field.vmul(cs, cs ^ 1)))
+
+
+@functools.cache
 def _s6_mask(field: Field, t: int) -> np.ndarray:
-    """Boolean mask over codes b: b outside {0,1}, B(b) outside {0,1}, and
-    the row-one differential count of x^(2^t-1) at B(b) equals 6."""
-    key = (_field_key(field), t)
-    mask = _S6_CACHE.get(key)
-    if mask is None:
-        q = field.q
-        F = Monomial(field, canonical_exponent(q, 2 ** t - 1))
-        drow = ddt_row_counts(F, 1)
-        bs = np.arange(q, dtype=np.int64)
-        num = field.vpow(bs, 2 ** t) ^ bs
-        den = field.vmul(bs, bs ^ 1)
-        Bv = field.vmul(num, field.vinv(den))
-        mask = (bs >= 2) & (Bv != 0) & (Bv != 1) & (drow[Bv] == 6)
-        _S6_CACHE[key] = mask
+    """Boolean mask over codes b: B(b) outside {0,1} (so b is too), and the
+    row-one differential count of x^(2^t-1) at B(b) equals 6."""
+    F = Monomial(field, canonical_exponent(field.q, 2 ** t - 1))
+    drow = ddt_row_counts(F, 1)
+    Bv = _b_codes(field, t)
+    mask = (Bv != 0) & (Bv != 1) & (drow[Bv] == 6)
+    mask.flags.writeable = False  # one array serves every caller of the cache
     return mask
 
 
-def _thmt_row1_value(field: Field, t: int, c: int) -> int:
-    """Row-one prediction for x^(2^t-1) at column c."""
-    q, n = field.q, field.n
-    if c in (0, 1):
-        return q
-    num = field.add_code(field.pow_code(c, 2 ** t), c)
-    den = field.mul_code(c, field.add_code(c, field.one.code))
-    B = field.mul_code(num, field.inv_code(den))
-    if B == 1:
-        return 2 ** math.gcd(t - 1, n)
-    if B == 0:
-        return 2 ** math.gcd(t, n) - 4
-    return max(2 ** _kernel_dim_cached(field, t, B) - 4, 0)
+# Row-one predictors of power maps: entry c is the claimed value at (1, c);
+# row a follows by nabla(a, b) = nabla(1, b/a).  `_predicted_row` sets the
+# trivial cells, so their entries here are arbitrary.
 
-
-def _cf_row1_value(field: Field, theorem_id: str, c: int) -> int:
-    """Row-one prediction for the C_F1 / C_F2 / C_F3 families at column c."""
-    q, n = field.q, field.n
-    if c in (0, 1):
-        return q
-    if theorem_id == "C_F1":
-        m = n // 2
-        if m % 2 == 1 and field.pow_code(c, 2 ** m - 2) == 1:
-            return 4
-        if field.pow_code(c, 2 ** m - 1) == 1:
-            return 2 ** m - 4
-        return 0
-    if theorem_id == "C_F2":
-        m = (n - 1) // 2
-        if m % 3 == 1 and field.pow_code(c, 2 ** m - 2) == 1:
-            return 8
-        return 4 if _s6_mask(field, m)[c] else 0
-    if theorem_id == "C_F3":
-        t = (n + 3) // 2
-        if n % 3 == 0 and field.pow_code(c, 2 ** t - 1) == 1:
-            return 4
-        return 4 if _s6_mask(field, t)[c] else 0
-    raise ValueError(theorem_id)
-
-
-def _t6_value(field: Field, a: int, b: int) -> int:
-    q = field.q
-    if a == 0 or b == 0 or a == b:
-        return q
-    w, w2 = _omega_codes(field)
-    if b in (field.mul_code(a, w), field.mul_code(a, w2)):
-        # a and b span a multiplicative coset of the cube roots of unity;
-        # the value depends on b alone.
-        b3 = field.pow_code(b, 3)
-        c1 = field.trace_code(field.mul_code(b3, field.inv_code(b3 ^ 1))) == 0
-        binv = field.inv_code(b)
-        c2 = (field.trace_code(binv) == 0
-              and field.trace_code(field.mul_code(binv, w)) == 0
-              and field.trace_code(field.mul_code(binv, w2)) == 0
-              and field.trace_code(b3) == 1)
-        return 4 * c1 + 4 * c2
-    ab = field.mul_code(a, b)
-    apb = a ^ b
-    s = field.mul_code(a, a) ^ ab ^ field.mul_code(b, b)
-    w1 = field.mul_code(a, field.inv_code(field.mul_code(b, apb)))
-    w2v = field.mul_code(b, field.inv_code(field.mul_code(a, apb)))
-    w3 = field.mul_code(apb, field.inv_code(ab))
-    extra = field.mul_code(field.mul_code(ab, apb), field.inv_code(s ^ 1))
-    ok = (field.trace_code(w1) == 0 and field.trace_code(w2v) == 0
-          and field.trace_code(w3) == 0 and field.trace_code(extra) == 1)
-    return 4 if ok else 0
-
-
-def _predict_code(theorem_id: str, field: Field, a: int, b: int,
-                  t: Optional[int] = None):
-    q = field.q
-    if theorem_id == "L1":
-        if a == 0 or b == 0 or a == b:
-            return q
-        w, w2 = _omega_codes(field)
-        return 4 if a in (field.mul_code(b, w), field.mul_code(b, w2)) else 0
-    if theorem_id == "L2":
-        return q if (a == 0 or b == 0 or a == b) else 0
-    if theorem_id == "T1":
-        return q if (a == 0 or b == 0) else 1
-    if theorem_id == "T3":
-        if a == 0 or b == 0:
-            return q
-        s = field.add_code(field.mul_code(a, a), field.mul_code(b, b))
-        inv3 = field.inv_code(field.scalar_mul_code(3, field.one.code))
-        return 1 + field.eta_code(field.mul_code(field.neg_code(s), inv3))
-    if theorem_id == "T4":
-        if a == 0 or b == 0:
-            return q
-        e1 = field.eta_code(field.mul_code(a, b))
-        e2 = field.eta_code(
-            field.add_code(field.mul_code(a, a), field.mul_code(b, b)))
-        if e2 == 1:
-            return 1 if e1 in (1, -1) else None
-        if e2 == -1:
-            return 3 if e1 in (1, -1) else None
-        raise HypothesisError(
-            "a^2 + b^2 = 0 with ab != 0 cannot occur over GF(3^n), n odd")
-    if theorem_id == "THMT":
-        if t is None:
-            raise ValueError("THMT prediction requires the parameter t")
-        if a == 0 or b == 0 or a == b:
-            return q
-        return _thmt_row1_value(field, t, field.mul_code(b, field.inv_code(a)))
-    if theorem_id in ("C_F1", "C_F2", "C_F3"):
-        if a == 0 or b == 0 or a == b:
-            return q
-        return _cf_row1_value(field, theorem_id,
-                              field.mul_code(b, field.inv_code(a)))
-    if theorem_id == "T6":
-        return _t6_value(field, a, b)
-    if theorem_id == "T7":
-        if a == 0 or b == 0 or a == b:
-            return q
-        return frozenset({0, 4, 8})
-    if theorem_id == "T2":
-        raise HypothesisError(
-            "T2 has no per-cell predictor (its branch conditions are not "
-            "pinned to explicit cells); verify it at the spectrum level")
-    raise ValueError(f"no per-cell predictor for id {theorem_id!r}")
-
-
-def _check_predict_hypotheses(theorem_id: str, field: Field,
-                              t: Optional[int]) -> None:
-    p, n = field.p, field.n
-    if theorem_id in ("L1", "L2", "THMT", "C_F1", "C_F2", "C_F3", "T6", "T7"):
-        _require(p == 2, f"{theorem_id} is stated over GF(2^n), got p={p}")
-    if theorem_id == "L1":
-        _require(n % 2 == 0, f"L1 requires even n, got n={n}")
-    elif theorem_id == "L2":
-        _require(n % 2 == 1, f"L2 requires odd n, got n={n}")
-    elif theorem_id == "T1":
-        _require(p % 2 == 1, f"T1 requires odd characteristic, got p={p}")
-        _require(field.q % 3 == 2,
-                 f"T1 requires p^n ≡ 2 (mod 3), got p^n={field.q}")
-    elif theorem_id == "T3":
-        _require(p > 3, f"T3 requires p > 3, got p={p}")
-        _require(n > 1, f"T3 requires n > 1, got n={n}")
-    elif theorem_id == "T4":
-        _require(p == 3, f"T4 requires p = 3, got p={p}")
-        _require(n % 2 == 1, f"T4 requires odd n, got n={n}")
-    elif theorem_id == "THMT":
-        _require(t is not None and 0 < t < n,
-                 f"THMT requires 0 < t < n, got t={t}, n={n}")
-    elif theorem_id == "C_F1":
-        _require(n % 2 == 0 and n >= 4,
-                 f"C_F1 requires n = 2m with m >= 2, got n={n}")
-    elif theorem_id == "C_F2":
-        _require(n % 2 == 1 and n >= 5,
-                 f"C_F2 requires n = 2m+1 with m >= 2, got n={n}")
-    elif theorem_id == "C_F3":
-        _require(n % 2 == 1 and n >= 5,
-                 f"C_F3 requires odd n >= 5 (so that t = (n+3)/2 < n), "
-                 f"got n={n}")
-    elif theorem_id == "T6":
-        _require(n % 2 == 0 and n >= 4, f"T6 requires even n >= 4, got n={n}")
-
-
-def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
-            t: Optional[int] = None):
-    """Closed-form predicted cell value at (a, b).
-
-    For T7 the claim is membership only, so the nontrivial prediction is the
-    frozen set {0, 4, 8}; every other supported id yields an integer.  T2 has
-    no per-cell form and raises :class:`HypothesisError`.
-    """
-    if theorem_id not in THEOREMS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if theorem_id == "T2":
-        return _predict_code("T2", a.field, a.code, b.code)
-    if theorem_id not in _PER_CELL_IDS:
-        raise ValueError(f"id {theorem_id!r} has no per-cell predictor")
-    field = a.field
-    if b.field is not field and _field_key(b.field) != _field_key(field):
-        raise ValueError("a and b live in different fields")
-    _check_predict_hypotheses(theorem_id, field, t)
-    return _predict_code(theorem_id, field, a.code, b.code, t=t)
-
-
-# ---------------------------------------------------------------------------
-# verification drivers
-# ---------------------------------------------------------------------------
-
-def _predicted_row_from_scalar(theorem_id: str, field: Field, a: int,
-                               t: Optional[int] = None) -> np.ndarray:
-    q = field.q
-    row = np.empty(q, dtype=np.int64)
-    row[0] = q
-    for b in range(1, q):
-        row[b] = _predict_code(theorem_id, field, a, b, t=t)
+def _inverse_row1(field: Field, t) -> np.ndarray:
+    """x^(q-2): 0 off the trivial cells, except 4 at the primitive cube
+    roots of unity, which exist exactly when n is even."""
+    row = np.zeros(field.q, dtype=np.int64)
+    if field.n % 2 == 0:
+        row[list(_omega_codes(field))] = 4
     return row
 
 
-def _t3_row(field: Field, a: int) -> np.ndarray:
+def _fourth_power_row1(field: Field, t) -> np.ndarray:
+    """x^4: 1 + eta(-(1 + c^2)/3)."""
     tb = field.tables()
-    q = field.q
-    bs = np.arange(q, dtype=np.int64)
-    a2 = field.mul_code(a, a)
-    inv3 = field.inv_code(field.scalar_mul_code(3, field.one.code))
-    s = tb.add[a2, field.vmul(bs, bs)]
-    row = 1 + tb.eta[field.vmul(tb.neg[s], inv3)].astype(np.int64)
-    row[0] = q
-    return row
+    cs = np.arange(field.q, dtype=np.int64)
+    inv3 = field.inv_code(field.scalar_mul_code(3, 1))
+    s = tb.neg[field.vadd(1, field.vmul(cs, cs))]
+    return 1 + tb.eta[field.vmul(s, inv3)].astype(np.int64)
 
 
-def _t4_row(field: Field, a: int) -> np.ndarray:
-    tb = field.tables()
-    q = field.q
-    bs = np.arange(q, dtype=np.int64)
-    e1 = tb.eta[field.vmul(bs, a)]
-    e2 = tb.eta[tb.add[field.mul_code(a, a), field.vmul(bs, bs)]]
-    row = np.full(q, -1, dtype=np.int64)
-    row[(e1 == 1) & (e2 == 1)] = 1
-    row[(e1 == -1) & (e2 == 1)] = 1
-    row[(e1 == -1) & (e2 == -1)] = 3
-    row[(e1 == 1) & (e2 == -1)] = 3
-    row[0] = q
-    if (row[1:] < 0).any():
-        raise HypothesisError(
-            "a^2 + b^2 = 0 with ab != 0 cannot occur over GF(3^n), n odd")
+def _ternary_row1(field: Field, t) -> np.ndarray:
+    """x^((3^n-1)/2+2): 1 where 1 + c^2 is a square, 3 where it is not."""
+    cs = np.arange(field.q, dtype=np.int64)
+    e = field.tables().eta[field.vadd(1, field.vmul(cs, cs))]
+    return 2 - e.astype(np.int64)
+
+
+def _thmt_row1(field: Field, t: int) -> np.ndarray:
+    """x^(2^t-1): classified through B(c) and the kernel dimension of
+    x^(2^t) + Bx^2 + (B+1)x."""
+    n = field.n
+    Bs, where = np.unique(_b_codes(field, t), return_inverse=True)
+    by_B = [2 ** math.gcd(t, n) - 4 if B == 0
+            else 2 ** math.gcd(t - 1, n) if B == 1
+            else max(2 ** _kernel_dim(field, t, int(B)) - 4, 0) for B in Bs]
+    return np.array(by_B, dtype=np.int64)[where]
+
+
+def _cf1_row1(field: Field, m: int) -> np.ndarray:
+    cs = np.arange(field.q, dtype=np.int64)
+    row = np.where(field.vpow(cs, 2 ** m - 1) == 1, 2 ** m - 4, 0)
+    if m % 2 == 1:
+        row[field.vpow(cs, 2 ** m - 2) == 1] = 4
+    return row.astype(np.int64)
+
+
+def _s6_row1(field: Field, t: int, power: int, value: int,
+             when: bool) -> np.ndarray:
+    """C_F2 and C_F3: 4 on S_6; when ``when`` holds, ``value`` on the c
+    with c^power = 1."""
+    row = np.where(_s6_mask(field, t), 4, 0).astype(np.int64)
+    if when:
+        cs = np.arange(field.q, dtype=np.int64)
+        row[field.vpow(cs, power) == 1] = value
     return row
 
 
 def _t6_row(field: Field, a: int) -> np.ndarray:
-    tb = field.tables()
-    q = field.q
-    bs = np.arange(q, dtype=np.int64)
-    ab = field.vmul(bs, a)
+    """Row a of x^(2^n-2) + Tr(x^2/(x+1)): explicit trace conditions on a and
+    b; on the coset b in {aw, aw^2} the value depends on b alone."""
+    tr = field.tables().tr
+    vmul, vinv = field.vmul, field.vinv
+    bs = np.arange(field.q, dtype=np.int64)
+    ab = vmul(bs, a)
     apb = bs ^ a
-    s = field.mul_code(a, a) ^ ab ^ field.vmul(bs, bs)
-    w1 = field.vmul(field.vinv(field.vmul(bs, apb)), a)
-    w2v = field.vmul(bs, field.vinv(field.vmul(apb, a)))
-    w3 = field.vmul(apb, field.vinv(ab))
-    extra = field.vmul(field.vmul(ab, apb), field.vinv(s ^ 1))
-    tr = tb.tr
+    s = field.mul_code(a, a) ^ ab ^ vmul(bs, bs)
+    w1 = vmul(vinv(vmul(bs, apb)), a)
+    w2v = vmul(bs, vinv(vmul(apb, a)))
+    w3 = vmul(apb, vinv(ab))
+    extra = vmul(vmul(ab, apb), vinv(s ^ 1))
     row = np.where((tr[w1] == 0) & (tr[w2v] == 0) & (tr[w3] == 0)
                    & (tr[extra] == 1), 4, 0).astype(np.int64)
-    row[0] = q
-    row[a] = q
     w, w2 = _omega_codes(field)
-    for b in (field.mul_code(a, w), field.mul_code(a, w2)):
-        row[b] = _t6_value(field, a, b)
+    coset = vmul(np.array([w, w2], dtype=np.int64), a)
+    b3 = field.vpow(coset, 3)
+    binv = vinv(coset)
+    c1 = tr[vmul(b3, vinv(b3 ^ 1))] == 0
+    c2 = ((tr[binv] == 0) & (tr[vmul(binv, w)] == 0)
+          & (tr[vmul(binv, w2)] == 0) & (tr[b3] == 1))
+    row[coset] = 4 * c1 + 4 * c2
     return row
 
 
-_ROW_BUILDERS = {"T3": _t3_row, "T4": _t4_row, "T6": _t6_row}
+# ---------------------------------------------------------------------------
+# generic row comparison
+# ---------------------------------------------------------------------------
+
+#: Note labels of the row-compared claims; the nontrivial maximum includes
+#: the a = b diagonal, the other two exclude it.
+_OFF_DIAGONAL = "observed off-diagonal maximum"
+_NONTRIVIAL = "observed nontrivial maximum"
+_BETA = "observed F-boomerang uniformity"
 
 
-def _expand_row1(field: Field, pred1: np.ndarray, a: int) -> np.ndarray:
-    """Predicted row for a from the row-one prediction of a power map."""
-    cols = field.vmul(np.arange(field.q, dtype=np.int64),
-                      field.inv_code(a))
-    return pred1[cols]
+@functools.cache
+def _row_one(theorem_id: str, field: Field, t) -> np.ndarray:
+    row = CLAIMS[theorem_id].row1(field, t)
+    row.flags.writeable = False  # one array serves every caller of the cache
+    return row
 
 
-def _compare_rows(field: Field, F, pred_row_fn):
-    """Exhaustively compare brute-force rows with predictions over the grid
-    a, b != 0 (the a = b diagonal included).  Returns
-    (cells_compared, first_mismatch_or_None, offdiag_max, withdiag_max)."""
+def _predicted_row(theorem_id: str, field: Field, t, a: int) -> np.ndarray:
+    """Row a of a per-cell claim; a power map's is its row one read at b/a.
+    The trivial cells b = 0 and, in characteristic 2, b = a hold q."""
+    claim = CLAIMS[theorem_id]
+    if claim.row1 is None:
+        row = claim.row(field, a)
+    else:
+        cols = field.vmul(np.arange(field.q, dtype=np.int64), field.vinv(a))
+        row = _row_one(theorem_id, field, t)[cols]
+    row[[0, a] if field.char2 else 0] = field.q
+    return row
+
+
+def _compare_rows(theorem_id: str, field: Field, setting: dict, kw: dict):
+    """The run of every per-cell claim: compare brute-force rows with the
+    prediction over the grid a, b != 0 (the a = b diagonal included) up to
+    the first mismatching cell, note the maximum the claim's label names,
+    then apply its expected-maximum check."""
+    claim = CLAIMS[theorem_id]
     q = field.q
-    offdiag_max = 0
-    withdiag_max = 0
+    F = claim.build(field, setting)
+    diagonal = claim.label == _NONTRIVIAL
+    observed, cells, first = 0, (q - 1) * (q - 1), None
     for a in range(1, q):
         obs = fbct_row_counts(F, a)
-        pred = pred_row_fn(a)
+        pred = _predicted_row(theorem_id, field, setting.get("t"), a)
         bad = np.nonzero(obs[1:] != pred[1:])[0]
         if bad.size:
             b = int(bad[0]) + 1
             cells = (a - 1) * (q - 1) + b
-            return cells, _mismatch(field, a, b, int(pred[b]), int(obs[b])), \
-                offdiag_max, withdiag_max
-        row = obs[1:]
-        withdiag_max = max(withdiag_max, int(row.max()))
-        if row.size > 1:
-            offdiag_max = max(offdiag_max,
-                              int(np.delete(row, a - 1).max()))
-    return (q - 1) * (q - 1), None, offdiag_max, withdiag_max
+            first = _mismatch(field, a, b, int(pred[b]), int(obs[b]))
+            break
+        row = obs[1:] if diagonal else np.delete(obs[1:], a - 1)
+        observed = max(observed, int(row.max(initial=0)))
+    notes = [f"{claim.label} {observed}"]
+    if claim.expect is not None:
+        first = claim.expect(F, setting, observed, first, notes)
+    return setting, cells, first, notes
 
 
-def _field_params(field: Field, **extra) -> dict:
-    out = {"p": field.p, "n": field.n, "modulus": field.modulus_text()}
-    out.update(extra)
+def _maximum(what: str, claimed: Callable[[dict], int]):
+    """Expected-maximum check: a mismatch when the observed maximum is not
+    the claimed one."""
+    def expect(F, setting, observed, first, notes):
+        want = claimed(setting)
+        if first is None and observed != want:
+            first = {"a": what, "b": "", "predicted": want,
+                     "observed": observed}
+        return first
+    return expect
+
+
+def _below_differential_uniformity(F, setting, observed, first, notes):
+    delta = differential_uniformity(F)
+    notes.append(f"differential uniformity {delta}")
+    if first is None and observed > delta:
+        first = {"a": "F-boomerang uniformity", "b": "differential uniformity",
+                 "predicted": delta, "observed": observed}
+        notes.append("F-boomerang uniformity exceeds differential uniformity")
+    return first
+
+
+def _bound_attained(F, setting, observed, first, notes):
+    if first is None and observed < 8:
+        notes.append(f"bound not attained: maximum 8 claimed, observed "
+                     f"{observed} on this field")
+    return first
+
+
+# ---------------------------------------------------------------------------
+# spectrum- and count-level checks
+# ---------------------------------------------------------------------------
+
+def _power_map(field: Field, setting: dict):
+    return Monomial(field, setting["d"])
+
+
+def _mersenne(field: Field, t: int, with_m: bool = False) -> dict:
+    """Verdict params of x^(2^t-1): t, the exponent d and, for the claims
+    stated in m, m = t."""
+    out = {"t": t, "d": canonical_exponent(field.q, 2 ** t - 1)}
+    if with_m:
+        out["m"] = t
     return out
 
 
-def _verify_cellwise_scalar(theorem_id, p, n, modulus, F_builder,
-                            default_p=None, t=None):
-    """Shared driver: build the field and function, then compare every cell
-    against the scalar predictor."""
-    if p is None:
-        p = default_p
-    _require(n is not None, "the field parameter n is required")
-    _require(p is not None, "the field parameter p is required")
-    field = make_field(p, n, modulus)
-    _check_predict_hypotheses(theorem_id, field, t)
-    F = F_builder(field)
-    builder = _ROW_BUILDERS.get(theorem_id)
-    if builder is not None:
-        pred_row = lambda a: builder(field, a)
-    else:
-        pred_row = lambda a: _predicted_row_from_scalar(theorem_id, field, a,
-                                                        t=t)
-    cells, first, offmax, withmax = _compare_rows(field, F, pred_row)
-    return field, F, cells, first, offmax, withmax
-
-
-def _verify_L1(kw):
-    field, F, cells, first, offmax, _ = _verify_cellwise_scalar(
-        "L1", kw["p"], kw["n"], kw["modulus"],
-        lambda f: Monomial(f, f.q - 2), default_p=2)
-    notes = [f"observed off-diagonal maximum {offmax}"]
-    return _field_params(field, d=field.q - 2), cells, first, notes
-
-
-def _verify_L2(kw):
-    field, F, cells, first, offmax, _ = _verify_cellwise_scalar(
-        "L2", kw["p"], kw["n"], kw["modulus"],
-        lambda f: Monomial(f, f.q - 2), default_p=2)
-    notes = [f"observed off-diagonal maximum {offmax}"]
-    return _field_params(field, d=field.q - 2), cells, first, notes
-
-
-def _verify_T1(kw):
-    p, n, modulus = kw["p"], kw["n"], kw["modulus"]
-    _require(p is not None and n is not None, "T1 requires p and n")
-    _require(p % 2 == 1, f"T1 requires odd characteristic, got p={p}")
-    field = make_field(p, n, modulus)
-    q = field.q
-    _require(q % 3 == 2, f"T1 requires p^n ≡ 2 (mod 3), got p^n={q}")
-    d = (2 * q - 1) // 3
-    F = Monomial(field, d)
-    ones = np.ones(q, dtype=np.int64)
-    ones[0] = q
-
-    def pred_row(a):
-        return ones
-
-    cells, first, _, withmax = _compare_rows(field, F, pred_row)
-    notes = [f"observed nontrivial maximum {withmax}"]
-    return _field_params(field, d=d), cells, first, notes
-
-
-def _verify_T2(kw):
-    p, n, modulus, k = kw["p"], kw["n"], kw["modulus"], kw["k"]
-    if k is None:
-        k = 1
-    _require(p is not None and n is not None, "T2 requires p and n")
-    _require(p > 3, f"T2 requires p > 3, got p={p}")
-    _require(math.gcd(k, 2 * n) == 1,
-             f"T2 requires gcd(k, 2n) = 1, got gcd({k}, {2 * n}) = "
-             f"{math.gcd(k, 2 * n)}")
-    field = make_field(p, n, modulus)
-    q = field.q
-    d = canonical_exponent(q, (p ** k + 1) // 2)
-    F = Monomial(field, d)
-    allowed = np.array(sorted({0, 1, (p - 3) // 2}), dtype=np.int64)
-    target = int(allowed.max())
-    withmax = 0
-    cells = 0
+def _run_T2(theorem_id: str, field: Field, setting: dict, kw: dict):
+    """Value set and maximum of the nontrivial spectrum, with its histogram,
+    in one pass over the rows."""
+    p, q = field.p, field.q
+    F = _power_map(field, setting)
+    allowed = sorted({0, 1, (p - 3) // 2})
+    hist = np.zeros(q + 1, dtype=np.int64)
+    cells, first = 0, None
     for a in range(1, q):
         obs = fbct_row_counts(F, a)
         row = obs[1:]
-        bad = np.nonzero(~np.isin(row, allowed))[0]
-        if bad.size:
-            b = int(bad[0]) + 1
-            cells += b
-            first = _mismatch(field, a, b,
-                              "one of {" + ", ".join(map(str, allowed)) + "}",
-                              int(obs[b]))
-            hist = {}
-            for aa in range(1, q):
-                vals, counts = np.unique(fbct_row_counts(F, aa)[1:],
-                                         return_counts=True)
-                for v, c in zip(vals, counts):
-                    hist[int(v)] = hist.get(int(v), 0) + int(c)
-            notes = ["observed nontrivial value histogram: "
-                     + ", ".join(f"{v}: {c}" for v, c in sorted(hist.items())),
-                     f"claimed value set and maximum not attained on GF({q})"]
-            return _field_params(field, k=k, d=d), cells, first, notes
-        cells += q - 1
-        withmax = max(withmax, int(row.max()))
-    notes = [f"observed nontrivial maximum {withmax}",
-             "per-cell branch conditions are not machine-checkable; "
-             "value-set and maximum checked instead"]
-    first = None
-    if withmax != target:
-        first = {"a": "maximum over ab != 0", "b": "",
-                 "predicted": target, "observed": withmax}
-    return _field_params(field, k=k, d=d), cells, first, notes
-
-
-def _verify_T3(kw):
-    field, F, cells, first, _, withmax = _verify_cellwise_scalar(
-        "T3", kw["p"], kw["n"], kw["modulus"], lambda f: Monomial(f, 4))
-    notes = [f"observed nontrivial maximum {withmax}"]
-    if first is None and withmax != 2:
-        first = {"a": "maximum over ab != 0", "b": "",
-                 "predicted": 2, "observed": withmax}
-    return _field_params(field, d=4), cells, first, notes
-
-
-def _verify_T4(kw):
-    p = kw["p"] if kw["p"] is not None else 3
-    n = kw["n"]
-    _require(n is not None, "T4 requires n")
-    d = (3 ** n - 1) // 2 + 2 if p == 3 else None
-    field, F, cells, first, _, withmax = _verify_cellwise_scalar(
-        "T4", p, n, kw["modulus"], lambda f: Monomial(f, (f.q - 1) // 2 + 2))
-    notes = [f"observed nontrivial maximum {withmax}"]
-    if first is None and withmax != 3:
-        first = {"a": "maximum over ab != 0", "b": "",
-                 "predicted": 3, "observed": withmax}
-    return _field_params(field, d=d), cells, first, notes
-
-
-def _verify_power_rowwise(theorem_id, field, F, t, expected_beta, notes):
-    """Full-grid comparison for a power map whose closed form is stated on
-    row one: predictions for row a are the row-one values at b/a."""
-    q = field.q
-    if theorem_id == "THMT":
-        pred1 = np.array([_thmt_row1_value(field, t, c) for c in range(q)],
-                         dtype=np.int64)
+        hist += np.bincount(row, minlength=q + 1)
+        if first is None:
+            bad = np.nonzero(~np.isin(row, allowed))[0]
+            if bad.size:
+                b = int(bad[0]) + 1
+                cells += b
+                first = _mismatch(field, a, b, _one_of(allowed), int(obs[b]))
+            else:
+                cells += q - 1
+    values = np.nonzero(hist)[0]
+    notes = ["observed nontrivial value histogram: "
+             + ", ".join(f"{v}: {hist[v]}" for v in values)]
+    if first is not None:
+        notes.append(f"claimed value set and maximum not attained on GF({q})")
     else:
-        pred1 = np.array([_cf_row1_value(field, theorem_id, c)
-                          for c in range(q)], dtype=np.int64)
-    cells, first, offmax, _ = _compare_rows(
-        field, F, lambda a: _expand_row1(field, pred1, a))
-    notes.append(f"observed F-boomerang uniformity {offmax}")
-    if first is None and expected_beta is not None and offmax != expected_beta:
-        first = {"a": "F-boomerang uniformity", "b": "",
-                 "predicted": expected_beta, "observed": offmax}
-    return cells, first, offmax
+        withmax = int(values[-1])
+        notes += [f"{_NONTRIVIAL} {withmax}",
+                  "per-cell branch conditions are not machine-checkable; "
+                  "value-set and maximum checked instead"]
+        if withmax != allowed[-1]:
+            first = {"a": "maximum over ab != 0", "b": "",
+                     "predicted": allowed[-1], "observed": withmax}
+    return setting, cells, first, notes
 
 
-def _verify_THMT(kw):
-    p = kw["p"] if kw["p"] is not None else 2
-    n, t = kw["n"], kw["t"]
-    _require(p == 2, f"THMT is stated over GF(2^n), got p={p}")
-    _require(n is not None, "THMT requires n")
-    _require(t is not None and 0 < t < n,
-             f"THMT requires 0 < t < n, got t={t}, n={n}")
-    field = make_field(2, n, kw["modulus"])
-    d = canonical_exponent(field.q, 2 ** t - 1)
-    F = Monomial(field, d)
-    notes = []
-    cells, first, offmax = _verify_power_rowwise("THMT", field, F, t, None,
-                                                 notes)
-    delta = differential_uniformity(F)
-    notes.append(f"differential uniformity {delta}")
-    if first is None and offmax > delta:
-        first = {"a": "F-boomerang uniformity", "b": "differential uniformity",
-                 "predicted": delta, "observed": offmax}
-        notes.append("F-boomerang uniformity exceeds differential uniformity")
-    return _field_params(field, t=t, d=d), cells, first, notes
-
-
-def _verify_CF(theorem_id, kw):
-    p = kw["p"] if kw["p"] is not None else 2
-    n = kw["n"]
-    _require(p == 2, f"{theorem_id} is stated over GF(2^n), got p={p}")
-    _require(n is not None, f"{theorem_id} requires n")
-    if theorem_id == "C_F1":
-        _require(n % 2 == 0, f"C_F1 requires even n, got n={n}")
-        m = n // 2
-        _require(m > 2,
-                 f"C_F1 requires m > 2 (the m = 2 function is APN and the "
-                 f"special b-sets degenerate), got m={m}")
-        t, expected = m, 2 ** m - 4
-    elif theorem_id == "C_F2":
-        _require(n % 2 == 1, f"C_F2 requires odd n, got n={n}")
-        m = (n - 1) // 2
-        _require(m > 2,
-                 f"C_F2 requires m > 2 (for m = 2 the value-4 set is empty "
-                 f"and the function is APN), got m={m}")
-        t, expected = m, 8 if m % 3 == 1 else 4
-    else:
-        _require(n % 2 == 1 and n >= 7,
-                 f"C_F3 requires odd n >= 7 (for n = 5 the value-4 sets are "
-                 f"empty and the function is APN), got n={n}")
-        t, expected = (n + 3) // 2, 4
-        m = None
-    field = make_field(2, n, kw["modulus"])
-    d = canonical_exponent(field.q, 2 ** t - 1)
-    F = Monomial(field, d)
-    notes = []
-    cells, first, _ = _verify_power_rowwise(theorem_id, field, F, t, expected,
-                                            notes)
-    extra = {"t": t, "d": d}
-    if m is not None:
-        extra["m"] = m
-    return _field_params(field, **extra), cells, first, notes
-
-
-def _verify_vb(theorem_id, kw):
-    p = kw["p"] if kw["p"] is not None else 2
-    n = kw["n"]
-    _require(p == 2, f"{theorem_id} is stated over GF(2^n), got p={p}")
-    _require(n is not None, f"{theorem_id} requires n")
-    if theorem_id == "C_F1_VB":
-        _require(n % 2 == 0 and n >= 4, f"n must be even and >= 4, got {n}")
-        t = n // 2
-    elif theorem_id == "C_F2_VB":
-        _require(n % 2 == 1 and n >= 3, f"n must be odd and >= 3, got {n}")
-        t = (n - 1) // 2
-    else:
-        _require(n % 2 == 1 and n >= 5, f"n must be odd and >= 5, got {n}")
-        t = (n + 3) // 2
-    field = make_field(2, n, kw["modulus"])
-    d = canonical_exponent(field.q, 2 ** t - 1)
-    F = Monomial(field, d)
-    claimed = vanishing_count_formula(theorem_id, n)
-    enumerated = vanishing_flats(F).vanishing_count
-    cells = 1
+def _run_vb(theorem_id: str, field: Field, setting: dict, kw: dict):
+    """The enumerated vanishing-flat count, then (C_F2_VB, C_F3_VB) the size
+    of S_6 by direct count, each against its formula; stops at the first
+    that differs."""
+    claimed = vanishing_count_formula(theorem_id, field.n)
+    enumerated = vanishing_flats(_power_map(field, setting)).vanishing_count
     notes = [f"enumerated vanishing flats: {enumerated}"]
-    first = None
     if enumerated != claimed:
-        first = {"a": "vanishing-flat count", "b": "",
-                 "predicted": claimed, "observed": enumerated}
-        return _field_params(field, t=t, d=d), cells, first, notes
-    if theorem_id in ("C_F2_VB", "C_F3_VB"):
-        s6_direct = int(_s6_mask(field, t).sum())
-        s6_claimed = s6_count_formula(theorem_id, n)
-        cells += 1
-        notes.append(f"S_6 size by direct count: {s6_direct}")
-        if s6_direct != s6_claimed:
-            first = {"a": "S_6 size", "b": "",
-                     "predicted": s6_claimed, "observed": s6_direct}
-    return _field_params(field, t=t, d=d), cells, first, notes
+        return setting, 1, {"a": "vanishing-flat count", "b": "",
+                            "predicted": claimed, "observed": enumerated}, notes
+    if theorem_id == "C_F1_VB":
+        return setting, 1, None, notes
+    s6_direct = int(_s6_mask(field, setting["t"]).sum())
+    s6_claimed = s6_count_formula(theorem_id, field.n)
+    notes.append(f"S_6 size by direct count: {s6_direct}")
+    first = None
+    if s6_direct != s6_claimed:
+        first = {"a": "S_6 size", "b": "",
+                 "predicted": s6_claimed, "observed": s6_direct}
+    return setting, 2, first, notes
 
 
-def _verify_T6(kw):
-    field, F, cells, first, offmax, _ = _verify_cellwise_scalar(
-        "T6", kw["p"], kw["n"], kw["modulus"],
-        lambda f: InversePlusTrace(f), default_p=2)
-    notes = [f"observed F-boomerang uniformity {offmax}"]
-    if first is None and offmax < 8:
-        notes.append(f"bound not attained: maximum 8 claimed, observed "
-                     f"{offmax} on this field")
-    return _field_params(field), cells, first, notes
-
-
-def _admissible_gammas(field: Field, t: int):
+def _admissible_gammas(field: Field, t: int) -> list:
     """Codes g != 0 with g in the 2^(2t)-power fixed subfield and
     Tr(g^(2^t+1)) = 0."""
-    out = []
-    for g in range(1, field.q):
-        if field.pow_code(g, 2 ** (2 * t)) != g:
-            continue
-        if field.trace_code(field.pow_code(g, 2 ** t + 1)) != 0:
-            continue
-        out.append(g)
-    return out
+    gs = np.arange(1, field.q, dtype=np.int64)
+    ok = ((field.vpow(gs, 2 ** (2 * t)) == gs)
+          & (field.tables().tr[field.vpow(gs, 2 ** t + 1)] == 0))
+    return gs[ok].tolist()
 
 
-def _verify_T7(kw):
-    p = kw["p"] if kw["p"] is not None else 2
-    n, t, gamma, modulus = kw["n"], kw["t"], kw["gamma"], kw["modulus"]
-    _require(p == 2, f"T7 is stated over GF(2^n), got p={p}")
-    _require(n is not None, "T7 requires n")
-    field = make_field(2, n, modulus)
-    q = field.q
+def _one_of(values) -> str:
+    return "one of {" + ", ".join(map(str, sorted(values))) + "}"
+
+
+_T7_VALUES = frozenset({0, 4, 8})
+
+
+def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
+    """Every admissible (t, gamma), or the given ones: q on the diagonal,
+    values in {0, 4, 8} off it."""
+    q, t, gamma = field.q, kw["t"], kw["gamma"]
+    params = {} if t is None else {"t": t}
     if gamma is not None:
-        _require(t is not None, "a gamma value requires t as well")
-        g = gamma if isinstance(gamma, FieldElement) else field.from_text(str(gamma))
+        g = (field.from_code(gamma.code) if isinstance(gamma, FieldElement)
+             else field.from_text(str(gamma)))
         pairs = [(t, g.code)]
-    elif t is not None:
-        _require(0 < t < n, f"T7 requires 0 < t < n, got t={t}, n={n}")
-        pairs = [(t, g) for g in _admissible_gammas(field, t)]
+        params["gamma"] = g.text
     else:
-        pairs = [(tt, g) for tt in range(1, n)
+        pairs = [(tt, g) for tt in ([t] if t is not None else range(1, field.n))
                  for g in _admissible_gammas(field, tt)]
-    allowed = np.array([0, 4, 8], dtype=np.int64)
+    allowed = sorted(_T7_VALUES)
     cells = 0
-    first = None
     observed = set()
     for tt, g in pairs:
         try:
@@ -946,39 +628,24 @@ def _verify_T7(kw):
             raise HypothesisError(str(exc)) from exc
         for a in range(1, q):
             obs = fbct_row_counts(F, a)
-            row = obs[1:].copy()
-            row_off = np.delete(row, a - 1)
-            bad = np.nonzero(~np.isin(row_off, allowed))[0]
-            if int(obs[a]) != q:
-                first = _mismatch(field, a, a, q, int(obs[a]))
-            elif bad.size:
+            ok = np.isin(obs, allowed)
+            ok[a] = obs[a] == q
+            bad = np.nonzero(~ok[1:])[0]
+            if bad.size:
                 b = int(bad[0]) + 1
-                if b >= a:
-                    b += 1  # skipped diagonal slot
-                first = _mismatch(field, a, b, "one of {0, 4, 8}",
+                first = _mismatch(field, a, b, q if b == a else _one_of(allowed),
                                   int(obs[b]))
-            if first is not None:
-                first["t"] = tt
-                first["gamma"] = field.from_code(g).text
-                cells += (a - 1) * (q - 1)
-                return {"p": 2, "n": n, "modulus": field.modulus_text()}, \
-                    cells, first, []
-            observed.update(int(v) for v in np.unique(row_off))
+                first.update(t=tt, gamma=field.from_code(g).text)
+                return params, cells + (a - 1) * (q - 1), first, []
+            observed.update(np.delete(obs[1:], a - 1).tolist())
         cells += (q - 1) * (q - 1)
     notes = [f"admissible (t, gamma) pairs: {len(pairs)}"]
     if pairs:
-        notes.append("observed nontrivial values: "
-                     f"{sorted(observed)}")
+        notes.append(f"observed nontrivial values: {sorted(observed)}")
     else:
         notes.append("no admissible (t, gamma) pair exists for this n; "
                      "the claim is vacuous here")
-    params = {"p": 2, "n": n, "modulus": field.modulus_text()}
-    if gamma is not None:
-        params["t"] = pairs[0][0]
-        params["gamma"] = field.from_code(pairs[0][1]).text
-    elif t is not None:
-        params["t"] = t
-    return params, cells, first, notes
+    return params, cells, None, notes
 
 
 #: (label, [(p, n), ...], exponent function, claimed maximum function)
@@ -1000,23 +667,23 @@ _TABLE1_ROWS = (
     ("x^((2q-1)/3), q ≡ 2 (mod 3)",
      [(5, 1), (5, 3)], lambda p, q: (2 * q - 1) // 3, lambda p: 1),
     ("x^((p+1)/2), p > 3",
-     [(7, 1), (11, 2)], lambda p, q: (p + 1) // 2, lambda p: (p - 3) // 2),
+     [(7, 1), (11, 1), (13, 1), (11, 2)], lambda p, q: (p + 1) // 2,
+     lambda p: (p - 3) // 2),
     ("x^((3^n-1)/2+2), p = 3, odd n",
      [(3, 3)], lambda p, q: (q - 1) // 2 + 2, lambda p: 3),
 )
 
 
-def _verify_TABLE1(kw):
+def _run_TABLE1(theorem_id: str, field, setting: dict, kw: dict):
     cells = 0
     notes = []
     first = None
     for label, fields, d_fn, max_fn in _TABLE1_ROWS:
         for p, n in fields:
-            field = make_field(p, n)
-            q = field.q
-            d = canonical_exponent(q, d_fn(p, q))
+            f = make_field(p, n)
+            q = f.q
             claimed = max_fn(p)
-            F = Monomial(field, d)
+            F = Monomial(f, canonical_exponent(q, d_fn(p, q)))
             got = 0
             for a in range(1, q):
                 got = max(got, int(fbct_row_counts(F, a)[1:].max()))
@@ -1030,16 +697,10 @@ def _verify_TABLE1(kw):
     return {}, cells, first, notes
 
 
-def _verify_PROP_VB(kw):
-    p = kw["p"] if kw["p"] is not None else 2
-    n = kw["n"]
-    _require(p == 2, f"PROP_VB is stated over GF(2^n), got p={p}")
-    _require(n is not None and n >= 2, "PROP_VB requires n >= 2")
-    field = make_field(2, n, kw["modulus"])
+def _run_PROP_VB(theorem_id: str, field: Field, setting: dict, kw: dict):
     q = field.q
     num_tables = kw["num_random_tables"]
     seed = kw["seed"]
-    workers = kw["workers"]
     jobs = [(f"monomial d={d}", Monomial(field, d)) for d in range(1, q)]
     rng = random.Random(seed)
     for i in range(num_tables):
@@ -1047,35 +708,26 @@ def _verify_PROP_VB(kw):
         jobs.append((f"random table {i}", TableFunction(field, codes)))
     first = None
     for label, F in jobs:
-        res = check_prop_identity(F, workers=workers)
+        res = check_prop_identity(F, workers=kw["workers"])
         if not res.holds:
             first = {"a": label, "b": "",
                      "predicted": res.rhs_24x, "observed": res.fbct_sum}
             break
     notes = [f"functions checked: {len(jobs)} "
              f"({q - 1} monomials, {num_tables} random tables)"]
-    params = _field_params(field, num_random_tables=num_tables, seed=seed)
-    return params, len(jobs), first, notes
+    return {"num_random_tables": num_tables, "seed": seed}, len(jobs), first, notes
 
 
-def _verify_APN_IFF_FBCT0(kw):
-    p = kw["p"] if kw["p"] is not None else 2
-    n = kw["n"]
-    _require(p == 2, f"APN_IFF_FBCT0 is stated over GF(2^n), got p={p}")
-    _require(n is not None and n >= 2, "APN_IFF_FBCT0 requires n >= 2")
-    field = make_field(2, n, kw["modulus"])
+def _run_APN_IFF_FBCT0(theorem_id: str, field: Field, setting: dict, kw: dict):
     q = field.q
     first = None
     apn_count = 0
     for d in range(1, q):
         F = Monomial(field, d)
         apn = differential_uniformity(F) == 2
-        fb_max = 0
         for a in range(1, q):
-            row = fbct_row_counts(F, a)[1:]
-            vals = np.delete(row, a - 1)
-            if vals.size and int(vals.max()) > 0:
-                fb_max = int(vals.max())
+            fb_max = int(np.delete(fbct_row_counts(F, a)[1:], a - 1).max(initial=0))
+            if fb_max:
                 break
         if apn != (fb_max == 0):
             first = {"a": f"monomial d={d}", "b": "",
@@ -1085,30 +737,222 @@ def _verify_APN_IFF_FBCT0(kw):
         if apn:
             apn_count += 1
     notes = [f"monomials checked: {q - 1}; APN among them: {apn_count}"]
-    return _field_params(field), q - 1, first, notes
+    return {}, q - 1, first, notes
 
 
-_DISPATCH = {
-    "L1": (_verify_L1, {"p", "n", "modulus", "workers"}),
-    "L2": (_verify_L2, {"p", "n", "modulus", "workers"}),
-    "T1": (_verify_T1, {"p", "n", "modulus", "workers"}),
-    "T2": (_verify_T2, {"p", "n", "k", "modulus", "workers"}),
-    "T3": (_verify_T3, {"p", "n", "modulus", "workers"}),
-    "T4": (_verify_T4, {"p", "n", "modulus", "workers"}),
-    "THMT": (_verify_THMT, {"p", "n", "t", "modulus", "workers"}),
-    "C_F1": (lambda kw: _verify_CF("C_F1", kw), {"p", "n", "modulus", "workers"}),
-    "C_F2": (lambda kw: _verify_CF("C_F2", kw), {"p", "n", "modulus", "workers"}),
-    "C_F3": (lambda kw: _verify_CF("C_F3", kw), {"p", "n", "modulus", "workers"}),
-    "C_F1_VB": (lambda kw: _verify_vb("C_F1_VB", kw), {"p", "n", "modulus", "workers"}),
-    "C_F2_VB": (lambda kw: _verify_vb("C_F2_VB", kw), {"p", "n", "modulus", "workers"}),
-    "C_F3_VB": (lambda kw: _verify_vb("C_F3_VB", kw), {"p", "n", "modulus", "workers"}),
-    "T6": (_verify_T6, {"p", "n", "modulus", "workers"}),
-    "T7": (_verify_T7, {"p", "n", "t", "gamma", "modulus", "workers"}),
-    "TABLE1": (_verify_TABLE1, {"workers"}),
-    "PROP_VB": (_verify_PROP_VB,
-                {"p", "n", "modulus", "num_random_tables", "seed", "workers"}),
-    "APN_IFF_FBCT0": (_verify_APN_IFF_FBCT0, {"p", "n", "modulus", "workers"}),
+# ---------------------------------------------------------------------------
+# the claim registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Claim:
+    """Everything ``verify``, ``predict`` and ``THEOREMS`` know about one id.
+    A per-cell claim gives ``row1`` or ``row`` and keeps the generic ``run``;
+    any other claim gives its own."""
+
+    summary: str
+    check: Callable[[dict], None]      # raises HypothesisError
+    params: tuple = ("p", "n")         # the parameters the claim is stated in
+    defaults: dict = dc_field(default_factory=dict)  # for those not given
+    setting: Callable[[Field, dict], dict] = lambda field, kw: {}  # d, t, m, k
+    build: Callable = _power_map       # the function checked, from its setting
+    row1: Optional[Callable] = None    # power maps: row one, read at b/a
+    row: Optional[Callable] = None     # other maps: the predicted row a
+    label: str = _NONTRIVIAL           # note label of the observed maximum
+    expect: Optional[Callable] = None  # expected-maximum check after the rows
+    run: Callable = _compare_rows      # or a spectrum- or count-level check
+    values: Optional[frozenset] = None  # membership claims: values off diagonal
+
+
+_GF2 = {"p": 2}
+
+CLAIMS = {
+    "L1": Claim(
+        summary="x^(2^n-2) on GF(2^n), n even: nontrivial cells are 0 "
+                "except value 4 exactly at a in {b*w, b*w^2}, w a "
+                "primitive cube root of unity",
+        check=functools.partial(_check_inverse, "L1", 0, 0), defaults=_GF2,
+        setting=lambda f, kw: {"d": f.q - 2},
+        row1=_inverse_row1, label=_OFF_DIAGONAL),
+    "L2": Claim(
+        summary="x^(2^n-2) on GF(2^n), n odd: every cell with "
+                "a,b nonzero and a != b is 0",
+        check=functools.partial(_check_inverse, "L2", 1, 0), defaults=_GF2,
+        setting=lambda f, kw: {"d": f.q - 2},
+        row1=_inverse_row1, label=_OFF_DIAGONAL),
+    "T1": Claim(
+        summary="x^((2q-1)/3) on GF(q), q = p^n ≡ 2 (mod 3), p odd: "
+                "every cell with ab != 0 equals 1",
+        check=_check_T1,
+        setting=lambda f, kw: {"d": (2 * f.q - 1) // 3},
+        row1=lambda f, t: np.ones(f.q, dtype=np.int64)),
+    "T2": Claim(
+        summary="x^((p^k+1)/2) on GF(p^n), p > 3, gcd(k, 2n) = 1: "
+                "nontrivial values lie in {0, 1, (p-3)/2} with maximum "
+                "(p-3)/2 (checked at the spectrum level)",
+        params=("p", "n", "k"),
+        check=_check_T2, defaults={"k": 1},
+        setting=lambda f, kw: {"k": kw["k"], "d": canonical_exponent(
+            f.q, (f.p ** kw["k"] + 1) // 2)},
+        run=_run_T2),
+    "T3": Claim(
+        summary="x^4 on GF(p^n), p > 3, n > 1: cell value for ab != 0 is "
+                "1 + eta(-(a^2+b^2)/3)",
+        check=_check_T3,
+        setting=lambda f, kw: {"d": 4},
+        row1=_fourth_power_row1,
+        expect=_maximum("maximum over ab != 0", lambda s: 2)),
+    "T4": Claim(
+        summary="x^((3^n-1)/2+2) on GF(3^n), n odd: cell value for "
+                "ab != 0 is 1 or 3 according to the signs of eta(ab) and "
+                "eta(a^2+b^2); maximum 3",
+        check=_check_T4, defaults={"p": 3},
+        setting=lambda f, kw: {"d": (f.q - 1) // 2 + 2},
+        row1=_ternary_row1,
+        expect=_maximum("maximum over ab != 0", lambda s: 3)),
+    "THMT": Claim(
+        summary="x^(2^t-1) on GF(2^n), 0 < t < n: row-one values "
+                "classified through B = (b^(2^t)+b)/(b(b+1)) and the "
+                "kernel dimension of x^(2^t)+Bx^2+(B+1)x; other rows "
+                "follow by monomial homogeneity",
+        params=("p", "n", "t"),
+        check=_check_THMT, defaults=_GF2,
+        setting=lambda f, kw: _mersenne(f, kw["t"]),
+        row1=_thmt_row1, label=_BETA, expect=_below_differential_uniformity),
+    "C_F1": Claim(
+        summary="x^(2^m-1) on GF(2^(2m)), m > 2: F-boomerang uniformity "
+                "2^m-4, attained on the b with b^(2^m-1) = 1",
+        check=functools.partial(_check_m, "C_F1", 0), defaults=_GF2,
+        setting=lambda f, kw: _mersenne(f, f.n // 2, with_m=True),
+        row1=_cf1_row1, label=_BETA,
+        expect=_maximum("F-boomerang uniformity", lambda s: 2 ** s["m"] - 4)),
+    "C_F1_VB": Claim(
+        summary="vanishing-flat count of x^(2^m-1) on GF(2^(2m)): "
+                "(2^(m-2)-1)(2^(m-1)-1)(2^n-1)/3, plus (2^n-1)/3 when m "
+                "is odd",
+        check=functools.partial(_check_vb, "C_F1_VB"), defaults=_GF2,
+        setting=lambda f, kw: _mersenne(f, f.n // 2),
+        run=_run_vb),
+    "C_F2": Claim(
+        summary="x^(2^m-1) on GF(2^(2m+1)), m > 2: F-boomerang "
+                "uniformity 8 if m ≡ 1 (mod 3), else 4",
+        check=functools.partial(_check_m, "C_F2", 1), defaults=_GF2,
+        setting=lambda f, kw: _mersenne(f, (f.n - 1) // 2, with_m=True),
+        row1=lambda f, m: _s6_row1(f, m, 2 ** m - 2, 8, m % 3 == 1),
+        label=_BETA,
+        expect=_maximum("F-boomerang uniformity",
+                        lambda s: 8 if s["m"] % 3 == 1 else 4)),
+    "C_F2_VB": Claim(
+        summary="vanishing-flat count of x^(2^m-1) on GF(2^(2m+1)) "
+                "written in terms of the Kloosterman sum K(1)",
+        check=functools.partial(_check_vb, "C_F2_VB"), defaults=_GF2,
+        setting=lambda f, kw: _mersenne(f, (f.n - 1) // 2),
+        run=_run_vb),
+    "C_F3": Claim(
+        summary="x^(2^t-1) on GF(2^n), n odd, t = (n+3)/2: F-boomerang "
+                "uniformity 4",
+        check=_check_C_F3, defaults=_GF2,
+        setting=lambda f, kw: _mersenne(f, (f.n + 3) // 2),
+        row1=lambda f, t: _s6_row1(f, t, 2 ** t - 1, 4, f.n % 3 == 0),
+        label=_BETA,
+        expect=_maximum("F-boomerang uniformity", lambda s: 4)),
+    "C_F3_VB": Claim(
+        summary="vanishing-flat count of x^(2^t-1) on GF(2^n), n odd, "
+                "t = (n+3)/2, written in terms of K(1)",
+        check=functools.partial(_check_vb, "C_F3_VB"), defaults=_GF2,
+        setting=lambda f, kw: _mersenne(f, (f.n + 3) // 2),
+        run=_run_vb),
+    "T6": Claim(
+        summary="x^(2^n-2) + Tr(x^2/(x+1)) on GF(2^n), n even: "
+                "nontrivial values lie in {0, 4, 8}, classified by "
+                "explicit trace conditions",
+        check=functools.partial(_check_inverse, "T6", 0, 4), defaults=_GF2,
+        build=lambda f, setting: InversePlusTrace(f),
+        row=_t6_row, label=_BETA, expect=_bound_attained),
+    "T7": Claim(
+        summary="1/(x + g*Tr(x^(2^t+1))) on GF(2^n) for admissible "
+                "(t, g) (g nonzero in the 2^(2t)-element subfield meet, "
+                "Tr(g^(2^t+1)) = 0): nontrivial values lie in {0, 4, 8}",
+        params=("p", "n", "t", "gamma"),
+        check=_check_T7, defaults=_GF2,
+        run=_run_T7, values=_T7_VALUES),
+    "TABLE1": Claim(
+        summary="catalogue of power maps in odd characteristic with a "
+                "claimed second-order zero differential uniformity; each "
+                "row's maximum is recomputed on small admissible fields",
+        params=(),
+        check=lambda kw: None,
+        run=_run_TABLE1),
+    "PROP_VB": Claim(
+        summary="for every function on GF(2^n) the nontrivial "
+                "second-order spectrum sums to 24 times the "
+                "vanishing-flat count",
+        params=("p", "n", "num_random_tables", "seed"),
+        check=functools.partial(_check_every_function, "PROP_VB"),
+        defaults=_GF2, run=_run_PROP_VB),
+    "APN_IFF_FBCT0": Claim(
+        summary="a function on GF(2^n) is APN exactly when its "
+                "second-order spectrum vanishes off the trivial cells; "
+                "checked in both directions across all monomials",
+        check=functools.partial(_check_every_function, "APN_IFF_FBCT0"),
+        defaults=_GF2, run=_run_APN_IFF_FBCT0),
 }
+
+#: Supported claim ids mapped to a hypothesis summary and accepted parameters.
+THEOREMS = {tid: {"summary": c.summary, "params": c.params}
+            for tid, c in CLAIMS.items()}
+
+
+def _claim(theorem_id: str) -> Claim:
+    claim = CLAIMS.get(theorem_id)
+    if claim is None:
+        known = ", ".join(sorted(CLAIMS))
+        raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {known}")
+    return claim
+
+
+def _arguments(claim: Claim, **given) -> dict:
+    """Every parameter a check may read, with the claim's defaults filled in
+    where none was given."""
+    kw = dict.fromkeys(("p", "n", "modulus", "t", "k", "gamma"))
+    kw.update(given)
+    kw.update({name: val for name, val in claim.defaults.items()
+               if kw[name] is None})
+    return kw
+
+
+# ---------------------------------------------------------------------------
+# public entry points
+# ---------------------------------------------------------------------------
+
+def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
+            t: Optional[int] = None):
+    """Closed-form predicted cell value at (a, b), read off the claim's
+    predicted row for a under the same hypotheses ``verify`` checks.
+
+    For T7 the claim is membership only, so the nontrivial prediction is the
+    frozen set {0, 4, 8}; every other supported id yields an integer.  T2 has
+    no per-cell form and raises :class:`HypothesisError`.
+    """
+    claim = _claim(theorem_id)
+    if theorem_id == "T2":
+        raise HypothesisError(
+            "T2 has no per-cell predictor (its branch conditions are not "
+            "pinned to explicit cells); verify it at the spectrum level")
+    if claim.row1 is None and claim.row is None and claim.values is None:
+        raise ValueError(f"id {theorem_id!r} has no per-cell predictor")
+    field = a.field
+    if b.field != field:
+        raise ValueError("a and b live in different fields")
+    kw = _arguments(claim, p=field.p, n=field.n, t=t)
+    claim.check(kw)
+    q = field.q
+    if a.code == 0 or b.code == 0:
+        return q
+    if claim.values is not None:
+        return q if a.code == b.code else claim.values
+    t = claim.setting(field, kw).get("t")
+    return int(_predicted_row(theorem_id, field, t, a.code)[b.code])
 
 
 def verify(theorem_id: str, *, p: Optional[int] = None,
@@ -1123,22 +967,27 @@ def verify(theorem_id: str, *, p: Optional[int] = None,
     condition in ``notes``.  ``workers`` is forwarded to the spectrum
     computations that support it.
     """
-    if theorem_id not in THEOREMS:
-        known = ", ".join(sorted(THEOREMS))
-        raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {known}")
-    fn, accepted = _DISPATCH[theorem_id]
+    claim = _claim(theorem_id)
     given = {"p": p, "n": n, "modulus": modulus, "t": t, "k": k,
              "gamma": gamma}
+    accepted = ({*claim.params, "workers"}
+                | ({"modulus"} if "n" in claim.params else set()))
     for name, val in given.items():
         if val is not None and name not in accepted:
             raise ValueError(
                 f"parameter {name!r} is not used by theorem {theorem_id}")
-    kw = {"p": p, "n": n, "modulus": modulus, "t": t, "k": k, "gamma": gamma,
-          "num_random_tables": num_random_tables, "seed": seed,
-          "workers": workers}
+    kw = _arguments(claim, **given, num_random_tables=num_random_tables,
+                    seed=seed, workers=workers)
     start = time.perf_counter()
     try:
-        params, cells, first, notes = fn(kw)
+        claim.check(kw)
+        field = (make_field(kw["p"], kw["n"], modulus)
+                 if "n" in claim.params else None)
+        setting = claim.setting(field, kw)
+        extra, cells, first, notes = claim.run(theorem_id, field, setting, kw)
+        params = extra if field is None else {
+            "p": field.p, "n": field.n, "modulus": field.modulus_text(),
+            **extra}
         status = "passed" if first is None else "failed"
     except HypothesisError as exc:
         params = {name: val for name, val in given.items()

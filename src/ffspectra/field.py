@@ -486,23 +486,6 @@ def make_field(p: int, n: int, modulus=None) -> Field:
     return fld
 
 
-def arith(kind: str, x: FieldElement, y=None) -> FieldElement:
-    """Dispatch add | sub | mul | inv | pow on field elements."""
-    if kind in ("add", "sub", "mul"):
-        if not isinstance(y, FieldElement):
-            raise FieldError(f"{kind} needs a second field element")
-        if y.field != x.field:
-            raise FieldError("operands come from different fields")
-        return {"add": x.__add__, "sub": x.__sub__, "mul": x.__mul__}[kind](y)
-    if kind == "inv":
-        return x.inv()
-    if kind == "pow":
-        if not isinstance(y, (int, np.integer)):
-            raise FieldError("pow needs an integer exponent")
-        return x ** int(y)
-    raise FieldError(f"unknown arithmetic kind {kind!r}")
-
-
 def trace(x: FieldElement) -> int:
     """Absolute trace into Z_p, returned as an integer in [0, p)."""
     return x.field.trace_code(x.code)

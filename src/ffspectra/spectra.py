@@ -92,13 +92,6 @@ def _fbct_row_from_deriv(f: Field, d: np.ndarray) -> np.ndarray:
     return counts
 
 
-def monomial_row(F: Monomial, b) -> int:
-    """nabla_F(1, b) for a power map; the table row all others scale from."""
-    if not isinstance(F, Monomial):
-        raise TypeError("monomial_row requires a power map")
-    return fbct_entry(F, 1, b)
-
-
 def monomial_row_all(F: Monomial) -> np.ndarray:
     if not isinstance(F, Monomial):
         raise TypeError("monomial_row_all requires a power map")
@@ -137,12 +130,6 @@ class SpectrumReport:
     nontrivial_cells: int
     trivial_cells: int
     table: Optional[np.ndarray] = None
-
-    def histogram_value_set(self):
-        return {v for v, _ in self.histogram}
-
-    def nontrivial_sum(self) -> int:
-        return sum(v * c for v, c in self.histogram if True)
 
     def to_json_obj(self) -> dict:
         # histogram always covers exactly the max-domain cells; trivial cells

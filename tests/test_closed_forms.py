@@ -125,6 +125,10 @@ def test_predict_membership_and_errors():
         predict("L1", one, make_field(2, 5).one)
     with pytest.raises(HypothesisError):
         predict("L1", make_field(2, 5).one, make_field(2, 5).from_code(2))
+    for tid, n in [("C_F1", 4), ("C_F2", 5), ("C_F3", 5)]:
+        f = make_field(2, n)  # the APN members verify has always rejected
+        with pytest.raises(HypothesisError, match="APN"):
+            predict(tid, f.one, f.from_code(2))
 
 
 # --- verify: parameter policing and hypothesis gating -----------------------
@@ -183,10 +187,12 @@ def test_inverse_map_verdicts():
 
 
 def test_half_power_verdict_passes_on_small_primes():
-    for p, n in [(5, 2), (7, 2)]:
+    # the histograms are frozen pins, recomputed with fbct_row_counts
+    for p, n, hist in [(5, 2, "1: 576"), (7, 2, "0: 1152, 1: 96, 2: 1056")]:
         v = verify("T2", p=p, n=n)
         assert v.passed, (p, n, v.first_mismatch)
         assert v.params["k"] == 1
+        assert v.notes[0] == f"observed nontrivial value histogram: {hist}"
 
 
 def test_half_power_claim_fails_on_gf11():
@@ -227,11 +233,43 @@ def test_power_family_edge_exponent():
     assert v.passed and v.cells_checked == 225
 
 
+def _prime_field_half_power_histogram(p: int) -> dict:
+    """Definition-level oracle on GF(p) with integers mod p: nontrivial
+    (a, b != 0) histogram of #{x : F(x+a+b) - F(x+a) - F(x+b) + F(x) = 0}
+    for F(x) = x^((p+1)/2)."""
+    d = (p + 1) // 2
+    F = [pow(x, d, p) for x in range(p)]
+    hist = {}
+    for a in range(1, p):
+        for b in range(1, p):
+            c = sum(1 for x in range(p)
+                    if (F[(x + a + b) % p] - F[(x + a) % p] - F[(x + b) % p]
+                        + F[x]) % p == 0)
+            hist[c] = hist.get(c, 0) + 1
+    return dict(sorted(hist.items()))
+
+
 def test_catalogue_of_odd_char_power_maps():
+    """The x^((p+1)/2) row claims maximum (p-3)/2; GF(11) and GF(13) refute
+    it (the T2 discrepancy), every other row holds on every field."""
     v = verify("TABLE1")
-    assert v.passed
-    assert len(v.notes) == 16
-    assert all("maximum" in note and "claimed" in note for note in v.notes)
+    assert v.status == "failed"
+    assert len(v.notes) == 18
+    row = "x^((p+1)/2), p > 3"
+    hists = {p: _prime_field_half_power_histogram(p) for p in (11, 13)}
+    assert hists == {11: {0: 40, 2: 60}, 13: {1: 72, 3: 72}}
+    observed = {f"{row} on GF({p}^1)": max(h) for p, h in hists.items()}
+    assert observed == {f"{row} on GF(11^1)": 2, f"{row} on GF(13^1)": 3}
+    assert v.first_mismatch == {"a": f"{row} on GF(11^1)",
+                                "b": "maximum over ab != 0",
+                                "predicted": 4, "observed": 2}
+    for note in v.notes:
+        where, rest = note.split(": maximum ")
+        got, claimed = rest.removesuffix(")").split(" (claimed ")
+        if where in observed:
+            assert int(got) == observed[where] != int(claimed), note
+        else:
+            assert got == claimed, note
 
 
 def test_mass_identity_verdict():
