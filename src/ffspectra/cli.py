@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -50,7 +49,7 @@ class RunConfig:
     gamma: Optional[str] = None
     format: str = "json"
     out: Optional[str] = None
-    workers: int = 0            # 0 = available parallelism
+    workers: int = 0            # accepted; has no effect
     keep_table: bool = False
     list_items: bool = False
     seed: int = 0
@@ -85,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=["csv", "json"], default="json")
     ap.add_argument("--out", help="output path (default: standard output)")
     ap.add_argument("--workers", type=int, default=0,
-                    help="worker processes; 0 means available parallelism")
+                    help="accepted for compatibility; has no effect")
     ap.add_argument("--keep-table", action="store_true", dest="keep_table",
                     help="include the full q-by-q table in spectra output")
     ap.add_argument("--list", action="store_true", dest="list_items",
@@ -104,12 +103,6 @@ def _config_from_args(argv) -> RunConfig:
                      gamma=ns.gamma, format=ns.format, out=ns.out,
                      workers=ns.workers, keep_table=ns.keep_table,
                      list_items=ns.list_items, seed=ns.seed, method=ns.method)
-
-
-def _effective_workers(cfg: RunConfig) -> int:
-    if cfg.workers and cfg.workers > 0:
-        return cfg.workers
-    return os.cpu_count() or 1
 
 
 def _require_n(cfg: RunConfig) -> int:
@@ -180,8 +173,7 @@ def _cmd_eval(cfg: RunConfig):
 
 def _spectrum_obj(cfg: RunConfig, field: Field, F, kind: str):
     fn = ddt_spectrum if kind == "ddt" else fbct_spectrum
-    rep = fn(F, keep_table=cfg.keep_table, workers=_effective_workers(cfg))
-    return rep
+    return fn(F, keep_table=cfg.keep_table)
 
 
 def _cmd_one_spectrum(cfg: RunConfig, kind: str):
@@ -276,8 +268,7 @@ def _cmd_verify(cfg: RunConfig):
                            _require_n(cfg), modulus)
         kwargs["gamma"] = field.from_text(cfg.gamma)
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    verdict = verify(cfg.theorem, seed=cfg.seed,
-                     workers=_effective_workers(cfg), **kwargs)
+    verdict = verify(cfg.theorem, seed=cfg.seed, **kwargs)
     obj = verdict.to_json_obj(fixed_time=True)
     if verdict.status == "hypothesis_error":
         sys.stderr.write((verdict.notes[0] if verdict.notes else

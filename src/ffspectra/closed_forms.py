@@ -32,7 +32,8 @@ from .functions import (
     TableFunction,
     canonical_exponent,
 )
-from .spectra import ddt_row_counts, differential_uniformity, fbct_row_counts
+from .spectra import (ddt_row_counts, differential_uniformity, fbct_row_counts,
+                      fbct_rows)
 from .flats import check_prop_identity, vanishing_flats
 from .algebra import linearized_kernel_dim
 
@@ -468,8 +469,7 @@ def _compare_rows(theorem_id: str, field: Field, setting: dict, kw: dict):
     F = claim.build(field, setting)
     diagonal = claim.label == _NONTRIVIAL
     observed, cells, first = 0, (q - 1) * (q - 1), None
-    for a in range(1, q):
-        obs = fbct_row_counts(F, a)
+    for a, obs in fbct_rows(F):
         pred = _predicted_row(theorem_id, field, setting.get("t"), a)
         bad = np.nonzero(obs[1:] != pred[1:])[0]
         if bad.size:
@@ -539,8 +539,7 @@ def _run_T2(theorem_id: str, field: Field, setting: dict, kw: dict):
     allowed = sorted({0, 1, (p - 3) // 2})
     hist = np.zeros(q + 1, dtype=np.int64)
     cells, first = 0, None
-    for a in range(1, q):
-        obs = fbct_row_counts(F, a)
+    for a, obs in fbct_rows(F):
         row = obs[1:]
         hist += np.bincount(row, minlength=q + 1)
         if first is None:
@@ -626,8 +625,7 @@ def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
             F = GammaTraceInverse(field, tt, field.from_code(g))
         except FunctionError as exc:
             raise HypothesisError(str(exc)) from exc
-        for a in range(1, q):
-            obs = fbct_row_counts(F, a)
+        for a, obs in fbct_rows(F):
             ok = np.isin(obs, allowed)
             ok[a] = obs[a] == q
             bad = np.nonzero(~ok[1:])[0]
@@ -684,9 +682,7 @@ def _run_TABLE1(theorem_id: str, field, setting: dict, kw: dict):
             q = f.q
             claimed = max_fn(p)
             F = Monomial(f, canonical_exponent(q, d_fn(p, q)))
-            got = 0
-            for a in range(1, q):
-                got = max(got, int(fbct_row_counts(F, a)[1:].max()))
+            got = max(int(obs[1:].max()) for _, obs in fbct_rows(F))
             cells += (q - 1) * (q - 1)
             notes.append(f"{label} on GF({p}^{n}): maximum {got} "
                          f"(claimed {claimed})")
@@ -708,7 +704,7 @@ def _run_PROP_VB(theorem_id: str, field: Field, setting: dict, kw: dict):
         jobs.append((f"random table {i}", TableFunction(field, codes)))
     first = None
     for label, F in jobs:
-        res = check_prop_identity(F, workers=kw["workers"])
+        res = check_prop_identity(F)
         if not res.holds:
             first = {"a": label, "b": "",
                      "predicted": res.rhs_24x, "observed": res.fbct_sum}
@@ -964,20 +960,18 @@ def verify(theorem_id: str, *, p: Optional[int] = None,
 
     Returns a :class:`TheoremVerdict`; parameters violating the claim's
     hypotheses produce ``status == "hypothesis_error"`` with the violated
-    condition in ``notes``.  ``workers`` is forwarded to the spectrum
-    computations that support it.
+    condition in ``notes``.  ``workers`` is accepted and has no effect.
     """
     claim = _claim(theorem_id)
     given = {"p": p, "n": n, "modulus": modulus, "t": t, "k": k,
              "gamma": gamma}
-    accepted = ({*claim.params, "workers"}
-                | ({"modulus"} if "n" in claim.params else set()))
+    accepted = set(claim.params) | ({"modulus"} if "n" in claim.params else set())
     for name, val in given.items():
         if val is not None and name not in accepted:
             raise ValueError(
                 f"parameter {name!r} is not used by theorem {theorem_id}")
     kw = _arguments(claim, **given, num_random_tables=num_random_tables,
-                    seed=seed, workers=workers)
+                    seed=seed)
     start = time.perf_counter()
     try:
         claim.check(kw)

@@ -21,6 +21,11 @@ class FieldError(ValueError):
     """Invalid field construction, bad element data, or mixed-field operands."""
 
 
+class InvariantError(AssertionError):
+    """An internal consistency check failed: a program fault, never bad input.
+    Raised explicitly, so ``python -O`` keeps the check."""
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over Z_p (little-endian coefficient lists)
 # ---------------------------------------------------------------------------
@@ -74,7 +79,6 @@ def _canonical_modulus(p: int, n: int) -> tuple[int, ...]:
 
 
 _TABLE_LIMIT = 1 << 20       # build log/antilog tables up to this q
-_ADD_TABLE_LIMIT = 1 << 12   # dense q x q addition table (odd p) up to this q
 
 
 class Field:
@@ -92,6 +96,7 @@ class Field:
         self.char2 = p == 2
         self._mod_code = sum(c << i for i, c in enumerate(self.modulus)) if self.char2 else 0
         self._pows = tuple(p ** i for i in range(n))
+        self._pow_vec = np.array(self._pows, dtype=np.int64)
         self._lock = threading.Lock()
         self._tab = None
 
@@ -229,7 +234,7 @@ class Field:
             cur = self.pow_code(cur, self.p)
             acc = self.add_code(acc, cur)
         if acc >= self.p:
-            raise AssertionError("trace left the prime subfield")
+            raise InvariantError("trace left the prime subfield")
         return acc
 
     def eta_code(self, x: int) -> int:
@@ -251,7 +256,7 @@ class Field:
         """Build (once) and return numpy acceleration tables.
 
         Attributes: exp, log, inv, tr, gen, frob; odd characteristic adds
-        add (q x q), neg, eta.  All code-indexed.
+        dig (the q x n digit matrix), neg, eta.  All code-indexed.
         """
         t = self._tab
         if t is not None:
@@ -271,7 +276,7 @@ class Field:
         for g in range(2, self.q):
             if all(self.pow_code(g, order // r) != 1 for r in prim_factors):
                 return g
-        raise AssertionError("no generator found")
+        raise InvariantError("no generator found")
 
     def _build_tables(self) -> SimpleNamespace:
         if self.q > _TABLE_LIMIT:
@@ -284,7 +289,7 @@ class Field:
             exp[i] = cur
             cur = self.mul_code(cur, gen)
         if cur != 1:
-            raise AssertionError("generator order mismatch")
+            raise InvariantError("generator order mismatch")
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(max(q - 1, 1), dtype=np.int64)
 
@@ -313,38 +318,37 @@ class Field:
                 cur_v = frob[cur_v]
                 acc_dig = (acc_dig + dig[cur_v]) % p
             if n > 1 and np.any(acc_dig[:, 1:]):
-                raise AssertionError("trace left the prime subfield")
+                raise InvariantError("trace left the prime subfield")
             tr = acc_dig[:, 0].astype(np.int64)
         if np.any(tr >= p):
-            raise AssertionError("trace out of range")
+            raise InvariantError("trace out of range")
 
         ns = SimpleNamespace(gen=gen, exp=exp, log=log, inv=inv, frob=frob, tr=tr,
-                             add=None, neg=None, eta=None)
+                             dig=None, neg=None, eta=None)
         if not self.char2:
-            dig = self._digit_matrix()
-            neg = ((p - dig) % p) @ np.asarray(self._pows, dtype=np.int64)
-            ns.neg = neg.astype(np.int64)
+            ns.dig = dig
+            ns.neg = ((p - dig) % p) @ self._pow_vec
             eta = np.where(log % 2 == 0, 1, -1).astype(np.int8)
             eta[0] = 0
             ns.eta = eta
-            if self.q <= _ADD_TABLE_LIMIT:
-                s = (dig[:, None, :] + dig[None, :, :]) % p
-                ns.add = (s @ np.asarray(self._pows, dtype=np.int64)).astype(np.int64)
         return ns
 
     def _digit_matrix(self) -> np.ndarray:
+        """Row x holds the base-p digits of code x, in the narrowest dtype
+        that holds the sum of two digits."""
         ids = np.arange(self.q, dtype=np.int64)
-        return np.stack([(ids // w) % self.p for w in self._pows], axis=1)
+        dtype = np.min_scalar_type(2 * (self.p - 1))
+        return np.stack([(ids // w) % self.p for w in self._pows], axis=1).astype(dtype)
 
     # -- vectorized arithmetic on code arrays --------------------------------------
 
     def vadd(self, X, Y):
+        """Elementwise sum of code arrays: XOR in characteristic 2, digit-wise
+        addition mod p otherwise."""
         if self.char2:
             return np.bitwise_xor(X, Y)
-        t = self.tables()
-        if t.add is not None:
-            return t.add[X, Y]
-        raise FieldError("vectorized addition needs the dense table (q too large)")
+        dig = self.tables().dig
+        return ((dig[X] + dig[Y]) % self.p) @ self._pow_vec
 
     def vsub(self, X, Y):
         if self.char2:
@@ -529,16 +533,6 @@ def _sqrt_odd(field: Field, d: int) -> int:
     return r
 
 
-def _half_trace(field: Field, c: int) -> int:
-    """For odd n in characteristic 2: a solution y of y^2 + y = c when trace(c)=0."""
-    acc = c
-    cur = c
-    for _ in range((field.n - 1) // 2):
-        cur = field.pow_code(cur, 4)
-        acc = field.add_code(acc, cur)
-    return acc
-
-
 def _artin_schreier_solve(field: Field, c: int) -> int:
     """Solve y^2 + y = c over GF(2^n) by F2-linear elimination (any n)."""
     n = field.n
@@ -550,7 +544,6 @@ def _artin_schreier_solve(field: Field, c: int) -> int:
     rows = [(imgs[j], 1 << j) for j in range(n)]
     sol = 0
     rhs = c
-    used = []
     for bit in range(n):
         pivot = None
         for idx, (img, comb) in enumerate(rows):
@@ -560,7 +553,6 @@ def _artin_schreier_solve(field: Field, c: int) -> int:
         if pivot is None:
             continue
         pimg, pcomb = rows.pop(pivot)
-        used.append((bit, pimg, pcomb))
         rows = [(img ^ pimg, comb ^ pcomb) if img >> bit & 1 else (img, comb)
                 for img, comb in rows]
         if rhs >> bit & 1:
@@ -588,14 +580,9 @@ def solve_quadratic(A: FieldElement, B: FieldElement, C: FieldElement) -> frozen
         # substitute X = (B/A) Y: reduces to Y^2 + Y = AC/B^2
         ratio = field.mul_code(b, field.inv_code(a))
         w = field.mul_code(field.mul_code(a, c), field.inv_code(field.mul_code(b, b)))
-        if field.trace_code(w) != 0:
+        y0 = _artin_schreier_solve(field, w)
+        if y0 < 0:
             return frozenset()
-        if field.n % 2 == 1:
-            y0 = _half_trace(field, w)
-        else:
-            y0 = _artin_schreier_solve(field, w)
-            if y0 < 0:
-                return frozenset()
         roots = {field.mul_code(ratio, y0), field.mul_code(ratio, y0 ^ 1)}
         return frozenset(FieldElement(field, r) for r in roots)
     # odd characteristic: discriminant split

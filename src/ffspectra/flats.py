@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .field import FieldError
+from .field import FieldError, InvariantError
 from .functions import FunctionUnderTest
-from .spectra import fbct_spectrum
+from .spectra import ddt_row_counts, fbct_spectrum
 
 
 def count_two_flats(n: int) -> int:
@@ -25,9 +25,10 @@ def count_two_flats(n: int) -> int:
     if n < 2:
         raise ValueError(f"n={n} must be at least 2")
     q = 1 << n
-    total = q * (q - 1) * (q - 2)
-    assert total % 24 == 0
-    return total // 24
+    total, rem = divmod(q * (q - 1) * (q - 2), 24)
+    if rem:
+        raise InvariantError(f"2^n(2^n-1)(2^n-2) is not divisible by 24 at n={n}")
+    return total
 
 
 @dataclass
@@ -40,21 +41,20 @@ class FlatReport:
 
 def _vanishing_count_pairs(F: FunctionUnderTest) -> int:
     """Count via pair buckets: unordered pairs {x,y} with x+y = s land in the
-    bucket (s, F(x)+F(y)); a vanishing block is two distinct same-bucket
-    pairs, and each block arises from exactly 3 of its pairings."""
-    f = F.field
-    q = f.q
-    FT = F.table()
-    X = np.arange(q, dtype=np.int64)
+    bucket (s, F(x)+F(y)), whose sizes are half the DDT row s; a vanishing
+    block is two distinct same-bucket pairs, and each block arises from
+    exactly 3 of its pairings."""
     acc = 0
-    for s in range(1, q):
-        vals = FT ^ FT[X ^ s]
-        c = np.bincount(vals, minlength=q)
-        assert (c % 2 == 0).all()  # x and x+s list each pair twice
+    for s in range(1, F.field.q):
+        c = ddt_row_counts(F, s)
+        if (c % 2).any():  # x and x+s list each pair twice
+            raise InvariantError(f"odd entry in DDT row {s} in characteristic 2")
         m = c // 2
         acc += int((m * (m - 1) // 2).sum())
-    assert acc % 3 == 0
-    return acc // 3
+    count, rem = divmod(acc, 3)
+    if rem:
+        raise InvariantError("pair-bucket total is not a multiple of 3")
+    return count
 
 
 def _vanishing_listing(F: FunctionUnderTest) -> list:
@@ -96,11 +96,11 @@ class PropIdentityCheck:
     rhs_24x: int
 
 
-def check_prop_identity(F: FunctionUnderTest, workers: int = 1) -> PropIdentityCheck:
+def check_prop_identity(F: FunctionUnderTest) -> PropIdentityCheck:
     """Compare the off-trivial FBCT mass with 24 times the vanishing count."""
     if not F.field.char2:
         raise FieldError("identity defined in characteristic 2 only")
-    rep = fbct_spectrum(F, workers=workers, method="entrywise")
+    rep = fbct_spectrum(F, method="entrywise")
     lhs = sum(v * c for v, c in rep.histogram)
     count = vanishing_flats(F).vanishing_count
     return PropIdentityCheck(holds=(lhs == 24 * count), fbct_sum=lhs,
@@ -119,8 +119,10 @@ def gaussian_binomial(n: int, k: int) -> int:
     for i in range(k):
         num *= (1 << (n - i)) - 1
         den *= (1 << (k - i)) - 1
-    assert num % den == 0
-    return num // den
+    count, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(f"Gaussian binomial [{n} choose {k}]_2 is not an integer")
+    return count
 
 
 def echelon_bases(n: int, k: int):

@@ -55,10 +55,6 @@ class FunctionUnderTest:
     def text(self) -> str:
         raise NotImplementedError
 
-    def payload(self):
-        """Picklable recipe for rebuilding this function in a worker process."""
-        return ("text", self.text())
-
     def __repr__(self):
         return f"<{self.text()} over GF({self.field.p}^{self.field.n})>"
 
@@ -167,16 +163,6 @@ class TableFunction(FunctionUnderTest):
 
     def text(self) -> str:
         return "table:" + ",".join(str(c) for c in self._codes)
-
-    def payload(self):
-        return ("table", self._codes)
-
-
-def function_from_payload(field: Field, payload) -> FunctionUnderTest:
-    kind, data = payload
-    if kind == "table":
-        return TableFunction(field, data)
-    return parse_function(field, data)
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,15 @@ characteristic 2, where the max is also called beta_F).
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .field import Field, FieldElement, make_field
-from .functions import FunctionUnderTest, Monomial, function_from_payload
+from .field import Field, FieldElement, InvariantError
+from .functions import FunctionUnderTest, Monomial
 
-_PARALLEL_MIN_Q = 512
-_BLOCK_CELLS = 1 << 22
+_BLOCK_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +35,7 @@ def deriv_row(F: FunctionUnderTest, a: int) -> np.ndarray:
     """Vector d with d[x] = code of F(x+a) - F(x)."""
     f = F.field
     FT = F.table()
-    X = np.arange(f.q, dtype=np.int64)
-    if f.char2:
-        return FT[X ^ a] ^ FT
-    t = f.tables()
-    return f.vsub(FT[t.add[:, a]], FT)
+    return f.vsub(FT[f.vadd(np.arange(f.q, dtype=np.int64), a)], FT)
 
 
 def ddt_entry(F: FunctionUnderTest, a, b) -> int:
@@ -67,29 +61,43 @@ def fbct_entry(F: FunctionUnderTest, a, b) -> int:
     f = F.field
     a, b = f.element(a).code, f.element(b).code
     d = deriv_row(F, a)
-    X = np.arange(f.q, dtype=np.int64)
-    shifted = d[X ^ b] if f.char2 else d[f.tables().add[:, b]]
-    return int(np.count_nonzero(shifted == d))
+    return int(np.count_nonzero(d[f.vadd(np.arange(f.q, dtype=np.int64), b)] == d))
+
+
+def _block_rows(q: int) -> int:
+    return max(1, _BLOCK_CELLS // q)
 
 
 def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
-    """nabla_F(a, b) for every b, as a length-q vector indexed by b's code."""
+    """nabla_F(a, b) for every b, as a length-q vector indexed by b's code.
+
+    ``a`` is one element (a FieldElement, a code or element text); any other
+    iterable is a sequence of them, and gives the (len, q) block of their
+    rows.  The derivatives of up to _BLOCK_CELLS / q rows are held as the
+    columns of one (q, R) array D, so each b costs one gather D[x + b] and
+    one comparison with D for all R rows at once.
+    """
     f = F.field
-    a = f.element(a).code
-    return _fbct_row_from_deriv(f, deriv_row(F, a))
-
-
-def _fbct_row_from_deriv(f: Field, d: np.ndarray) -> np.ndarray:
     q = f.q
-    counts = np.empty(q, dtype=np.int64)
+    single = isinstance(a, (int, np.integer, str, FieldElement))
+    codes = [f.element(c).code for c in ([a] if single else a)]
     X = np.arange(q, dtype=np.int64)
-    blk = max(1, min(q, _BLOCK_CELLS // q))
-    add = None if f.char2 else f.tables().add
-    col = d[:, None]
-    for s in range(0, q, blk):
-        idx = (X[:, None] ^ X[None, s:s + blk]) if f.char2 else add[:, s:s + blk]
-        counts[s:s + blk] = (d[idx] == col).sum(axis=0)
-    return counts
+    counts = np.empty((len(codes), q), dtype=np.int64)
+    step = _block_rows(q)
+    for s in range(0, len(codes), step):
+        D = np.stack([deriv_row(F, c) for c in codes[s:s + step]],
+                     axis=1).astype(np.int32)
+        for b in range(q):
+            counts[s:s + step, b] = np.count_nonzero(D[f.vadd(X, b)] == D, axis=0)
+    return counts[0] if single else counts
+
+
+def fbct_rows(F: FunctionUnderTest):
+    """Yield (a, nabla_F(a, .)) for a = 1..q-1, one kernel block at a time."""
+    q = F.field.q
+    step = _block_rows(q)
+    for s in range(1, q, step):
+        yield from zip(range(s, q), fbct_row_counts(F, range(s, min(s + step, q))))
 
 
 def monomial_row_all(F: Monomial) -> np.ndarray:
@@ -157,80 +165,25 @@ def _hist_pairs(counts: np.ndarray) -> list:
     return [(int(v), int(counts[v])) for v in nz]
 
 
-def _ddt_hist_range(F: FunctionUnderTest, lo: int, hi: int):
-    """Histogram of delta_F(a,b) over a in [lo,hi) (a>=1), all b; plus rows."""
-    q = F.field.q
-    hist = np.zeros(q + 1, dtype=np.int64)
-    for a in range(max(lo, 1), hi):
-        row = ddt_row_counts(F, a)
-        hist += np.bincount(row, minlength=q + 1)
-    return hist
+def _nontrivial(f: Field, a: int, row: np.ndarray) -> np.ndarray:
+    """FBCT row a without its trivial cells (b = 0, and b = a in
+    characteristic 2), after checking that they hold q."""
+    trivial = [0, a] if f.char2 else [0]
+    if (row[trivial] != f.q).any():
+        raise InvariantError(f"a trivial cell of FBCT row a={a} does not hold q")
+    return np.delete(row, trivial)
 
 
-def _fbct_hist_range(F: FunctionUnderTest, lo: int, hi: int):
-    """Histogram of nabla_F(a,b) over max-domain cells with a in [lo,hi)."""
+def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumReport:
     f = F.field
     q = f.q
     hist = np.zeros(q + 1, dtype=np.int64)
-    for a in range(max(lo, 1), hi):
-        row = _fbct_row_from_deriv(f, deriv_row(F, a))
-        assert row[0] == q, "b=0 column must hold q"
-        row = row[1:]  # drop b=0
-        if f.char2:
-            assert row[a - 1] == q, "diagonal must hold q"
-            row = np.delete(row, a - 1)
-        hist += np.bincount(row, minlength=q + 1)
-    return hist
-
-
-_WCTX: dict = {}
-
-
-def _worker_init(p, n, modulus, payload, kind):
-    f = make_field(p, n, list(modulus))
-    F = function_from_payload(f, payload)
-    F.table()
-    f.tables()
-    _WCTX["F"] = F
-    _WCTX["kind"] = kind
-
-
-def _worker_range(bounds):
-    lo, hi = bounds
-    F = _WCTX["F"]
-    fn = _ddt_hist_range if _WCTX["kind"] == "ddt" else _fbct_hist_range
-    return fn(F, lo, hi)
-
-
-def _hist_over_rows(F: FunctionUnderTest, kind: str, workers: int) -> np.ndarray:
-    q = F.field.q
-    serial = _ddt_hist_range if kind == "ddt" else _fbct_hist_range
-    if workers <= 1 or q < _PARALLEL_MIN_Q:
-        return serial(F, 1, q)
-    nchunks = max(workers * 4, 1)
-    step = max((q - 1 + nchunks - 1) // nchunks, 1)
-    bounds = [(lo, min(lo + step, q)) for lo in range(1, q, step)]
-    f = F.field
-    ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
-    with ctx.Pool(workers, initializer=_worker_init,
-                  initargs=(f.p, f.n, tuple(f.modulus), F.payload(), kind)) as pool:
-        parts = pool.map(_worker_range, bounds)
-    total = np.zeros(q + 1, dtype=np.int64)
-    for part in parts:
-        total += part
-    return total
-
-
-def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False, workers: int = 1) -> SpectrumReport:
-    f = F.field
-    q = f.q
-    hist = _hist_over_rows(F, "ddt", workers)
+    for a in range(1, q):
+        hist += np.bincount(ddt_row_counts(F, a), minlength=q + 1)
     uniformity = int(np.nonzero(hist)[0].max())
     table = None
     if keep_table:
-        table = np.empty((q, q), dtype=np.int64)
-        for a in range(q):
-            table[a] = ddt_row_counts(F, a)
+        table = np.stack([ddt_row_counts(F, a) for a in range(q)])
     return SpectrumReport(
         kind="ddt", p=f.p, n=f.n, modulus=f.modulus_text(), function=F.text(),
         histogram=_hist_pairs(hist), uniformity=uniformity, beta=None,
@@ -238,7 +191,7 @@ def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False, workers: int = 
         nontrivial_cells=(q - 1) * q, trivial_cells=q, table=table)
 
 
-def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False, workers: int = 1,
+def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False,
                   method: str = "auto") -> SpectrumReport:
     f = F.field
     q = f.q
@@ -247,18 +200,15 @@ def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False, workers: int =
     if method == "monomial" and not isinstance(F, Monomial):
         raise TypeError("monomial method requires a power map")
 
+    hist = np.zeros(q + 1, dtype=np.int64)
     if method == "monomial":
         # nabla(a,b) = nabla(1, b/a): the nontrivial multiset is (q-1) copies
-        # of row a=1 restricted to b not in {0,1} (plus b != 0 in odd char).
-        row1 = monomial_row_all(F)
-        assert row1[0] == q
-        drop = (2 if f.char2 else 1)
-        body = row1[drop:] if f.char2 else row1[1:]
-        if f.char2:
-            assert row1[1] == q, "diagonal must hold q"
-        hist = np.bincount(body, minlength=q + 1) * (q - 1)
+        # of row a=1 without its trivial cells.
+        hist += np.bincount(_nontrivial(f, 1, monomial_row_all(F)),
+                            minlength=q + 1) * (q - 1)
     else:
-        hist = _hist_over_rows(F, "fbct", workers)
+        for a, row in fbct_rows(F):
+            hist += np.bincount(_nontrivial(f, a, row), minlength=q + 1)
 
     nz = np.nonzero(hist)[0]
     uniformity = int(nz.max()) if nz.size else 0
@@ -266,12 +216,8 @@ def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False, workers: int =
     nontrivial = (q - 1) * (q - 2) if f.char2 else (q - 1) * (q - 1)
     table = None
     if keep_table:
-        if isinstance(F, Monomial):
-            table = monomial_table_from_row(F)
-        else:
-            table = np.empty((q, q), dtype=np.int64)
-            for a in range(q):
-                table[a] = _fbct_row_from_deriv(f, deriv_row(F, a))
+        table = (monomial_table_from_row(F) if isinstance(F, Monomial)
+                 else fbct_row_counts(F, range(q)))
     return SpectrumReport(
         kind="fbct", p=f.p, n=f.n, modulus=f.modulus_text(), function=F.text(),
         histogram=_hist_pairs(hist), uniformity=uniformity,
@@ -307,16 +253,11 @@ def classify(F: FunctionUnderTest) -> Classification:
 
     FT = F.table()
     X = np.arange(q, dtype=np.int64)
-    add = None if f.char2 else f.tables().add
     is_gapn = True
     for a in range(1, q):
-        if f.char2:
-            acc = FT ^ FT[X ^ a]
-        else:
-            acc = FT.copy()
-            for i in range(1, f.p):
-                ai = f.mul_code(a, i)
-                acc = f.vadd(acc, FT[add[:, ai]])
+        acc = FT
+        for i in range(1, f.p):
+            acc = f.vadd(acc, FT[f.vadd(X, f.mul_code(a, i))])
         if int(np.bincount(acc, minlength=q).max()) > f.p:
             is_gapn = False
             break

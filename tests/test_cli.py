@@ -7,6 +7,8 @@ import pytest
 from ffspectra.cli import main
 from ffspectra.closed_forms import THEOREMS
 from ffspectra.field import make_field
+from ffspectra.functions import Monomial
+from ffspectra.spectra import ddt_row_counts
 
 
 def run(capsys, *argv):
@@ -93,6 +95,19 @@ def test_identical_configs_are_byte_identical(tmp_path, capsys):
     assert main(vargv + ["--out", str(v2)]) == 0
     capsys.readouterr()
     assert v1.read_bytes() == v2.read_bytes()
+
+
+def test_odd_characteristic_ddt_beyond_the_old_table_limit(capsys):
+    code, out, err = run(capsys, "ddt", "--p", "3", "--n", "8",
+                         "--fn", "monomial:d=5", "--workers", "1")
+    assert code == 0, err
+    rep = json.loads(out)
+    q = 3 ** 8
+    # q - 1 rows a != 0, each summing to q over its q cells
+    assert sum(h["count"] for h in rep["histogram"]) == (q - 1) * q
+    assert sum(h["value"] * h["count"] for h in rep["histogram"]) == (q - 1) * q
+    F = Monomial(make_field(3, 8), 5)
+    assert all(int(ddt_row_counts(F, a).sum()) == q for a in range(q))
 
 
 def test_out_file_leaves_stdout_empty(tmp_path, capsys):

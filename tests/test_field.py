@@ -192,6 +192,24 @@ def test_vectorized_ops_match_scalars(field):
     assert all(int(v) == f.pow_code(int(x), 5) for v, x in zip(f.vpow(xs, 5), xs))
 
 
+@pytest.mark.parametrize("p,n", [(3, 8), (5, 6)])
+def test_vectorized_add_sub_beyond_the_old_table_limit(p, n):
+    f = make_field(p, n)
+    rng = np.random.RandomState(4)
+    xs = rng.randint(0, f.q, 200).astype(np.int64)
+    ys = rng.randint(0, f.q, 200).astype(np.int64)
+    assert [int(v) for v in f.vadd(xs, ys)] == \
+        [f.add_code(int(x), int(y)) for x, y in zip(xs, ys)]
+    assert [int(v) for v in f.vsub(xs, ys)] == \
+        [f.sub_code(int(x), int(y)) for x, y in zip(xs, ys)]
+
+
+def test_tables_hold_no_quadratic_array():
+    f = make_field(3, 7)
+    sizes = [np.size(v) for v in vars(f.tables()).values() if v is not None]
+    assert max(sizes) < f.q ** 2
+
+
 def test_element_operators(field):
     f = field
     a = f.from_code(1 % f.q)

@@ -1,5 +1,10 @@
 """Spectra against definition-level brute force, plus structural invariants."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -43,6 +48,7 @@ CASES = [
 def test_rows_match_definition(p, n, fn):
     f = make_field(p, n)
     F = parse_function(f, fn)
+    block = fbct_row_counts(F, range(f.q))
     for a in range(f.q):
         drow = ddt_row_counts(F, a)
         frow = fbct_row_counts(F, a)
@@ -51,6 +57,7 @@ def test_rows_match_definition(p, n, fn):
             assert frow[b] == brute_fbct(F, a, b), (a, b)
             assert ddt_entry(F, a, b) == drow[b]
             assert fbct_entry(F, a, b) == frow[b]
+        assert (block[a] == frow).all(), a
 
 
 def test_random_table_function_rows_match_definition():
@@ -58,12 +65,27 @@ def test_random_table_function_rows_match_definition():
     for p, n in [(2, 3), (5, 1)]:
         f = make_field(p, n)
         F = TableFunction(f, [int(v) for v in rng.randint(0, f.q, f.q)])
+        block = fbct_row_counts(F, range(f.q))
         for a in range(f.q):
             drow = ddt_row_counts(F, a)
             frow = fbct_row_counts(F, a)
             for b in range(f.q):
                 assert drow[b] == brute_ddt(F, a, b)
                 assert frow[b] == brute_fbct(F, a, b)
+            assert (block[a] == frow).all(), (p, n, a)
+
+
+def test_fbct_row_beyond_the_old_addition_table_limit():
+    # q = 6561 > 4096: odd-characteristic rows used to need a q x q table
+    f = make_field(3, 8)
+    F = Monomial(f, 5)
+    a = 1234
+    row = fbct_row_counts(F, a)
+    assert all(row[b] == fbct_entry(F, a, b) for b in range(f.q))
+    # definition-level counts over values from scalar evaluation
+    values = TableFunction(f, [F.eval_code(x) for x in range(f.q)])
+    for b in (0, 1, 4321):
+        assert row[b] == brute_fbct(values, a, b), b
 
 
 def test_ddt_rows_sum_to_q():
@@ -135,15 +157,6 @@ def test_spectrum_json_schema():
     assert "full_table" not in obj2
 
 
-def test_worker_counts_agree():
-    f = make_field(2, 5)
-    F = Monomial(f, 11)
-    one = fbct_spectrum(F, workers=1)
-    two = fbct_spectrum(F, workers=2)
-    assert one.histogram == two.histogram
-    assert ddt_spectrum(F, workers=2).histogram == ddt_spectrum(F).histogram
-
-
 def test_fbct_methods_agree_for_monomials():
     f = make_field(2, 5)
     F = Monomial(f, 7)
@@ -187,3 +200,42 @@ def test_table_csv_lines_shape():
     assert lines[0] == "a,b,value"
     assert len(lines) == 1 + 16
     assert lines[1] == "0,0,4"
+
+
+def test_invariant_checks_survive_python_O():
+    """Under ``python -O`` a corrupted trivial FBCT cell (entrywise and
+    monomial paths) and an odd characteristic-2 DDT entry still raise."""
+    script = textwrap.dedent("""
+        import sys
+        from ffspectra import flats, spectra
+        from ffspectra.field import InvariantError, make_field
+        from ffspectra.functions import Monomial, TableFunction
+
+        if not sys.flags.optimize:
+            raise SystemExit("expected python -O")
+        real_rows, real_ddt = spectra.fbct_row_counts, spectra.ddt_row_counts
+
+        def corrupt_rows(F, a):
+            rows = real_rows(F, a)
+            rows[..., 0] -= 1
+            return rows
+
+        spectra.fbct_row_counts = corrupt_rows
+        flats.ddt_row_counts = lambda F, a: real_ddt(F, a) + 1
+        f = make_field(2, 4)
+        for run in (lambda: spectra.fbct_spectrum(TableFunction(f, range(16))),
+                    lambda: spectra.fbct_spectrum(Monomial(f, 7)),
+                    lambda: flats.vanishing_flats(Monomial(f, 7))):
+            try:
+                run()
+                print("no error")
+            except InvariantError as exc:
+                print("InvariantError", exc)
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3 and all(line.startswith("InvariantError") for line in lines), lines
