@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import Field, FieldElement, FieldError, solve_quadratic
+from .field import Field, FieldElement, FieldError, InvariantError, solve_quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +68,11 @@ def cubic_roots_odd(c2: FieldElement, c1: FieldElement, c0: FieldElement) -> Cub
             - f.from_code(f.scalar_mul_code(27, (c * c).code)))
     eta = f.eta_code(disc.code)
     if disc.code != 0:
-        assert (len(roots) == 1) == (eta == -1), "one-root criterion violated"
-        if eta == 1:
-            assert len(roots) in (0, 3)
+        if (len(roots) == 1) != (eta == -1):
+            raise InvariantError(f"one-root criterion violated: {len(roots)} roots, "
+                                 f"eta(disc) = {eta}")
+        if eta == 1 and len(roots) not in (0, 3):
+            raise InvariantError(f"{len(roots)} roots with eta(disc) = 1; expected 0 or 3")
     return CubicRootsReport(roots=roots, discriminant=disc, eta_disc=eta)
 
 
@@ -146,7 +148,9 @@ def quartic_pattern_brute(a2: FieldElement, a1: FieldElement, a0: FieldElement) 
         return (1, 1, 2)
     if nroots == 1:
         return (1, 3)
-    assert nroots == 0
+    if nroots != 0:
+        raise InvariantError(f"{nroots} roots, but a squarefree quartic without an "
+                             "X^3 term has 0, 1, 2 or 4")
     gvals = _poly_values(f, [0, a2.code, a1.code])
     for u in np.nonzero(gvals == 0)[0]:
         ue = f.from_code(int(u))

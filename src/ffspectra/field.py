@@ -68,6 +68,49 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with the first 12 primes as bases: exact for every
+    m < 3.18 * 10**23, far above the q <= 2**62 this module supports."""
+    if m < 2:
+        return False
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of m >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out.append(m)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     """First irreducible monic degree-n polynomial in ascending code order."""
@@ -267,12 +310,10 @@ class Field:
         return self._tab
 
     def _find_generator(self) -> int:
-        import sympy
-
         if self.q == 2:
             return 1
         order = self.q - 1
-        prim_factors = list(sympy.factorint(order))
+        prim_factors = _prime_factors(order)
         for g in range(2, self.q):
             if all(self.pow_code(g, order // r) != 1 for r in prim_factors):
                 return g
@@ -350,11 +391,15 @@ class Field:
         dig = self.tables().dig
         return ((dig[X] + dig[Y]) % self.p) @ self._pow_vec
 
+    def vneg(self, X):
+        if self.char2:
+            return X
+        return self.tables().neg[X]
+
     def vsub(self, X, Y):
         if self.char2:
             return np.bitwise_xor(X, Y)
-        t = self.tables()
-        return self.vadd(X, t.neg[Y])
+        return self.vadd(X, self.vneg(Y))
 
     def vmul(self, X, Y):
         t = self.tables()
@@ -461,11 +506,10 @@ def make_field(p: int, n: int, modulus=None) -> Field:
     monic irreducible polynomial; defaults to the first irreducible in
     ascending code order.
     """
-    import sympy
-
     p = int(p)
     n = int(n)
-    if p < 2 or not sympy.isprime(p):
+    # a p above the native range fails the q check below without a primality test
+    if p < 2 or (p <= _NATIVE_LIMIT and not _is_prime(p)):
         raise FieldError(f"p={p} is not prime")
     if n < 1:
         raise FieldError(f"n={n} must be a positive integer")

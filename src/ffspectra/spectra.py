@@ -25,6 +25,8 @@ from .field import Field, FieldElement, InvariantError
 from .functions import FunctionUnderTest, Monomial
 
 _BLOCK_CELLS = 1 << 20
+_PAIR_KEYS = 1 << 16
+_PAIR_COST = 16
 
 
 # ---------------------------------------------------------------------------
@@ -68,27 +70,109 @@ def _block_rows(q: int) -> int:
     return max(1, _BLOCK_CELLS // q)
 
 
+def _derivs(F: FunctionUnderTest, codes) -> np.ndarray:
+    """The (q, R) int32 array whose column r is d_a for a = codes[r]."""
+    D = np.empty((F.field.q, len(codes)), dtype=np.int32)
+    for r, c in enumerate(codes):
+        D[:, r] = deriv_row(F, c)
+    return D
+
+
+def _level_mass(D: np.ndarray) -> np.ndarray:
+    """s_a = sum_v delta(a, v)^2 for each column d_a of D: the number of
+    ordered pairs (x, y) with d_a(x) = d_a(y), which is also sum_b nabla(a, b)."""
+    mass = np.empty(D.shape[1], dtype=np.int64)
+    for r, d in enumerate(D.T):
+        c = np.bincount(d, minlength=D.shape[0])
+        mass[r] = c @ c
+    return mass
+
+
+def _fbct_dense(f: Field, D: np.ndarray) -> np.ndarray:
+    """FBCT rows of the columns of D by the dense scan: for each b, one gather
+    D[x + b] and one comparison with D for all columns at once; q^2 cells a row."""
+    q, R = D.shape
+    X = np.arange(q, dtype=np.int64)
+    counts = np.empty((R, q), dtype=np.int64)
+    for b in range(q):
+        counts[:, b] = np.count_nonzero(D[f.vadd(X, b)] == D, axis=0)
+    return counts
+
+
+def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
+    """FBCT rows of the columns of D from level-set pairs: nabla(a, b) counts
+    the ordered pairs (x, y) with d_a(x) = d_a(y) and y - x = b, so a row
+    costs s_a pairs instead of q^2 cells.
+
+    Up to _PAIR_KEYS keys r*q + d_a(x) are sorted at once.  Equal keys sit at
+    offsets k = 1, 2, ... of each other, and only the positions still equal
+    at offset k can be equal at k + 1.  Each such pair (x, y), x first in
+    sorted order, adds one to H(y - x); the pairs in the other order give
+    H(x - y), and x = y gives q at b = 0.  Pending differences are
+    bincounted once max(_PAIR_KEYS, q) of them have piled up, so a sub-block
+    holds O(max(_PAIR_KEYS, q)) memory whatever its pair count.
+    """
+    q, R = D.shape
+    counts = np.empty((R, q), dtype=np.int64)
+    neg = f.vneg(np.arange(q, dtype=np.int64))
+    step = max(1, _PAIR_KEYS // q)
+    cap = max(_PAIR_KEYS, q)
+    for s in range(0, R, step):
+        m = min(step, R - s)
+        keys = (D[:, s:s + m].T + np.arange(0, m * q, q, dtype=np.int64)[:, None]).ravel()
+        # below 2^16 the keys fit uint16, which numpy's stable sort radix-sorts
+        order = np.argsort(keys.astype(np.min_scalar_type(keys.size - 1)), kind="stable")
+        sk = keys[order]
+        xs = order % q
+        rowq = order - xs
+        hist = np.zeros(m * q, dtype=np.int64)
+        pending, npend = [], 0
+        i = np.arange(sk.size)
+        k = 1
+        while i.size:
+            i = i[:np.searchsorted(i, sk.size - k)]
+            i = i[sk[i + k] == sk[i]]
+            pending.append(rowq[i] + f.vsub(xs[i + k], xs[i]))
+            npend += i.size
+            if npend >= cap or not i.size:
+                hist += np.bincount(np.concatenate(pending), minlength=m * q)
+                pending, npend = [], 0
+            k += 1
+        hist = hist.reshape(m, q)
+        counts[s:s + m] = hist + hist[:, neg]
+        counts[s:s + m, 0] += q
+    return counts
+
+
 def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
     """nabla_F(a, b) for every b, as a length-q vector indexed by b's code.
 
     ``a`` is one element (a FieldElement, a code or element text); any other
     iterable is a sequence of them, and gives the (len, q) block of their
     rows.  The derivatives of up to _BLOCK_CELLS / q rows are held as the
-    columns of one (q, R) array D, so each b costs one gather D[x + b] and
-    one comparison with D for all R rows at once.
+    columns of one (q, R) array D.  A row takes the pair kernel when
+    _PAIR_COST * s_a <= q^2 and the dense scan otherwise, and must sum to s_a.
     """
     f = F.field
     q = f.q
     single = isinstance(a, (int, np.integer, str, FieldElement))
     codes = [f.element(c).code for c in ([a] if single else a)]
-    X = np.arange(q, dtype=np.int64)
     counts = np.empty((len(codes), q), dtype=np.int64)
     step = _block_rows(q)
     for s in range(0, len(codes), step):
-        D = np.stack([deriv_row(F, c) for c in codes[s:s + step]],
-                     axis=1).astype(np.int32)
-        for b in range(q):
-            counts[s:s + step, b] = np.count_nonzero(D[f.vadd(X, b)] == D, axis=0)
+        block = codes[s:s + step]
+        D = _derivs(F, block)
+        mass = _level_mass(D)
+        by_pairs = _PAIR_COST * mass <= q * q
+        rows = counts[s:s + len(block)]
+        for kernel, use in ((_fbct_pairs, by_pairs), (_fbct_dense, ~by_pairs)):
+            if use.any():
+                rows[use] = kernel(f, D if use.all() else D[:, use])
+        bad = np.nonzero(rows.sum(axis=1) != mass)[0]
+        if bad.size:
+            r = bad[0]
+            raise InvariantError(f"FBCT row a={block[r]} sums to {rows[r].sum()}, "
+                                 f"not to sum_v delta(a, v)^2 = {mass[r]}")
     return counts[0] if single else counts
 
 

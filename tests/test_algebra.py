@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -142,3 +146,48 @@ def test_linearized_kernel_validation():
         linearized_kernel_dim(6, f.one)
     with pytest.raises(FieldError):
         linearized_kernel_dim(1, make_field(3, 2).one)
+
+
+def test_root_count_checks_survive_python_O():
+    """Under ``python -O`` a corrupted root count still raises: the one-root
+    criterion and the 0-or-3 count of a cubic, and the quartic brute count."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from ffspectra import algebra
+        from ffspectra.field import InvariantError, make_field
+
+        if not sys.flags.optimize:
+            raise SystemExit("expected python -O")
+
+        def with_roots(k):
+            def values(field, coeffs_desc):
+                vals = np.ones(field.q, dtype=np.int64)
+                vals[:k] = 0
+                return vals
+            return values
+
+        f7, f16 = make_field(7, 1), make_field(2, 4)
+        cases = [  # X^3 + 3X + 1: eta(disc) = -1;  X^3 + X + 1: eta(disc) = 1
+            (2, lambda: algebra.cubic_roots_odd(f7.zero, f7.from_code(3), f7.one)),
+            (2, lambda: algebra.cubic_roots_odd(f7.zero, f7.one, f7.one)),
+            (3, lambda: algebra.quartic_pattern_brute(f16.one, f16.one, f16.one)),
+        ]
+        for k, run in cases:
+            algebra._poly_values = with_roots(k)
+            try:
+                run()
+                print("no error")
+            except InvariantError as exc:
+                print("InvariantError", exc)
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3 and all(line.startswith("InvariantError") for line in lines), lines
+    assert "one-root criterion" in lines[0]
+    assert "eta(disc) = 1" in lines[1]
+    assert "squarefree quartic" in lines[2]

@@ -1,6 +1,10 @@
 """Command-line interface: output schemas, exit codes, byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -222,3 +226,24 @@ def test_list_theorems(capsys):
     code, out, _ = run(capsys, "list-theorems", "--format", "csv")
     lines = out.strip().splitlines()
     assert lines[0] == "id,summary" and len(lines) == 1 + len(THEOREMS)
+
+
+def test_cli_paths_do_not_import_sympy():
+    """sympy is a test dependency only: field set-up, tables and verify run
+    without it."""
+    script = textwrap.dedent("""
+        import sys
+        from ffspectra.cli import main
+        for argv in (["field", "--p", "3", "--n", "10"],
+                     ["verify", "--theorem", "T1", "--p", "11", "--n", "1"],
+                     ["fbct", "--p", "2", "--n", "6", "--fn", "monomial:d=7"]):
+            if main(argv) != 0:
+                raise SystemExit(f"{argv} failed")
+        print("sympy" in sys.modules)
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"

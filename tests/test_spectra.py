@@ -8,6 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from ffspectra import spectra
 from ffspectra.field import make_field
 from ffspectra.functions import Monomial, TableFunction, parse_function
 from ffspectra.spectra import (classify, ddt_entry, ddt_row_counts,
@@ -75,12 +76,78 @@ def test_random_table_function_rows_match_definition():
             assert (block[a] == frow).all(), (p, n, a)
 
 
-def test_fbct_row_beyond_the_old_addition_table_limit():
+def _count_kernel_rows(monkeypatch):
+    """Patch the private dense and pair kernels to count the rows each gets."""
+    rows = {"pairs": 0, "dense": 0}
+    for kind in rows:
+        real = getattr(spectra, f"_fbct_{kind}")
+
+        def counted(f, D, real=real, kind=kind):
+            rows[kind] += D.shape[1]
+            return real(f, D)
+
+        monkeypatch.setattr(spectra, f"_fbct_{kind}", counted)
+    return rows
+
+
+def _dense_oracle(F, codes):
+    return spectra._fbct_dense(F.field, spectra._derivs(F, list(codes)))
+
+
+def _power_table(f, d):
+    return TableFunction(f, [f.pow_code(x, d) for x in range(f.q)])
+
+
+def _random_permutation(f, seed):
+    return TableFunction(f, [int(v) for v in np.random.RandomState(seed).permutation(f.q)])
+
+
+PAIR_ORACLE_CASES = [
+    # (p, n, function, rows, the kernel every row must take)
+    (2, 9, lambda f: Monomial(f, 15), range(1, 512), "pairs"),           # APN
+    (2, 9, lambda f: _random_permutation(f, 11), range(1, 512), "pairs"),
+    (3, 6, lambda f: Monomial(f, 5), range(1, 729), "pairs"),
+    (11, 3, lambda f: Monomial(f, 887), range(1, 41), "pairs"),         # the T1 map
+    (1327, 1, lambda f: _power_table(f, 884), range(1, 9), "dense"),    # one level set of 441
+]
+
+
+@pytest.mark.parametrize("p,n,build,rows,kernel", PAIR_ORACLE_CASES,
+                         ids=["x15-GF2^9", "perm-GF2^9", "x5-GF3^6", "T1-GF11^3",
+                              "x884-GF1327"])
+def test_fbct_rows_equal_the_dense_scan(monkeypatch, p, n, build, rows, kernel):
+    F = build(make_field(p, n))
+    want = _dense_oracle(F, rows)
+    ran = _count_kernel_rows(monkeypatch)
+    got = fbct_row_counts(F, rows)
+    assert np.array_equal(got, want)
+    assert ran == {"pairs": len(rows) if kernel == "pairs" else 0,
+                   "dense": len(rows) if kernel == "dense" else 0}
+
+
+def test_one_block_mixes_both_kernels(monkeypatch):
+    """A permutation on the half x < 256 of GF(2^9), zero on the other half:
+    a row a < 256 has the level set of 0 over the whole zero half (dense),
+    a row a >= 256 has level sets of size 2 (pairs)."""
+    f = make_field(2, 9)
+    perm = np.random.RandomState(4).permutation(f.q)[:256]
+    F = TableFunction(f, [int(v) for v in perm] + [0] * 256)
+    rows = range(1, f.q)
+    assert len(rows) <= spectra._block_rows(f.q)
+    want = _dense_oracle(F, rows)
+    ran = _count_kernel_rows(monkeypatch)
+    assert np.array_equal(fbct_row_counts(F, rows), want)
+    assert ran == {"pairs": 256, "dense": 255}
+
+
+def test_fbct_row_beyond_the_old_addition_table_limit(monkeypatch):
     # q = 6561 > 4096: odd-characteristic rows used to need a q x q table
     f = make_field(3, 8)
     F = Monomial(f, 5)
     a = 1234
+    ran = _count_kernel_rows(monkeypatch)
     row = fbct_row_counts(F, a)
+    assert ran == {"pairs": 1, "dense": 0}
     assert all(row[b] == fbct_entry(F, a, b) for b in range(f.q))
     # definition-level counts over values from scalar evaluation
     values = TableFunction(f, [F.eval_code(x) for x in range(f.q)])
@@ -204,7 +271,8 @@ def test_table_csv_lines_shape():
 
 def test_invariant_checks_survive_python_O():
     """Under ``python -O`` a corrupted trivial FBCT cell (entrywise and
-    monomial paths) and an odd characteristic-2 DDT entry still raise."""
+    monomial paths), an odd characteristic-2 DDT entry, and an FBCT row from
+    either kernel that breaks the row mass still raise."""
     script = textwrap.dedent("""
         import sys
         from ffspectra import flats, spectra
@@ -222,15 +290,34 @@ def test_invariant_checks_survive_python_O():
 
         spectra.fbct_row_counts = corrupt_rows
         flats.ddt_row_counts = lambda F, a: real_ddt(F, a) + 1
-        f = make_field(2, 4)
-        for run in (lambda: spectra.fbct_spectrum(TableFunction(f, range(16))),
-                    lambda: spectra.fbct_spectrum(Monomial(f, 7)),
-                    lambda: flats.vanishing_flats(Monomial(f, 7))):
+        def report(run):
             try:
                 run()
                 print("no error")
             except InvariantError as exc:
                 print("InvariantError", exc)
+
+        f = make_field(2, 4)
+        for run in (lambda: spectra.fbct_spectrum(TableFunction(f, range(16))),
+                    lambda: spectra.fbct_spectrum(Monomial(f, 7)),
+                    lambda: flats.vanishing_flats(Monomial(f, 7))):
+            report(run)
+
+        # each kernel gains one pair at b = 1, so its row no longer sums to
+        # sum_v delta(a, v)^2; x^3 on GF(2^6) takes pairs, a constant the dense scan
+        def gain_one(real):
+            def kernel(f, D):
+                rows = real(f, D)
+                rows[:, 1] += 1
+                return rows
+            return kernel
+
+        spectra._fbct_pairs = gain_one(spectra._fbct_pairs)
+        spectra._fbct_dense = gain_one(spectra._fbct_dense)
+        f6 = make_field(2, 6)
+        for run in (lambda: real_rows(Monomial(f6, 3), 1),
+                    lambda: real_rows(TableFunction(f6, [5] * 64), 1)):
+            report(run)
     """)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -238,4 +325,6 @@ def test_invariant_checks_survive_python_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 3 and all(line.startswith("InvariantError") for line in lines), lines
+    assert len(lines) == 5 and all(line.startswith("InvariantError") for line in lines), lines
+    assert "trivial cell" in lines[0] and "trivial cell" in lines[1], lines
+    assert all("not to sum_v delta(a, v)^2" in line for line in lines[3:]), lines
