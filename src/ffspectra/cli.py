@@ -25,35 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .field import Field, FieldError, make_field, omega
 from .functions import FunctionError, parse_function
 from .spectra import ddt_spectrum, fbct_spectrum, table_csv_lines
 from .flats import flats_listing_lines, is_kth_sum_free, vanishing_flats
 from .closed_forms import (HypothesisError, THEOREMS, kloosterman, verify)
-
-
-@dataclass
-class RunConfig:
-    """Everything a command run depends on; equal configs give equal bytes."""
-    command: str
-    p: Optional[int] = None
-    n: Optional[int] = None
-    modulus: Optional[str] = None
-    fn: Optional[str] = None
-    theorem: Optional[str] = None
-    t: Optional[int] = None
-    k: Optional[int] = None
-    gamma: Optional[str] = None
-    format: str = "json"
-    out: Optional[str] = None
-    workers: int = 0            # accepted; has no effect
-    keep_table: bool = False
-    list_items: bool = False
-    seed: int = 0
-    method: str = "both"
 
 
 class UsageError(ValueError):
@@ -96,36 +73,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    return RunConfig(command=ns.command, p=ns.p, n=ns.n, modulus=ns.modulus,
-                     fn=ns.fn, theorem=ns.theorem, t=ns.t, k=ns.k,
-                     gamma=ns.gamma, format=ns.format, out=ns.out,
-                     workers=ns.workers, keep_table=ns.keep_table,
-                     list_items=ns.list_items, seed=ns.seed, method=ns.method)
+def _config_from_args(argv) -> argparse.Namespace:
+    """Everything a command run depends on; equal configs give equal bytes."""
+    return _build_parser().parse_args(argv)
 
 
-def _require_n(cfg: RunConfig) -> int:
+def _require_n(cfg: argparse.Namespace) -> int:
     if cfg.n is None:
         raise UsageError("this command requires --n")
     return cfg.n
 
 
-def _field_from(cfg: RunConfig) -> Field:
-    modulus = None
-    if cfg.modulus is not None:
-        modulus = [int(c) for c in cfg.modulus.split(",")]
-    return make_field(cfg.p if cfg.p is not None else 2,
-                      _require_n(cfg), modulus)
+def _modulus(cfg: argparse.Namespace):
+    return None if cfg.modulus is None else [int(c) for c in cfg.modulus.split(",")]
 
 
-def _function_from(cfg: RunConfig, field: Field):
+def _field_from(cfg: argparse.Namespace) -> Field:
+    return make_field(cfg.p if cfg.p is not None else 2, _require_n(cfg), _modulus(cfg))
+
+
+def _function_from(cfg: argparse.Namespace, field: Field):
     if not cfg.fn:
         raise UsageError("this command requires --fn")
     return parse_function(field, cfg.fn, k=cfg.k, t=cfg.t)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if cfg.out:
@@ -143,7 +116,7 @@ def _json_text(obj) -> str:
 # command bodies; each returns (exit_code, output_text)
 # ---------------------------------------------------------------------------
 
-def _cmd_field(cfg: RunConfig):
+def _cmd_field(cfg: argparse.Namespace):
     field = _field_from(cfg)
     tb = field.tables()
     try:
@@ -159,7 +132,7 @@ def _cmd_field(cfg: RunConfig):
     return 0, _json_text(obj)
 
 
-def _cmd_eval(cfg: RunConfig):
+def _cmd_eval(cfg: argparse.Namespace):
     field = _field_from(cfg)
     F = _function_from(cfg, field)
     values = [int(v) for v in F.table()]
@@ -171,15 +144,10 @@ def _cmd_eval(cfg: RunConfig):
                           "function": F.text(), "values": values})
 
 
-def _spectrum_obj(cfg: RunConfig, field: Field, F, kind: str):
-    fn = ddt_spectrum if kind == "ddt" else fbct_spectrum
-    return fn(F, keep_table=cfg.keep_table)
-
-
-def _cmd_one_spectrum(cfg: RunConfig, kind: str):
+def _cmd_one_spectrum(cfg: argparse.Namespace, spectrum):
     field = _field_from(cfg)
     F = _function_from(cfg, field)
-    rep = _spectrum_obj(cfg, field, F, kind)
+    rep = spectrum(F, keep_table=cfg.keep_table)
     if cfg.format == "csv":
         if cfg.keep_table:
             return 0, "\n".join(table_csv_lines(rep.table))
@@ -188,11 +156,11 @@ def _cmd_one_spectrum(cfg: RunConfig, kind: str):
     return 0, _json_text(rep.to_json_obj())
 
 
-def _cmd_spectrum(cfg: RunConfig):
+def _cmd_spectrum(cfg: argparse.Namespace):
     field = _field_from(cfg)
     F = _function_from(cfg, field)
-    ddt = _spectrum_obj(cfg, field, F, "ddt")
-    fbct = _spectrum_obj(cfg, field, F, "fbct")
+    ddt = ddt_spectrum(F, keep_table=cfg.keep_table)
+    fbct = fbct_spectrum(F, keep_table=cfg.keep_table)
     if cfg.format == "csv":
         lines = ["kind,value,count"]
         lines += [f"ddt,{v},{c}" for v, c in sorted(ddt.histogram)]
@@ -201,7 +169,7 @@ def _cmd_spectrum(cfg: RunConfig):
     return 0, _json_text({"ddt": ddt.to_json_obj(), "fbct": fbct.to_json_obj()})
 
 
-def _cmd_flats(cfg: RunConfig):
+def _cmd_flats(cfg: argparse.Namespace):
     field = _field_from(cfg)
     F = _function_from(cfg, field)
     rep = vanishing_flats(F, list_blocks=cfg.list_items)
@@ -221,7 +189,7 @@ def _cmd_flats(cfg: RunConfig):
     return 0, _json_text(obj)
 
 
-def _cmd_sumfree(cfg: RunConfig):
+def _cmd_sumfree(cfg: argparse.Namespace):
     field = _field_from(cfg)
     F = _function_from(cfg, field)
     if cfg.k is None:
@@ -239,7 +207,7 @@ def _cmd_sumfree(cfg: RunConfig):
                            else list(rep.violating_flat))})
 
 
-def _cmd_kloosterman(cfg: RunConfig):
+def _cmd_kloosterman(cfg: argparse.Namespace):
     n = _require_n(cfg)
     if cfg.method == "both":
         direct = kloosterman(n, method="direct")
@@ -256,17 +224,12 @@ def _cmd_kloosterman(cfg: RunConfig):
     return 0, _json_text(obj)
 
 
-def _cmd_verify(cfg: RunConfig):
+def _cmd_verify(cfg: argparse.Namespace):
     if not cfg.theorem:
         raise UsageError("verify requires --theorem (see list-theorems)")
-    modulus = None
-    if cfg.modulus is not None:
-        modulus = [int(c) for c in cfg.modulus.split(",")]
-    kwargs = dict(p=cfg.p, n=cfg.n, modulus=modulus, t=cfg.t, k=cfg.k)
+    kwargs = dict(p=cfg.p, n=cfg.n, modulus=_modulus(cfg), t=cfg.t, k=cfg.k)
     if cfg.gamma is not None:
-        field = make_field(cfg.p if cfg.p is not None else 2,
-                           _require_n(cfg), modulus)
-        kwargs["gamma"] = field.from_text(cfg.gamma)
+        kwargs["gamma"] = _field_from(cfg).from_text(cfg.gamma)
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
     verdict = verify(cfg.theorem, seed=cfg.seed, **kwargs)
     obj = verdict.to_json_obj(fixed_time=True)
@@ -284,7 +247,7 @@ def _cmd_verify(cfg: RunConfig):
     return (0 if verdict.passed else 1), _json_text(obj)
 
 
-def _cmd_list_theorems(cfg: RunConfig):
+def _cmd_list_theorems(cfg: argparse.Namespace):
     rows = [{"id": tid, "summary": meta["summary"],
              "params": list(meta["params"])}
             for tid, meta in THEOREMS.items()]
@@ -297,8 +260,8 @@ def _cmd_list_theorems(cfg: RunConfig):
 _COMMANDS = {
     "field": _cmd_field,
     "eval": _cmd_eval,
-    "ddt": lambda cfg: _cmd_one_spectrum(cfg, "ddt"),
-    "fbct": lambda cfg: _cmd_one_spectrum(cfg, "fbct"),
+    "ddt": lambda cfg: _cmd_one_spectrum(cfg, ddt_spectrum),
+    "fbct": lambda cfg: _cmd_one_spectrum(cfg, fbct_spectrum),
     "spectrum": _cmd_spectrum,
     "flats": _cmd_flats,
     "sumfree": _cmd_sumfree,
@@ -308,7 +271,7 @@ _COMMANDS = {
 }
 
 
-def dispatch(cfg: RunConfig) -> int:
+def dispatch(cfg: argparse.Namespace) -> int:
     """Run one command; returns the process exit status."""
     try:
         code, text = _COMMANDS[cfg.command](cfg)

@@ -122,6 +122,7 @@ def _canonical_modulus(p: int, n: int) -> tuple[int, ...]:
 
 
 _TABLE_LIMIT = 1 << 20       # build log/antilog tables up to this q
+_POWER_CHUNK = 1 << 12       # rows a block of the odd-characteristic exp table multiplies at once
 
 
 class Field:
@@ -201,10 +202,6 @@ class Field:
     @property
     def one(self) -> "FieldElement":
         return FieldElement(self, 1 % self.q)
-
-    def elements(self):
-        """All elements in enumeration (code) order."""
-        return [FieldElement(self, i) for i in range(self.q)]
 
     # -- coefficient-level scalar arithmetic (primary form) ----------------------
 
@@ -324,15 +321,12 @@ class Field:
             raise FieldError(f"acceleration tables unsupported for q > {_TABLE_LIMIT}")
         p, n, q = self.p, self.n, self.q
         gen = self._find_generator()
-        exp = np.empty(max(q - 1, 1), dtype=np.int64)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            cur = self.mul_code(cur, gen)
-        if cur != 1:
+        dig = None if self.char2 else self._digit_matrix()
+        exp = self._powers(gen, dig)
+        if self.mul_code(int(exp[-1]), gen) != 1:
             raise InvariantError("generator order mismatch")
         log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(max(q - 1, 1), dtype=np.int64)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
 
         inv = np.zeros(q, dtype=np.int64)
         if q > 1:
@@ -352,7 +346,6 @@ class Field:
                 tr_acc = tr_acc ^ cur_v
             tr = tr_acc
         else:
-            dig = self._digit_matrix()
             acc_dig = dig.copy()
             cur_v = np.arange(q, dtype=np.int64)
             for _ in range(n - 1):
@@ -373,6 +366,29 @@ class Field:
             eta[0] = 0
             ns.eta = eta
         return ns
+
+    def _powers(self, gen: int, dig) -> np.ndarray:
+        """exp[i] = gen^i for i < q - 1.  Odd characteristic doubles the table:
+        y -> gen*y is GF(p)-linear with matrix M (row i: the digits of gen*p^i),
+        so exp[m:2m] is exp[:m] times M^m, taken _POWER_CHUNK rows at a time."""
+        q = self.q
+        exp = np.ones(q - 1, dtype=np.int64)
+        if self.char2:
+            cur = 1
+            for i in range(1, q - 1):
+                cur = self.mul_code(cur, gen)
+                exp[i] = cur
+            return exp
+        p, m = self.p, 1
+        step = np.array([_digits(self.mul_code(w, gen), self.n, p) for w in self._pows])
+        while m < q - 1:
+            end = min(2 * m, q - 1)
+            for s in range(m, end, _POWER_CHUNK):
+                src = dig[exp[s - m:min(s + _POWER_CHUNK, end) - m]].astype(np.int64)
+                exp[s:s + len(src)] = (src @ step % p) @ self._pow_vec
+            step = step @ step % p
+            m = end
+        return exp
 
     def _digit_matrix(self) -> np.ndarray:
         """Row x holds the base-p digits of code x, in the narrowest dtype

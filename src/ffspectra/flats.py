@@ -17,7 +17,7 @@ import numpy as np
 
 from .field import FieldError, InvariantError
 from .functions import FunctionUnderTest
-from .spectra import ddt_row_counts, fbct_spectrum
+from .spectra import ddt_row_counts, fbct_spectrum, orbit_rows
 
 
 def count_two_flats(n: int) -> int:
@@ -39,18 +39,19 @@ class FlatReport:
     listing: Optional[list] = None  # list of 4-tuples of element codes
 
 
-def _vanishing_count_pairs(F: FunctionUnderTest) -> int:
+def _vanishing_count_pairs(F: FunctionUnderTest, rows: list) -> int:
     """Count via pair buckets: unordered pairs {x,y} with x+y = s land in the
     bucket (s, F(x)+F(y)), whose sizes are half the DDT row s; a vanishing
     block is two distinct same-bucket pairs, and each block arises from
-    exactly 3 of its pairings."""
+    exactly 3 of its pairings.  ``rows`` is `orbit_rows`' [(s, weight)]: the
+    DDT rows of an orbit hold the same bucket sizes."""
     acc = 0
-    for s in range(1, F.field.q):
+    for s, w in rows:
         c = ddt_row_counts(F, s)
         if (c % 2).any():  # x and x+s list each pair twice
             raise InvariantError(f"odd entry in DDT row {s} in characteristic 2")
         m = c // 2
-        acc += int((m * (m - 1) // 2).sum())
+        acc += w * int((m * (m - 1) // 2).sum())
     count, rem = divmod(acc, 3)
     if rem:
         raise InvariantError("pair-bucket total is not a multiple of 3")
@@ -74,7 +75,10 @@ def _vanishing_listing(F: FunctionUnderTest) -> list:
     return blocks
 
 
-def vanishing_flats(F: FunctionUnderTest, list_blocks: bool = False) -> FlatReport:
+def vanishing_flats(F: FunctionUnderTest, list_blocks: bool = False,
+                    full: bool = False) -> FlatReport:
+    """The vanishing 2-flats of F: the count, over `orbit_rows` (every row
+    with ``full``), and with ``list_blocks`` the blocks themselves."""
     f = F.field
     if not f.char2:
         raise FieldError("vanishing flats are defined in characteristic 2 only")
@@ -85,7 +89,8 @@ def vanishing_flats(F: FunctionUnderTest, list_blocks: bool = False) -> FlatRepo
         return FlatReport(n=f.n, total_two_flats=count_two_flats(f.n),
                           vanishing_count=len(listing), listing=listing)
     return FlatReport(n=f.n, total_two_flats=count_two_flats(f.n),
-                      vanishing_count=_vanishing_count_pairs(F), listing=None)
+                      vanishing_count=_vanishing_count_pairs(F, orbit_rows(F, full=full)),
+                      listing=None)
 
 
 @dataclass
@@ -97,12 +102,13 @@ class PropIdentityCheck:
 
 
 def check_prop_identity(F: FunctionUnderTest) -> PropIdentityCheck:
-    """Compare the off-trivial FBCT mass with 24 times the vanishing count."""
+    """Compare the off-trivial FBCT mass with 24 times the vanishing count,
+    both summed over every row, so neither side rests on a row symmetry."""
     if not F.field.char2:
         raise FieldError("identity defined in characteristic 2 only")
-    rep = fbct_spectrum(F, method="entrywise")
+    rep = fbct_spectrum(F, full=True)
     lhs = sum(v * c for v, c in rep.histogram)
-    count = vanishing_flats(F).vanishing_count
+    count = vanishing_flats(F, full=True).vanishing_count
     return PropIdentityCheck(holds=(lhs == 24 * count), fbct_sum=lhs,
                              vanishing_count=count, rhs_24x=24 * count)
 

@@ -270,11 +270,7 @@ def parse_function(field: Field, text: str, k: int | None = None,
         except ValueError as e:
             raise FunctionError(
                 f"table entries must be integer element codes: {e}") from e
-        try:
-            values = [field.from_code(c) for c in codes]
-        except FieldError as e:
-            raise FunctionError(f"bad table entry: {e}") from e
-        return TableFunction(field, values)
+        return TableFunction(field, codes)
     raise FunctionError(f"unparseable function text {text!r}")
 
 

@@ -51,12 +51,52 @@ def ddt_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
     return np.bincount(deriv_row(F, a), minlength=F.field.q)
 
 
+# ---------------------------------------------------------------------------
+# symmetry orbits of the rows
+# ---------------------------------------------------------------------------
+
+def orbit_rows(F: FunctionUnderTest, full: bool = False) -> list:
+    """[(a, weight)]: one row a per symmetry orbit of the rows 1..q-1, with
+    the orbit's size.  The DDT and FBCT rows of an orbit are column
+    permutations of each other, so a statistic that ignores column order
+    (histogram, maximum, pair count) is the weighted sum over the orbits.
+
+    - a power map: delta(a, b) = delta(1, b/a^d), nabla(a, b) = nabla(1, b/a),
+      so row 1 with weight q - 1;
+    - else, for the smallest proper divisor e of n such that the value table
+      shows F(s(x)) = s(F(x)) at every x, s: x -> x^(p^e): row s(a) is row a
+      read at s(b), so the smallest code of each orbit of s (this is all a
+      ``table:`` map can get; it is never taken for a power map);
+    - else, or with ``full``: every row, weight 1.
+    """
+    f = F.field
+    q = f.q
+    rows = [(a, 1) for a in range(1, q)]
+    if full:
+        return rows
+    if isinstance(F, Monomial):
+        rows = [(1, q - 1)]
+    else:
+        FT, frob = F.table(), f.tables().frob
+        X = sigma = np.arange(q, dtype=np.int64)
+        for e in range(1, f.n // 2 + 1):
+            sigma = frob[sigma]
+            if f.n % e == 0 and np.array_equal(FT[sigma], sigma[FT]):
+                rep = cur = X
+                for _ in range(f.n // e - 1):
+                    cur = sigma[cur]
+                    rep = np.minimum(rep, cur)
+                size = np.bincount(rep[1:], minlength=q)
+                rows = list(zip(np.flatnonzero(size).tolist(), size[size > 0].tolist()))
+                break
+    if sum(w for _, w in rows) != q - 1:
+        raise InvariantError(f"row orbit sizes do not sum to q - 1 = {q - 1}")
+    return rows
+
+
 def differential_uniformity(F: FunctionUnderTest) -> int:
-    """max delta_F(a,b) over a != 0, all b; row by row, no full table kept."""
-    best = 0
-    for a in range(1, F.field.q):
-        best = max(best, int(ddt_row_counts(F, a).max()))
-    return best
+    """max delta_F(a,b) over a != 0, all b; one row per orbit, no table kept."""
+    return max(int(ddt_row_counts(F, a).max()) for a, _ in orbit_rows(F))
 
 
 def fbct_entry(F: FunctionUnderTest, a, b) -> int:
@@ -81,11 +121,7 @@ def _derivs(F: FunctionUnderTest, codes) -> np.ndarray:
 def _level_mass(D: np.ndarray) -> np.ndarray:
     """s_a = sum_v delta(a, v)^2 for each column d_a of D: the number of
     ordered pairs (x, y) with d_a(x) = d_a(y), which is also sum_b nabla(a, b)."""
-    mass = np.empty(D.shape[1], dtype=np.int64)
-    for r, d in enumerate(D.T):
-        c = np.bincount(d, minlength=D.shape[0])
-        mass[r] = c @ c
-    return mass
+    return np.array([np.square(np.bincount(d)).sum() for d in D.T], dtype=np.int64)
 
 
 def _fbct_dense(f: Field, D: np.ndarray) -> np.ndarray:
@@ -152,56 +188,45 @@ def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
     rows.  The derivatives of up to _BLOCK_CELLS / q rows are held as the
     columns of one (q, R) array D.  A row takes the pair kernel when
     _PAIR_COST * s_a <= q^2 and the dense scan otherwise, and must sum to s_a.
+    A block counted by one kernel is that kernel's own array, not a copy.
     """
     f = F.field
     q = f.q
     single = isinstance(a, (int, np.integer, str, FieldElement))
     codes = [f.element(c).code for c in ([a] if single else a)]
-    counts = np.empty((len(codes), q), dtype=np.int64)
     step = _block_rows(q)
-    for s in range(0, len(codes), step):
-        block = codes[s:s + step]
-        D = _derivs(F, block)
-        mass = _level_mass(D)
-        by_pairs = _PAIR_COST * mass <= q * q
-        rows = counts[s:s + len(block)]
-        for kernel, use in ((_fbct_pairs, by_pairs), (_fbct_dense, ~by_pairs)):
-            if use.any():
-                rows[use] = kernel(f, D if use.all() else D[:, use])
-        bad = np.nonzero(rows.sum(axis=1) != mass)[0]
-        if bad.size:
-            r = bad[0]
-            raise InvariantError(f"FBCT row a={block[r]} sums to {rows[r].sum()}, "
-                                 f"not to sum_v delta(a, v)^2 = {mass[r]}")
+    if len(codes) > step:
+        counts = np.empty((len(codes), q), dtype=np.int64)
+        for s in range(0, len(codes), step):
+            counts[s:s + step] = fbct_row_counts(F, codes[s:s + step])
+        return counts
+    D = _derivs(F, codes)
+    mass = _level_mass(D)
+    by_pairs = _PAIR_COST * mass <= q * q
+    if by_pairs.all():
+        counts = _fbct_pairs(f, D)
+    elif not by_pairs.any():
+        counts = _fbct_dense(f, D)
+    else:
+        counts = np.empty((len(codes), q), dtype=np.int64)
+        counts[by_pairs] = _fbct_pairs(f, D[:, by_pairs])
+        counts[~by_pairs] = _fbct_dense(f, D[:, ~by_pairs])
+    bad = np.nonzero(counts.sum(axis=1) != mass)[0]
+    if bad.size:
+        r = bad[0]
+        raise InvariantError(f"FBCT row a={codes[r]} sums to {counts[r].sum()}, "
+                             f"not to sum_v delta(a, v)^2 = {mass[r]}")
     return counts[0] if single else counts
 
 
-def fbct_rows(F: FunctionUnderTest):
-    """Yield (a, nabla_F(a, .)) for a = 1..q-1, one kernel block at a time."""
-    q = F.field.q
-    step = _block_rows(q)
-    for s in range(1, q, step):
-        yield from zip(range(s, q), fbct_row_counts(F, range(s, min(s + step, q))))
-
-
-def monomial_row_all(F: Monomial) -> np.ndarray:
-    if not isinstance(F, Monomial):
-        raise TypeError("monomial_row_all requires a power map")
-    return fbct_row_counts(F, 1)
-
-
-def monomial_table_from_row(F: Monomial) -> np.ndarray:
-    """Full FBCT of a power map from row a=1 via nabla(a,b) = nabla(1, b/a)."""
-    f = F.field
-    q = f.q
-    row1 = monomial_row_all(F)
-    t = f.tables()
-    X = np.arange(q, dtype=np.int64)
-    table = np.empty((q, q), dtype=np.int64)
-    table[0, :] = q
-    for a in range(1, q):
-        table[a, :] = row1[f.vmul(X, np.full(q, t.inv[a], dtype=np.int64))]
-    return table
+def fbct_rows(F: FunctionUnderTest, codes=None):
+    """Yield (a, nabla_F(a, .)) for each a of ``codes`` (default 1..q-1), one
+    kernel block at a time."""
+    codes = list(range(1, F.field.q) if codes is None else codes)
+    step = _block_rows(F.field.q)
+    for s in range(0, len(codes), step):
+        block = codes[s:s + step]
+        yield from zip(block, fbct_row_counts(F, block))
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +284,16 @@ def _nontrivial(f: Field, a: int, row: np.ndarray) -> np.ndarray:
 
 
 def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumReport:
+    """Histogram over `orbit_rows`, or over every row of the kept table."""
     f = F.field
     q = f.q
+    table = np.stack([ddt_row_counts(F, a) for a in range(q)]) if keep_table else None
+    orbits = orbit_rows(F, full=keep_table)
+    rows = table[1:] if keep_table else (ddt_row_counts(F, a) for a, _ in orbits)
     hist = np.zeros(q + 1, dtype=np.int64)
-    for a in range(1, q):
-        hist += np.bincount(ddt_row_counts(F, a), minlength=q + 1)
+    for (_, w), row in zip(orbits, rows):
+        hist += w * np.bincount(row, minlength=q + 1)
     uniformity = int(np.nonzero(hist)[0].max())
-    table = None
-    if keep_table:
-        table = np.stack([ddt_row_counts(F, a) for a in range(q)])
     return SpectrumReport(
         kind="ddt", p=f.p, n=f.n, modulus=f.modulus_text(), function=F.text(),
         histogram=_hist_pairs(hist), uniformity=uniformity, beta=None,
@@ -276,32 +302,22 @@ def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumRepo
 
 
 def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False,
-                  method: str = "auto") -> SpectrumReport:
+                  full: bool = False) -> SpectrumReport:
+    """Histogram over `orbit_rows`, over every row with ``full``, or over
+    every row of the kept table."""
     f = F.field
     q = f.q
-    if method == "auto":
-        method = "monomial" if isinstance(F, Monomial) else "entrywise"
-    if method == "monomial" and not isinstance(F, Monomial):
-        raise TypeError("monomial method requires a power map")
-
+    table = fbct_row_counts(F, range(q)) if keep_table else None
+    orbits = orbit_rows(F, full=full or keep_table)
+    reps = [a for a, _ in orbits]
+    rows = zip(reps, table[1:]) if keep_table else fbct_rows(F, reps)
     hist = np.zeros(q + 1, dtype=np.int64)
-    if method == "monomial":
-        # nabla(a,b) = nabla(1, b/a): the nontrivial multiset is (q-1) copies
-        # of row a=1 without its trivial cells.
-        hist += np.bincount(_nontrivial(f, 1, monomial_row_all(F)),
-                            minlength=q + 1) * (q - 1)
-    else:
-        for a, row in fbct_rows(F):
-            hist += np.bincount(_nontrivial(f, a, row), minlength=q + 1)
-
+    for (a, row), (_, w) in zip(rows, orbits):
+        hist += w * np.bincount(_nontrivial(f, a, row), minlength=q + 1)
     nz = np.nonzero(hist)[0]
     uniformity = int(nz.max()) if nz.size else 0
     trivial_cells = 3 * q - 2 if f.char2 else 2 * q - 1
     nontrivial = (q - 1) * (q - 2) if f.char2 else (q - 1) * (q - 1)
-    table = None
-    if keep_table:
-        table = (monomial_table_from_row(F) if isinstance(F, Monomial)
-                 else fbct_row_counts(F, range(q)))
     return SpectrumReport(
         kind="fbct", p=f.p, n=f.n, modulus=f.modulus_text(), function=F.text(),
         histogram=_hist_pairs(hist), uniformity=uniformity,
@@ -335,10 +351,12 @@ def classify(F: FunctionUnderTest) -> Classification:
         row1 = ddt_row_counts(F, 1)
         locally = int(row1[2:].max()) == 2  # b outside the prime subfield {0,1}
 
+    # the solution counts of row a^(p^e), or of row c*a of a power map, are
+    # those of row a, permuted
     FT = F.table()
     X = np.arange(q, dtype=np.int64)
     is_gapn = True
-    for a in range(1, q):
+    for a, _ in orbit_rows(F):
         acc = FT
         for i in range(1, f.p):
             acc = f.vadd(acc, FT[f.vadd(X, f.mul_code(a, i))])

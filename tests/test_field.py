@@ -116,6 +116,20 @@ def test_generator_has_full_order(field):
     assert len(seen) == f.q - 1 and acc == 1 % f.q
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (3, 10), (5, 6), (11, 3), (1327, 1)])
+def test_exp_table_is_the_scalar_power_chain(p, n):
+    # odd characteristic fills exp by doubling with the matrix of y -> gen*y
+    f = make_field(p, n)
+    tb = f.tables()
+    want = np.empty(max(f.q - 1, 1), dtype=np.int64)
+    cur = 1
+    for i in range(f.q - 1):
+        want[i] = cur
+        cur = f.mul_code(cur, int(tb.gen))
+    assert cur == 1
+    assert np.array_equal(tb.exp, want)
+
+
 def test_exp_log_tables_agree(field):
     tb = field.tables()
     for x in range(1, field.q):

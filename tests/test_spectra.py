@@ -8,14 +8,15 @@ import textwrap
 import numpy as np
 import pytest
 
-from ffspectra import spectra
+from ffspectra import flats, spectra
 from ffspectra.field import make_field
-from ffspectra.functions import Monomial, TableFunction, parse_function
+from ffspectra.functions import (FunctionError, GammaTraceInverse,
+                                 InversePlusTrace, Monomial, TableFunction,
+                                 parse_function)
 from ffspectra.spectra import (classify, ddt_entry, ddt_row_counts,
                                ddt_spectrum, differential_uniformity,
                                fbct_entry, fbct_row_counts, fbct_spectrum,
-                               monomial_row_all, monomial_table_from_row,
-                               table_csv_lines)
+                               orbit_rows, table_csv_lines)
 
 
 def brute_ddt(F, a, b):
@@ -224,24 +225,142 @@ def test_spectrum_json_schema():
     assert "full_table" not in obj2
 
 
-def test_fbct_methods_agree_for_monomials():
-    f = make_field(2, 5)
-    F = Monomial(f, 7)
-    assert fbct_spectrum(F, method="monomial").histogram == \
-        fbct_spectrum(F, method="entrywise").histogram
-    with pytest.raises(TypeError):
-        fbct_spectrum(TableFunction(f, list(range(f.q))), method="monomial")
+def _full_path(monkeypatch):
+    """Send every caller of `orbit_rows` down the full path: all rows, weight 1."""
+    real = spectra.orbit_rows
+    for mod in (spectra, flats):
+        monkeypatch.setattr(mod, "orbit_rows", lambda F, full=False: real(F, full=True))
 
 
-def test_monomial_row_expansion():
+def test_power_map_histogram_from_row_one():
+    for p, n, d in [(2, 5, 7), (3, 3, 5)]:
+        F = Monomial(make_field(p, n), d)
+        assert orbit_rows(F) == [(1, F.field.q - 1)]
+        assert (fbct_spectrum(F).histogram == fbct_spectrum(F, full=True).histogram
+                == fbct_spectrum(F, keep_table=True).histogram)
+
+
+def test_power_map_rows_are_row_one_at_b_over_a():
     for p, n, d in [(2, 4, 14), (3, 2, 5)]:
         f = make_field(p, n)
         F = Monomial(f, d)
-        row1 = monomial_row_all(F)
-        assert (row1 == fbct_row_counts(F, 1)).all()
-        table = monomial_table_from_row(F)
-        for a in range(f.q):
-            assert (table[a] == fbct_row_counts(F, a)).all()
+        X = np.arange(f.q, dtype=np.int64)
+        row1 = fbct_row_counts(F, 1)
+        table = fbct_spectrum(F, keep_table=True).table
+        assert (table[0] == f.q).all()
+        for a in range(1, f.q):
+            row = fbct_row_counts(F, a)
+            assert (row1[f.vmul(X, f.vinv(a))] == row).all(), a
+            assert (table[a] == row).all(), a
+
+
+def _gamma_trace_inverses(f):
+    out = []
+    for t in range(1, f.n):
+        for g in range(1, f.q):
+            try:
+                out.append(GammaTraceInverse(f, t, f.from_code(g)))
+            except FunctionError:
+                pass
+    return out
+
+
+def _table_of(F):
+    return TableFunction(F.field, [int(v) for v in F.table()])
+
+
+def _random_table(f, seed):
+    return TableFunction(f, [int(v) for v in np.random.RandomState(seed).randint(0, f.q, f.q)])
+
+
+# (id, function, the largest orbit size the rows must show: 1 is every row)
+FAMILIES = [
+    ("x7-GF2^6", Monomial(make_field(2, 6), 7), 63),
+    ("x0-GF2^5", Monomial(make_field(2, 5), 0), 31),
+    ("x31-GF2^5", Monomial(make_field(2, 5), 31), 31),
+    ("x5-GF3^3", Monomial(make_field(3, 3), 5), 26),
+    ("x0-GF5^2", Monomial(make_field(5, 2), 0), 24),
+    ("x24-GF5^2", Monomial(make_field(5, 2), 24), 24),
+    ("x4-GF7^2", Monomial(make_field(7, 2), 4), 48),
+    ("invtrace-GF2^6", InversePlusTrace(make_field(2, 6)), 6),
+    ("invtrace-GF2^7", InversePlusTrace(make_field(2, 7)), 7),
+    ("gamma-GF2^4-t1-g1", _gamma_trace_inverses(make_field(2, 4))[0], 4),
+    ("gamma-GF2^4-t1-g6", GammaTraceInverse(make_field(2, 4), 1, make_field(2, 4).from_code(6)), 2),
+    ("gamma-GF2^6-last", _gamma_trace_inverses(make_field(2, 6))[-1], None),
+    ("table-x7-GF2^6", _table_of(Monomial(make_field(2, 6), 7)), 6),
+    ("table-x5-GF3^3", _table_of(Monomial(make_field(3, 3), 5)), 3),
+    ("table-x3-GF5^2", _table_of(Monomial(make_field(5, 2), 3)), 2),
+    ("table-invtrace-GF2^6", _table_of(InversePlusTrace(make_field(2, 6))), 6),
+    ("table-random-GF2^6", _random_table(make_field(2, 6), 3), 1),
+    ("table-random-GF3^3", _random_table(make_field(3, 3), 3), 1),
+]
+
+
+def vanishing_flats_count(F):
+    return flats.vanishing_flats(F).vanishing_count
+
+
+@pytest.mark.parametrize("F,largest", [(F, w) for _, F, w in FAMILIES],
+                         ids=[i for i, _, _ in FAMILIES])
+def test_orbit_rows_agree_with_every_row(monkeypatch, F, largest):
+    f = F.field
+    rows = orbit_rows(F)
+    weights = [w for _, w in rows]
+    assert sum(weights) == f.q - 1
+    if largest is not None:
+        assert max(weights) == largest
+    if not isinstance(F, Monomial):
+        # representatives come in ascending code order, the fixed point 1 first
+        assert [a for a, _ in rows] == sorted(a for a, _ in rows)
+        assert rows[0][0] == 1
+    got = (ddt_spectrum(F).histogram, fbct_spectrum(F).histogram,
+           differential_uniformity(F), classify(F),
+           vanishing_flats_count(F) if f.char2 else None)
+    _full_path(monkeypatch)
+    assert spectra.orbit_rows(F) == [(a, 1) for a in range(1, f.q)]
+    want = (ddt_spectrum(F).histogram, fbct_spectrum(F).histogram,
+            differential_uniformity(F), classify(F),
+            vanishing_flats_count(F) if f.char2 else None)
+    assert got == want
+
+
+def test_random_table_takes_every_row():
+    for p, n in [(2, 8), (3, 4), (5, 2)]:
+        F = _random_table(make_field(p, n), 17)
+        assert orbit_rows(F) == [(a, 1) for a in range(1, F.field.q)]
+
+
+def test_one_changed_entry_breaks_the_frobenius_symmetry():
+    """Changing inv-plus-trace at any x whose Frobenius orbit is the whole
+    of size n breaks F(x^(2^e)) = F(x)^(2^e) for every proper divisor e."""
+    f = make_field(2, 6)
+    FT = InversePlusTrace(f).table()
+    frob = f.tables().frob
+    assert max(w for _, w in orbit_rows(_table_of(InversePlusTrace(f)))) == 6
+    for x in range(1, f.q):
+        orbit = {x}
+        y = x
+        for _ in range(f.n):
+            y = int(frob[y])
+            orbit.add(y)
+        if len(orbit) < f.n:
+            continue
+        values = [int(v) for v in FT]
+        values[x] ^= 1
+        assert orbit_rows(TableFunction(f, values)) == [(a, 1) for a in range(1, f.q)], x
+
+
+def test_one_kernel_block_is_the_kernels_own_array(monkeypatch):
+    f = make_field(2, 6)
+    made = []
+    real = spectra._fbct_pairs
+
+    def kernel(f, D):
+        made.append(real(f, D))
+        return made[-1]
+
+    monkeypatch.setattr(spectra, "_fbct_pairs", kernel)
+    assert fbct_row_counts(Monomial(f, 3), range(1, f.q)) is made[0]
 
 
 def test_classify_flags():
