@@ -26,7 +26,7 @@ from .functions import FunctionUnderTest, Monomial
 
 _BLOCK_CELLS = 1 << 20
 _PAIR_KEYS = 1 << 16
-_PAIR_COST = 16
+_PAIR_COST = 32
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +126,26 @@ def _level_mass(D: np.ndarray) -> np.ndarray:
 
 def _fbct_dense(f: Field, D: np.ndarray) -> np.ndarray:
     """FBCT rows of the columns of D by the dense scan: for each b, one gather
-    D[x + b] and one comparison with D for all columns at once; q^2 cells a row."""
+    E[x + b] and one comparison with E for all columns at once; q^2 cells a row.
+
+    E is D with each value replaced by its rank among the values present, in
+    the narrowest unsigned dtype (one byte for up to 256 values), which keeps
+    every equality.  The comparison goes into one reused mask whose rows
+    form equal runs of at most 255 (padded with zero rows): a uint8 column
+    sum over a run cannot wrap, and one int64 sum over the runs gives the count."""
     q, R = D.shape
+    used = np.zeros(q, dtype=bool)
+    used[D] = True
+    rank = np.cumsum(used) - 1
+    E = rank.astype(np.min_scalar_type(rank[-1]))[D]
     X = np.arange(q, dtype=np.int64)
+    n_runs = -(-q // 255)
+    eq = np.zeros((-(-q // n_runs) * n_runs, R), dtype=bool)
+    runs = eq.view(np.uint8).reshape(n_runs, -1, R)
     counts = np.empty((R, q), dtype=np.int64)
     for b in range(q):
-        counts[:, b] = np.count_nonzero(D[f.vadd(X, b)] == D, axis=0)
+        np.equal(E[f.vadd(X, b)], E, out=eq[:q])
+        counts[:, b] = runs.sum(axis=1, dtype=np.uint8).sum(axis=0, dtype=np.int64)
     return counts
 
 
@@ -187,8 +201,10 @@ def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
     iterable is a sequence of them, and gives the (len, q) block of their
     rows.  The derivatives of up to _BLOCK_CELLS / q rows are held as the
     columns of one (q, R) array D.  A row takes the pair kernel when
-    _PAIR_COST * s_a <= q^2 and the dense scan otherwise, and must sum to s_a.
-    A block counted by one kernel is that kernel's own array, not a copy.
+    _PAIR_COST * s_a <= q^2 and the dense scan otherwise, and must sum to s_a;
+    _PAIR_COST is the measured cost of a pair over that of a one-byte dense
+    cell (README, "FBCT row kernels").  A block counted by one kernel is that
+    kernel's own array, not a copy.
     """
     f = F.field
     q = f.q

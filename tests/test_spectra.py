@@ -99,6 +99,10 @@ def _power_table(f, d):
     return TableFunction(f, [f.pow_code(x, d) for x in range(f.q)])
 
 
+def _random_table(f, seed):
+    return TableFunction(f, [int(v) for v in np.random.RandomState(seed).randint(0, f.q, f.q)])
+
+
 def _random_permutation(f, seed):
     return TableFunction(f, [int(v) for v in np.random.RandomState(seed).permutation(f.q)])
 
@@ -124,6 +128,36 @@ def test_fbct_rows_equal_the_dense_scan(monkeypatch, p, n, build, rows, kernel):
     assert np.array_equal(got, want)
     assert ran == {"pairs": len(rows) if kernel == "pairs" else 0,
                    "dense": len(rows) if kernel == "dense" else 0}
+    rng = np.random.RandomState(3)
+    for r, b in zip(rng.randint(0, len(rows), 6), rng.randint(0, F.field.q, 6)):
+        assert got[r, b] == brute_fbct(F, rows[r], b), (rows[r], b)
+
+
+DENSE_ORACLE_CASES = [
+    # (p, n, function, the value of every cell or None, more than 256 ranks);
+    # a constant makes each column q ones, which a plain uint8 sum wraps
+    (2, 9, lambda f: TableFunction(f, [7] * f.q), 512, False),
+    (257, 1, lambda f: TableFunction(f, [3] * f.q), 257, False),
+    (2, 9, lambda f: _random_table(f, 6), None, True),                # uint16 ranks
+    (3, 4, lambda f: TableFunction(f, [x % 9 for x in range(f.q)]), None, False),  # one run
+]
+
+
+@pytest.mark.parametrize("p,n,build,every,wide", DENSE_ORACLE_CASES,
+                         ids=["const-GF2^9", "const-GF257", "random-GF2^9", "low9-GF3^4"])
+def test_dense_scan_matches_definition(p, n, build, every, wide):
+    f = make_field(p, n)
+    F = build(f)
+    rows = range(1, f.q)
+    D = spectra._derivs(F, rows)
+    assert (np.unique(D).size > 256) == wide
+    got = spectra._fbct_dense(f, D)
+    if every is not None:
+        assert (got == every).all()
+    assert np.array_equal(got, spectra._fbct_pairs(f, D))
+    rng = np.random.RandomState(7)
+    for r, b in zip(rng.randint(0, len(rows), 30), rng.randint(0, f.q, 30)):
+        assert got[r, b] == brute_fbct(F, rows[r], b), (rows[r], b)
 
 
 def test_one_block_mixes_both_kernels(monkeypatch):
@@ -267,10 +301,6 @@ def _gamma_trace_inverses(f):
 
 def _table_of(F):
     return TableFunction(F.field, [int(v) for v in F.table()])
-
-
-def _random_table(f, seed):
-    return TableFunction(f, [int(v) for v in np.random.RandomState(seed).randint(0, f.q, f.q)])
 
 
 # (id, function, the largest orbit size the rows must show: 1 is every row)
