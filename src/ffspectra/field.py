@@ -660,9 +660,8 @@ def solve_quadratic(A: FieldElement, B: FieldElement, C: FieldElement) -> frozen
     return frozenset({FieldElement(field, r1), FieldElement(field, r2)})
 
 
-def special_elements(field: Field, kind: str, m: int | None = None, x: FieldElement | None = None):
-    """Named special values: cube roots of unity, primitive m-th roots,
-    and membership tests for the subfield fixed by x -> x^(p^m)."""
+def special_elements(field: Field, kind: str):
+    """Named special values; the one kind is the cube roots of unity."""
     if kind == "cube_roots_of_unity":
         if (field.q - 1) % 3 != 0:
             return (field.one,)
@@ -670,19 +669,6 @@ def special_elements(field: Field, kind: str, m: int | None = None, x: FieldElem
         w = int(t.exp[(field.q - 1) // 3])
         roots = sorted({1 % field.q, w, field.mul_code(w, w)})
         return tuple(FieldElement(field, r) for r in roots)
-    if kind == "primitive_mth_root":
-        if m is None or m < 1:
-            raise FieldError("primitive_mth_root needs a positive m")
-        if (field.q - 1) % m != 0:
-            raise FieldError(f"m={m} does not divide q-1={field.q - 1}")
-        t = field.tables()
-        return FieldElement(field, int(t.exp[(field.q - 1) // m % max(field.q - 1, 1)]))
-    if kind == "subfield_member_test":
-        if m is None or m < 1:
-            raise FieldError("subfield_member_test needs a positive m")
-        if x is None or x.field != field:
-            raise FieldError("subfield_member_test needs an element of this field")
-        return field.pow_code(x.code, field.p ** m) == x.code
     raise FieldError(f"unknown special element kind {kind!r}")
 
 

@@ -2,13 +2,14 @@
 
 A 2-flat (block) is an unordered set {x1,x2,x3,x4} of four distinct elements
 of GF(2^n) with x1+x2+x3+x4 = 0; it vanishes under F when the images also sum
-to 0.  Blocks are canonicalized by sorting on the integer element code; the
-triple scan enumerates x1 < x2 < x3 with x4 = x1+x2+x3 forced above x3, so
-each block appears exactly once.
+to 0, that is when it is two pairs {x, x+s} of one bucket (s, F(x)+F(x+s)),
+which it then is in 3 ways.  The sum of F over a coset u+E of a k-dim E is the
+k-th derivative D_e1...D_ekF(u), for a basis e1..ek of E.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +18,7 @@ import numpy as np
 
 from .field import FieldError, InvariantError
 from .functions import FunctionUnderTest
-from .spectra import ddt_row_counts, fbct_spectrum, orbit_rows
+from .spectra import _PAIR_KEYS, _equal_pairs, ddt_row_counts, fbct_spectrum, orbit_rows
 
 
 def count_two_flats(n: int) -> int:
@@ -40,11 +41,8 @@ class FlatReport:
 
 
 def _vanishing_count_pairs(F: FunctionUnderTest, rows: list) -> int:
-    """Count via pair buckets: unordered pairs {x,y} with x+y = s land in the
-    bucket (s, F(x)+F(y)), whose sizes are half the DDT row s; a vanishing
-    block is two distinct same-bucket pairs, and each block arises from
-    exactly 3 of its pairings.  ``rows`` is `orbit_rows`' [(s, weight)]: the
-    DDT rows of an orbit hold the same bucket sizes."""
+    """Count via pair buckets, whose sizes are half the DDT row s; ``rows`` is
+    `orbit_rows`' [(s, weight)], the rows of an orbit holding the same sizes."""
     acc = 0
     for s, w in rows:
         c = ddt_row_counts(F, s)
@@ -58,39 +56,50 @@ def _vanishing_count_pairs(F: FunctionUnderTest, rows: list) -> int:
     return count
 
 
-def _vanishing_listing(F: FunctionUnderTest) -> list:
-    f = F.field
-    q = f.q
-    FT = F.table()
+def _bucket_blocks(FT: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The vanishing blocks (lo, lo+s, hi, hi+s), s in S, from the pairs
+    {x, x+s}, x < x+s, stably sorted by bucket: lo is a block's smallest code,
+    and of its 3 pairings only the one with lo+s < hi is kept."""
+    q = FT.size
     X = np.arange(q, dtype=np.int64)
-    blocks = []
-    for x1 in range(q):
-        f1 = FT[x1]
-        for x2 in range(x1 + 1, q):
-            x3s = X[x2 + 1:]
-            x4s = x3s ^ (x1 ^ x2)
-            ok = (x4s > x3s) & ((f1 ^ FT[x2] ^ FT[x3s] ^ FT[x4s]) == 0)
-            for x3 in x3s[ok]:
-                blocks.append((x1, x2, int(x3), int(x1 ^ x2 ^ x3)))
-    return blocks
+    r, x = np.nonzero((X ^ S[:, None]) > X)
+    y = x ^ S[r]
+    keys = r * q + (FT[x] ^ FT[y])
+    order = np.argsort(keys.astype(np.min_scalar_type(S.size * q - 1)), kind="stable")
+    sk, x, y = keys[order], x[order], y[order]
+    found = []
+    for i, k in _equal_pairs(sk):
+        i = i[y[i] < x[i + k]]
+        found.append(np.stack([x[i], y[i], x[i + k], y[i + k]], axis=1))
+    return np.concatenate(found)
+
+
+def _vanishing_listing(F: FunctionUnderTest) -> list:
+    """The vanishing blocks as sorted code tuples in lexicographic order,
+    from whole s values of up to max(_PAIR_KEYS, q/2) pairs at a time."""
+    q = F.field.q
+    step = max(1, _PAIR_KEYS // (q // 2))
+    B = np.concatenate([_bucket_blocks(F.table(), np.arange(s, min(s + step, q)))
+                        for s in range(1, q, step)])
+    B = B[np.lexsort((B[:, 2], B[:, 1], B[:, 0]))]
+    return list(zip(*B.T.tolist()))
 
 
 def vanishing_flats(F: FunctionUnderTest, list_blocks: bool = False,
                     full: bool = False) -> FlatReport:
-    """The vanishing 2-flats of F: the count, over `orbit_rows` (every row
-    with ``full``), and with ``list_blocks`` the blocks themselves."""
+    """The vanishing 2-flats of F: the count over `orbit_rows` (every row with
+    ``full``) and, with ``list_blocks``, the blocks, which must be as many."""
     f = F.field
     if not f.char2:
         raise FieldError("vanishing flats are defined in characteristic 2 only")
     if f.n < 2:
         raise ValueError("need n >= 2 for 2-flats to exist")
-    if list_blocks:
-        listing = _vanishing_listing(F)
-        return FlatReport(n=f.n, total_two_flats=count_two_flats(f.n),
-                          vanishing_count=len(listing), listing=listing)
+    count = _vanishing_count_pairs(F, orbit_rows(F, full=full))
+    listing = _vanishing_listing(F) if list_blocks else None
+    if listing is not None and len(listing) != count:
+        raise InvariantError(f"{len(listing)} blocks listed, {count} counted")
     return FlatReport(n=f.n, total_two_flats=count_two_flats(f.n),
-                      vanishing_count=_vanishing_count_pairs(F, orbit_rows(F, full=full)),
-                      listing=None)
+                      vanishing_count=count, listing=listing)
 
 
 @dataclass
@@ -147,13 +156,6 @@ def echelon_bases(n: int, k: int):
             yield [(1 << piv[i]) | fills[i] for i in range(k)]
 
 
-def _span(basis) -> np.ndarray:
-    elems = np.zeros(1, dtype=np.int64)
-    for v in basis:
-        elems = np.concatenate([elems, elems ^ v])
-    return elems
-
-
 @dataclass
 class SumFreeReport:
     k: int
@@ -161,9 +163,20 @@ class SumFreeReport:
     violating_flat: Optional[tuple]  # sorted element codes of a bad coset
 
 
+@functools.cache
+def _coset_reps(n: int, pivot_mask: int) -> np.ndarray:
+    """Codes with no pivot bit, one per coset: by bit count, then combinations order."""
+    free = [1 << c for c in range(n) if not (pivot_mask >> c) & 1]
+    reps = np.array([sum(bits) for r in range(len(free) + 1)
+                     for bits in itertools.combinations(free, r)], dtype=np.int64)
+    reps.flags.writeable = False  # one array serves every caller of the cache
+    return reps
+
+
 def is_kth_sum_free(F: FunctionUnderTest, k: int) -> SumFreeReport:
     """True when the F-image of every k-dimensional affine subspace sums to a
-    nonzero value; returns the first violating coset otherwise."""
+    nonzero value; returns the first violating coset otherwise, directions
+    in `echelon_bases` order and cosets in `_coset_reps` order."""
     f = F.field
     if not f.char2:
         raise FieldError("sum-freedom is defined in characteristic 2 only")
@@ -171,23 +184,18 @@ def is_kth_sum_free(F: FunctionUnderTest, k: int) -> SumFreeReport:
     if not 2 <= k <= n:
         raise ValueError(f"k={k} out of range 2..{n}")
     FT = F.table()
-    nonpivot_cache: dict = {}
-    for piv_basis in echelon_bases(n, k):
-        span = _span(piv_basis)
-        pivot_mask = 0
-        for v in piv_basis:
-            pivot_mask |= 1 << (v.bit_length() - 1)
-        reps = nonpivot_cache.get(pivot_mask)
-        if reps is None:
-            free_cols = [c for c in range(n) if not (pivot_mask >> c) & 1]
-            reps = [sum(bits) for r in range(len(free_cols) + 1)
-                    for bits in itertools.combinations([1 << c for c in free_cols], r)]
-            nonpivot_cache[pivot_mask] = reps
-        for u in reps:
-            total = int(np.bitwise_xor.reduce(FT[span ^ u]))
-            if total == 0:
-                flat = tuple(sorted(int(x) for x in (span ^ u)))
-                return SumFreeReport(k=k, is_sum_free=False, violating_flat=flat)
+    X = np.arange(f.q, dtype=np.int64)
+    for basis in echelon_bases(n, k):
+        G = FT
+        for e in basis:
+            G = G ^ G[X ^ e]
+        reps = _coset_reps(n, sum(1 << (v.bit_length() - 1) for v in basis))
+        zero = np.flatnonzero(G[reps] == 0)
+        if zero.size:
+            flat = reps[zero[:1]]
+            for e in basis:
+                flat = np.union1d(flat, flat ^ e)
+            return SumFreeReport(k=k, is_sum_free=False, violating_flat=tuple(flat.tolist()))
     return SumFreeReport(k=k, is_sum_free=True, violating_flat=None)
 
 

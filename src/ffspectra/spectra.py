@@ -149,18 +149,29 @@ def _fbct_dense(f: Field, D: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _equal_pairs(sk: np.ndarray):
+    """Yield (i, k) for k = 1, 2, ...: the positions i with sk[i] == sk[i + k]
+    in the sorted keys sk, ending with an empty i.  Only the positions still
+    equal at offset k can be equal at k + 1."""
+    i, k = np.arange(sk.size), 1
+    while i.size:
+        i = i[:np.searchsorted(i, sk.size - k)]
+        i = i[sk[i + k] == sk[i]]
+        yield i, k
+        k += 1
+
+
 def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
     """FBCT rows of the columns of D from level-set pairs: nabla(a, b) counts
     the ordered pairs (x, y) with d_a(x) = d_a(y) and y - x = b, so a row
     costs s_a pairs instead of q^2 cells.
 
-    Up to _PAIR_KEYS keys r*q + d_a(x) are sorted at once.  Equal keys sit at
-    offsets k = 1, 2, ... of each other, and only the positions still equal
-    at offset k can be equal at k + 1.  Each such pair (x, y), x first in
-    sorted order, adds one to H(y - x); the pairs in the other order give
-    H(x - y), and x = y gives q at b = 0.  Pending differences are
-    bincounted once max(_PAIR_KEYS, q) of them have piled up, so a sub-block
-    holds O(max(_PAIR_KEYS, q)) memory whatever its pair count.
+    Up to _PAIR_KEYS keys r*q + d_a(x) are sorted at once and walked with
+    `_equal_pairs`.  Each equal pair (x, y), x first in sorted order, adds
+    one to H(y - x); the pairs in the other order give H(x - y), and x = y
+    gives q at b = 0.  Pending differences are bincounted once
+    max(_PAIR_KEYS, q) of them have piled up, so a sub-block holds
+    O(max(_PAIR_KEYS, q)) memory whatever its pair count.
     """
     q, R = D.shape
     counts = np.empty((R, q), dtype=np.int64)
@@ -177,17 +188,12 @@ def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
         rowq = order - xs
         hist = np.zeros(m * q, dtype=np.int64)
         pending, npend = [], 0
-        i = np.arange(sk.size)
-        k = 1
-        while i.size:
-            i = i[:np.searchsorted(i, sk.size - k)]
-            i = i[sk[i + k] == sk[i]]
+        for i, k in _equal_pairs(sk):
             pending.append(rowq[i] + f.vsub(xs[i + k], xs[i]))
             npend += i.size
             if npend >= cap or not i.size:
                 hist += np.bincount(np.concatenate(pending), minlength=m * q)
                 pending, npend = [], 0
-            k += 1
         hist = hist.reshape(m, q)
         counts[s:s + m] = hist + hist[:, neg]
         counts[s:s + m, 0] += q

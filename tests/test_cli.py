@@ -1,5 +1,6 @@
 """Command-line interface: output schemas, exit codes, byte determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -201,6 +202,24 @@ def test_flats_and_sumfree_commands(capsys):
     assert "is_sum_free,false" in lines
     assert any(line.startswith("violating_flat,") and "|" in line
                for line in lines)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("flats --p 2 --n 6 --fn monomial:d=7 --list",
+     "adff70eb6b62c8254e4c0c254ca02aeee97b29af212a46781f174dee4c4021a9"),
+    ("flats --p 2 --n 6 --fn monomial:d=7 --list --format csv",
+     "16b312e1811756dca5ad5ceffd37ed3c2915873263320f8b574605679d49d11b"),
+    ("sumfree --p 2 --n 7 --fn monomial:d=7 --k 3",  # sum-free
+     "60cfea395a7e2da76f51ab446ecf3d2a507f80dc5d2987f043e90871339df148"),
+    ("sumfree --p 2 --n 6 --fn monomial:d=7 --k 2",  # reports a flat
+     "c2b5b318e2e66c1a35055fafc6ec74ec0fe62e2e14fe876313b34ea8e90af24d"),
+])
+def test_flats_and_sumfree_stdout_bytes(capsys, argv, digest):
+    """stdout of the block listing and of both sum-freedom verdicts, as
+    recorded from the coset-loop and triple-scan implementation."""
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_with_gamma(capsys):

@@ -204,6 +204,8 @@ def test_omega_is_a_primitive_cube_root():
         omega(make_field(2, 5))  # 3 does not divide 31
     roots = special_elements(make_field(2, 5), "cube_roots_of_unity")
     assert [r.code for r in roots] == [1]
+    with pytest.raises(FieldError):
+        special_elements(make_field(2, 4), "primitive_mth_root")
 
 
 def test_element_text_round_trip(field):

@@ -1,10 +1,15 @@
 """Vanishing flats, the 24x mass identity, and sum-freedom."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+from ffspectra import flats
 from ffspectra.field import FieldError, make_field
 from ffspectra.flats import (check_prop_identity, count_two_flats,
                              echelon_bases, flats_listing_lines,
@@ -39,6 +44,81 @@ def test_counts_match_brute_force():
         assert rep.vanishing_count == len(want)
         assert sorted(rep.listing) == want
         assert vanishing_flats(F).vanishing_count == len(want)
+
+
+def triple_scan_listing(F):
+    """The blocks by a scan over x1 < x2 < x3 with x4 = x1+x2+x3 forced above
+    x3, so each block appears once, in lexicographic order."""
+    q = F.field.q
+    FT = F.table()
+    X = np.arange(q, dtype=np.int64)
+    blocks = []
+    for x1 in range(q):
+        for x2 in range(x1 + 1, q):
+            x3s = X[x2 + 1:]
+            x4s = x3s ^ (x1 ^ x2)
+            ok = (x4s > x3s) & ((FT[x1] ^ FT[x2] ^ FT[x3s] ^ FT[x4s]) == 0)
+            blocks.extend((x1, x2, int(x3), int(x1 ^ x2 ^ x3)) for x3 in x3s[ok])
+    return blocks
+
+
+def _oracle_functions(f):
+    """Monomials, seeded random tables, and last x^3 with one entry changed,
+    whose first violating flats sit far into the coset scan."""
+    rng = np.random.RandomState(f.n)
+    cube = Monomial(f, 3).table().tolist()
+    cube[f.q - 3] ^= 1
+    return [Monomial(f, d) for d in (1, 3, 7, f.q - 2) if 0 < d < f.q] + \
+        [TableFunction(f, [int(v) for v in rng.randint(0, hi, f.q)]) for hi in (f.q, 4)] + \
+        [TableFunction(f, cube)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_listing_matches_triple_scan(n, monkeypatch):
+    """Same blocks in the same order, with whole s values taken one at a
+    time, several at a time (the last chunk short) and by default."""
+    f = make_field(2, n)
+    half = f.q // 2
+    real, widths = flats._bucket_blocks, set()
+
+    def spy(FT, S):
+        widths.add(S.size)
+        return real(FT, S)
+
+    monkeypatch.setattr(flats, "_bucket_blocks", spy)
+    for F in _oracle_functions(f):
+        want = triple_scan_listing(F)
+        for keys in (1, 2 * half, 5 * half, flats._PAIR_KEYS):
+            monkeypatch.setattr(flats, "_PAIR_KEYS", keys)
+            assert flats._vanishing_listing(F) == want, (F.text(), keys)
+        assert vanishing_flats(F, list_blocks=True).listing == want
+    assert 1 in widths and max(widths) > 1, widths
+
+
+def test_listing_count_invariant_survives_python_O():
+    """Under ``python -O`` a listing one block short of the pair count raises."""
+    script = textwrap.dedent("""
+        import sys
+        from ffspectra import flats
+        from ffspectra.field import InvariantError, make_field
+        from ffspectra.functions import Monomial
+
+        if not sys.flags.optimize:
+            raise SystemExit("expected python -O")
+        real = flats._vanishing_listing
+        flats._vanishing_listing = lambda F: real(F)[1:]
+        try:
+            flats.vanishing_flats(Monomial(make_field(2, 4), 14), list_blocks=True)
+            print("no error")
+        except InvariantError as exc:
+            print("InvariantError", exc)
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["InvariantError 4 blocks listed, 5 counted"]
 
 
 def test_total_two_flats_formula():
@@ -148,6 +228,54 @@ def brute_sum_free(F, k):
             if total == 0:
                 bad.append(tuple(sorted(flat)))
     return sorted(set(bad))
+
+
+def ordered_coset_scan(F, k):
+    """(first violating flat or None, cosets visited): one reduce per coset,
+    directions in `echelon_bases` order, cosets by free-bit sums of rising
+    bit count in `itertools.combinations` order."""
+    n = F.field.n
+    FT = F.table()
+    visited = 0
+    for basis in echelon_bases(n, k):
+        span = np.zeros(1, dtype=np.int64)
+        for v in basis:
+            span = np.concatenate([span, span ^ v])
+        pivots = {v.bit_length() - 1 for v in basis}
+        free = [1 << c for c in range(n) if c not in pivots]
+        for r in range(len(free) + 1):
+            for bits in itertools.combinations(free, r):
+                visited += 1
+                coset = span ^ sum(bits)
+                if int(np.bitwise_xor.reduce(FT[coset])) == 0:
+                    return tuple(sorted(int(x) for x in coset)), visited
+    return None, visited
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_first_violating_flat_matches_ordered_scan(n):
+    f = make_field(2, n)
+    late = free = 0
+    for F in _oracle_functions(f):
+        for k in range(2, n + 1):
+            flat, visited = ordered_coset_scan(F, k)
+            rep = is_kth_sum_free(F, k)
+            assert (rep.is_sum_free, rep.violating_flat) == (flat is None, flat), \
+                (F.text(), k)
+            free += flat is None
+            late += flat is not None and visited > 2 ** (n - k)
+    # sum-free verdicts, and violations past the first direction's cosets
+    # (GF(4) is a single 2-flat)
+    assert free and (late or n == 2), (free, late)
+
+
+@pytest.mark.parametrize("d, k", [(7, 3), (3, 2), (126, 5), (-1, 2), (-1, 4)])
+def test_first_violating_flat_matches_ordered_scan_n7(d, k):
+    f = make_field(2, 7)
+    F = _oracle_functions(f)[-1] if d < 0 else Monomial(f, d)
+    flat, _ = ordered_coset_scan(F, k)
+    rep = is_kth_sum_free(F, k)
+    assert (rep.is_sum_free, rep.violating_flat) == (flat is None, flat)
 
 
 @pytest.mark.parametrize("d", [3, 7, 14])

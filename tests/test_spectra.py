@@ -160,6 +160,19 @@ def test_dense_scan_matches_definition(p, n, build, every, wide):
         assert got[r, b] == brute_fbct(F, rows[r], b), (rows[r], b)
 
 
+def test_equal_pairs_yields_every_equal_pair_once():
+    """The walk shared by FBCT rows and the vanishing-flat listing: offsets
+    k = 1, 2, ... in turn, every equal pair (x, x + k) once, ending empty."""
+    rng = np.random.RandomState(3)
+    for sk in (np.sort(rng.randint(0, 9, 200)), np.zeros(6, dtype=np.int64), np.arange(7)):
+        steps = list(spectra._equal_pairs(sk))
+        assert [k for _, k in steps] == list(range(1, len(steps) + 1))
+        assert steps[-1][0].size == 0
+        seen = [(x, x + k) for i, k in steps for x in i.tolist()]
+        assert sorted(seen) == [(x, y) for x in range(sk.size)
+                                for y in range(x + 1, sk.size) if sk[x] == sk[y]]
+
+
 def test_one_block_mixes_both_kernels(monkeypatch):
     """A permutation on the half x < 256 of GF(2^9), zero on the other half:
     a row a < 256 has the level set of 0 over the whole zero half (dense),
