@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .field import Field, FieldElement, make_field, omega
+from .field import Field, FieldElement, InvariantError, make_field, omega
 from .functions import (
     FunctionError,
     GammaTraceInverse,
@@ -32,8 +32,8 @@ from .functions import (
     TableFunction,
     canonical_exponent,
 )
-from .spectra import (ddt_row_counts, differential_uniformity, fbct_row_counts,
-                      fbct_rows)
+from .spectra import (ddt_row_counts, differential_uniformity, fbct_rows,
+                      fbct_spectrum, orbit_rows)
 from .flats import check_prop_identity, vanishing_flats
 from .algebra import linearized_kernel_dim
 
@@ -183,6 +183,7 @@ def _check_T2(kw: dict) -> None:
     _require(p > 3, f"T2 requires p > 3, got p={p}")
     g = math.gcd(k, 2 * n)
     _require(g == 1, f"T2 requires gcd(k, 2n) = 1, got gcd({k}, {2 * n}) = {g}")
+    _require(k >= 1, f"T2 requires k >= 1, got k={k}")
 
 
 def _check_T3(kw: dict) -> None:
@@ -531,39 +532,49 @@ def _mersenne(field: Field, t: int, with_m: bool = False) -> dict:
     return out
 
 
+def _one_of(values) -> str:
+    return "one of {" + ", ".join(map(str, sorted(values))) + "}"
+
+
+def _first_outside(F, allowed) -> tuple:
+    """(a, b, mismatch) at the first nontrivial FBCT cell, in row-major order,
+    whose value is not in ``allowed``; called only once the histogram shows
+    such a value.  The rows of one `orbit_rows` orbit hold the same values,
+    so the first offending row is the smallest member of its orbit, which is
+    its representative: the representatives are walked in ascending order."""
+    f = F.field
+    for a, row in fbct_rows(F, [a for a, _ in orbit_rows(F)]):
+        outside = ~np.isin(row, sorted(allowed))
+        outside[[0, a] if f.char2 else 0] = False
+        hit = np.flatnonzero(outside)
+        if hit.size:
+            b = int(hit[0])
+            return a, b, _mismatch(f, a, b, _one_of(allowed), int(row[b]))
+    raise InvariantError(f"the histogram of {F.text()} holds a value outside "
+                         f"{_one_of(allowed)} that no row holds")
+
+
 def _run_T2(theorem_id: str, field: Field, setting: dict, kw: dict):
-    """Value set and maximum of the nontrivial spectrum, with its histogram,
-    in one pass over the rows."""
-    p, q = field.p, field.q
+    """Value set and maximum of the nontrivial spectrum, with its histogram."""
+    q = field.q
     F = _power_map(field, setting)
-    allowed = sorted({0, 1, (p - 3) // 2})
-    hist = np.zeros(q + 1, dtype=np.int64)
-    cells, first = 0, None
-    for a, obs in fbct_rows(F):
-        row = obs[1:]
-        hist += np.bincount(row, minlength=q + 1)
-        if first is None:
-            bad = np.nonzero(~np.isin(row, allowed))[0]
-            if bad.size:
-                b = int(bad[0]) + 1
-                cells += b
-                first = _mismatch(field, a, b, _one_of(allowed), int(obs[b]))
-            else:
-                cells += q - 1
-    values = np.nonzero(hist)[0]
+    allowed = {0, 1, (field.p - 3) // 2}
+    hist = fbct_spectrum(F).histogram
     notes = ["observed nontrivial value histogram: "
-             + ", ".join(f"{v}: {hist[v]}" for v in values)]
-    if first is not None:
+             + ", ".join(f"{v}: {c}" for v, c in hist)]
+    if any(v not in allowed for v, _ in hist):
+        a, b, first = _first_outside(F, allowed)
         notes.append(f"claimed value set and maximum not attained on GF({q})")
-    else:
-        withmax = int(values[-1])
-        notes += [f"{_NONTRIVIAL} {withmax}",
-                  "per-cell branch conditions are not machine-checkable; "
-                  "value-set and maximum checked instead"]
-        if withmax != allowed[-1]:
-            first = {"a": "maximum over ab != 0", "b": "",
-                     "predicted": allowed[-1], "observed": withmax}
-    return setting, cells, first, notes
+        return setting, (a - 1) * (q - 1) + b, first, notes
+    withmax = hist[-1][0]
+    notes += [f"{_NONTRIVIAL} {withmax}",
+              "per-cell branch conditions are not machine-checkable; "
+              "value-set and maximum checked instead"]
+    first = None
+    if withmax != max(allowed):
+        first = {"a": "maximum over ab != 0", "b": "",
+                 "predicted": max(allowed), "observed": withmax}
+    return setting, (q - 1) * (q - 1), first, notes
 
 
 def _run_vb(theorem_id: str, field: Field, setting: dict, kw: dict):
@@ -597,16 +608,12 @@ def _admissible_gammas(field: Field, t: int) -> list:
     return gs[ok].tolist()
 
 
-def _one_of(values) -> str:
-    return "one of {" + ", ".join(map(str, sorted(values))) + "}"
-
-
 _T7_VALUES = frozenset({0, 4, 8})
 
 
 def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
-    """Every admissible (t, gamma), or the given ones: q on the diagonal,
-    values in {0, 4, 8} off it."""
+    """Every admissible (t, gamma), or the given ones: nontrivial values in
+    {0, 4, 8}."""
     q, t, gamma = field.q, kw["t"], kw["gamma"]
     params = {} if t is None else {"t": t}
     if gamma is not None:
@@ -617,7 +624,6 @@ def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
     else:
         pairs = [(tt, g) for tt in ([t] if t is not None else range(1, field.n))
                  for g in _admissible_gammas(field, tt)]
-    allowed = sorted(_T7_VALUES)
     cells = 0
     observed = set()
     for tt, g in pairs:
@@ -625,17 +631,12 @@ def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
             F = GammaTraceInverse(field, tt, field.from_code(g))
         except FunctionError as exc:
             raise HypothesisError(str(exc)) from exc
-        for a, obs in fbct_rows(F):
-            ok = np.isin(obs, allowed)
-            ok[a] = obs[a] == q
-            bad = np.nonzero(~ok[1:])[0]
-            if bad.size:
-                b = int(bad[0]) + 1
-                first = _mismatch(field, a, b, q if b == a else _one_of(allowed),
-                                  int(obs[b]))
-                first.update(t=tt, gamma=field.from_code(g).text)
-                return params, cells + (a - 1) * (q - 1), first, []
-            observed.update(np.delete(obs[1:], a - 1).tolist())
+        values = {v for v, _ in fbct_spectrum(F).histogram}
+        if not values <= _T7_VALUES:
+            a, b, first = _first_outside(F, _T7_VALUES)
+            first.update(t=tt, gamma=field.from_code(g).text)
+            return params, cells + (a - 1) * (q - 1), first, []
+        observed |= values
         cells += (q - 1) * (q - 1)
     notes = [f"admissible (t, gamma) pairs: {len(pairs)}"]
     if pairs:
@@ -682,7 +683,7 @@ def _run_TABLE1(theorem_id: str, field, setting: dict, kw: dict):
             q = f.q
             claimed = max_fn(p)
             F = Monomial(f, canonical_exponent(q, d_fn(p, q)))
-            got = max(int(obs[1:].max()) for _, obs in fbct_rows(F))
+            got = fbct_spectrum(F).uniformity
             cells += (q - 1) * (q - 1)
             notes.append(f"{label} on GF({p}^{n}): maximum {got} "
                          f"(claimed {claimed})")
@@ -721,8 +722,7 @@ def _run_APN_IFF_FBCT0(theorem_id: str, field: Field, setting: dict, kw: dict):
     for d in range(1, q):
         F = Monomial(field, d)
         apn = differential_uniformity(F) == 2
-        # nabla(a, b) = nabla(1, b/a): row 1 off b in {0, 1} holds every row's values
-        fb_max = int(fbct_row_counts(F, 1)[2:].max(initial=0))
+        fb_max = fbct_spectrum(F).uniformity
         if apn != (fb_max == 0):
             first = {"a": f"monomial d={d}", "b": "",
                      "predicted": 0 if apn else "nonzero somewhere",
@@ -952,13 +952,13 @@ def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
 def verify(theorem_id: str, *, p: Optional[int] = None,
            n: Optional[int] = None, modulus=None, t: Optional[int] = None,
            k: Optional[int] = None, gamma=None, num_random_tables: int = 50,
-           seed: int = 0, workers: int = 1) -> TheoremVerdict:
+           seed: int = 0) -> TheoremVerdict:
     """Recompute the object a claim is about and compare it cell by cell
     (or count by count) with the claim's closed form.
 
     Returns a :class:`TheoremVerdict`; parameters violating the claim's
     hypotheses produce ``status == "hypothesis_error"`` with the violated
-    condition in ``notes``.  ``workers`` is accepted and has no effect.
+    condition in ``notes``.
     """
     claim = _claim(theorem_id)
     given = {"p": p, "n": n, "modulus": modulus, "t": t, "k": k,

@@ -4,8 +4,8 @@ quadratic characters, and quadratic-equation solving.
 Elements are stored as integer codes 0..q-1; the code of an element with
 coefficient vector (c0, c1, ..., c_{n-1}) relative to the polynomial basis is
 sum(c_i * p**i).  The dense coefficient form is primary; log/antilog and other
-acceleration tables are built lazily (q <= 2**20) and are observationally
-identical to the coefficient-level routines.
+acceleration tables are built lazily and are observationally identical to the
+coefficient-level routines.  Every field has q <= 2**20.
 """
 
 from __future__ import annotations
@@ -68,34 +68,6 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(m: int) -> bool:
-    """Miller-Rabin with the first 12 primes as bases: exact for every
-    m < 3.18 * 10**23, far above the q <= 2**62 this module supports."""
-    if m < 2:
-        return False
-    for b in _MR_BASES:
-        if m % b == 0:
-            return m == b
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _prime_factors(m: int) -> list[int]:
     """The distinct prime factors of m >= 1, ascending, by trial division."""
     out = []
@@ -121,7 +93,7 @@ def _canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible polynomial of degree {n} over GF({p})")
 
 
-_TABLE_LIMIT = 1 << 20       # build log/antilog tables up to this q
+_TABLE_LIMIT = 1 << 20       # the largest q make_field accepts
 _POWER_CHUNK = 1 << 12       # rows a block of the odd-characteristic exp table multiplies at once
 
 
@@ -317,8 +289,6 @@ class Field:
         raise InvariantError("no generator found")
 
     def _build_tables(self) -> SimpleNamespace:
-        if self.q > _TABLE_LIMIT:
-            raise FieldError(f"acceleration tables unsupported for q > {_TABLE_LIMIT}")
         p, n, q = self.p, self.n, self.q
         gen = self._find_generator()
         dig = None if self.char2 else self._digit_matrix()
@@ -512,8 +482,6 @@ class FieldElement:
 _FIELD_CACHE: dict[tuple, Field] = {}
 _FIELD_CACHE_LOCK = threading.Lock()
 
-_NATIVE_LIMIT = 1 << 62
-
 
 def make_field(p: int, n: int, modulus=None) -> Field:
     """Construct (or fetch the cached) GF(p^n).
@@ -524,13 +492,14 @@ def make_field(p: int, n: int, modulus=None) -> Field:
     """
     p = int(p)
     n = int(n)
-    # a p above the native range fails the q check below without a primality test
-    if p < 2 or (p <= _NATIVE_LIMIT and not _is_prime(p)):
-        raise FieldError(f"p={p} is not prime")
     if n < 1:
         raise FieldError(f"n={n} must be a positive integer")
-    if p ** n > _NATIVE_LIMIT:
-        raise FieldError(f"q=p^n exceeds the supported native-integer range ({p}^{n})")
+    # the size limit comes first; for p >= 2, n > 20 or p > 2^20 exceeds it
+    # whatever the other is, so p ** n is formed only when both are small
+    if n >= _TABLE_LIMIT.bit_length() or p > _TABLE_LIMIT or p ** n > _TABLE_LIMIT:
+        raise FieldError(f"q=p^n exceeds the supported q <= 2^20 ({p}^{n})")
+    if _prime_factors(p) != [p]:
+        raise FieldError(f"p={p} is not prime")
     if modulus is None:
         mod = _canonical_modulus(p, n)
     else:

@@ -169,6 +169,9 @@ class TableFunction(FunctionUnderTest):
 # exponent expressions and the function-text grammar
 # ---------------------------------------------------------------------------
 
+#: A power sure to have more bits than this is refused before it is computed.
+_POWER_BITS = 1 << 16
+
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -183,7 +186,9 @@ def eval_exponent_expr(text: str, field: Field, k: int | None = None,
 
     Supports + - * / ^ and parentheses; every division must be exact by the
     time the whole expression is evaluated (e.g. "(2*q-1)/3", "(p^k+1)/2",
-    "(3^n-1)/2+2", "2^t-1").  Implicit products like "2q" are accepted.
+    "(3^n-1)/2+2", "2^t-1").  Implicit products like "2q" are accepted.  A
+    power b^e with |e| * floor(log2 max(|num b|, den b)) >= _POWER_BITS, which
+    has more than _POWER_BITS bits, raises FunctionError before it is computed.
     """
     names = {"p": Fraction(field.p), "n": Fraction(field.n), "q": Fraction(field.q)}
     if k is not None:
@@ -199,6 +204,9 @@ def eval_exponent_expr(text: str, field: Field, k: int | None = None,
                 if e.denominator != 1:
                     raise FunctionError(f"non-integer power in exponent expression {text!r}")
                 ei = int(e)
+                size = max(abs(base.numerator), base.denominator)
+                if abs(ei) * (size.bit_length() - 1) >= _POWER_BITS:
+                    raise FunctionError(f"power too large in exponent expression {text!r}")
                 return Fraction(1) / base ** (-ei) if ei < 0 else base ** ei
             fn = _BINOPS.get(type(nd.op))
             if fn is None:

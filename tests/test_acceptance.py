@@ -50,14 +50,14 @@ def test_acceptance_02_two_thirds_power_sweep():
     fields += [(5, 3), (11, 3)]
     fields = sorted(set(fields), key=lambda pn: (pn[0] ** pn[1], pn[0]))
     t0 = time.perf_counter()
-    v_big = verify("T1", p=11, n=3, workers=1)
+    v_big = verify("T1", p=11, n=3)
     t_big = time.perf_counter() - t0
     ok = v_big.passed and t_big < 30.0
     checked = 1
     for p, n in fields:
         if (p, n) == (11, 3):
             continue
-        v = verify("T1", p=p, n=n, workers=1)
+        v = verify("T1", p=p, n=n)
         ok = ok and v.passed
         checked += 1
     report(2, ok,

@@ -14,6 +14,8 @@ from ffspectra.field import make_field
 #: recorded before claims became one record per id and must not move; only
 #: T2 on GF(5^2) (its histogram note now leads every T2 verdict) and TABLE1
 #: (the x^((p+1)/2) row now also checks GF(11) and GF(13)) were re-recorded.
+#: T7 at n = 6 (71 admissible pairs) was recorded before T7 read its values
+#: off fbct_spectrum.
 PINNED = [
     ("L1", dict(p=2, n=4),
      "395811328d7927a0708c84bd1daf1944f3d18412dc3142b77619b45056d6c123"),
@@ -91,6 +93,8 @@ PINNED = [
      "818fa5729e240852998d379e23bf70b12dcf62b59c3fa2ad058f95acef7ab0eb"),
     ("PROP_VB", dict(p=3, n=2),
      "6844044cb323161be09148dcc4f1d4deccada90e037ecc070e7aa827c44fb761"),
+    ("T7", dict(n=6),
+     "8ccdb4342a76a4c648bffac69be8a523f78298541bee90fe91f864cabb4766d4"),
 ]
 
 
@@ -102,7 +106,7 @@ def test_verdict_hash_is_pinned(tid, kwargs, digest):
 
 
 #: The parameter names verify accepted for each id before the registry
-#: derived them as params | {workers} | ({modulus} if "n" in params).
+#: derived them as params | ({modulus} if "n" in params).
 ACCEPTED = {
     "L1": {"p", "n", "modulus"}, "L2": {"p", "n", "modulus"},
     "T1": {"p", "n", "modulus"}, "T2": {"p", "n", "k", "modulus"},

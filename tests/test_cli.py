@@ -85,6 +85,33 @@ def test_usage_errors_exit_2(capsys):
         assert out == ""
 
 
+#: Fields past the size limit q <= 2^20, and a power past the exponent
+#: grammar's bit bound: each must be refused at once, before any modulus
+#: search or huge integer is formed.
+OVERSIZED = [
+    ("field", "--p", "2", "--n", "62"),
+    ("field", "--p", "3", "--n", "39"),
+    ("field", "--p", "2", "--n", "100000000000"),
+    ("verify", "--theorem", "T1", "--p", "5", "--n", "25"),
+    ("verify", "--theorem", "C_F1", "--n", "40"),
+    ("verify", "--theorem", "C_F2_VB", "--n", "41"),
+    ("kloosterman", "--n", "40", "--method", "direct"),
+    ("fbct", "--p", "2", "--n", "3", "--fn", "monomial:d=2^2^2^2^2^2"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=" ".join)
+def test_oversized_inputs_exit_2_promptly(argv):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-m", "ffspectra.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
 def test_identical_configs_are_byte_identical(tmp_path, capsys):
     argv = ["spectrum", "--p", "2", "--n", "5", "--fn", "monomial:d=30"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,16 +1,21 @@
 """Closed-form verifiers: count formulas, per-cell predictors, verdicts."""
 
 import json
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from ffspectra.closed_forms import (THEOREMS, HypothesisError, kloosterman,
-                                    predict, s6_count_formula,
-                                    vanishing_count_formula, verify)
-from ffspectra.field import make_field, omega
+from ffspectra.closed_forms import (THEOREMS, HypothesisError, _admissible_gammas,
+                                    _first_outside, kloosterman, predict,
+                                    s6_count_formula, vanishing_count_formula,
+                                    verify)
+from ffspectra.field import InvariantError, make_field, omega
 from ffspectra.flats import count_two_flats, vanishing_flats
-from ffspectra.functions import Monomial, canonical_exponent
-from ffspectra.spectra import fbct_entry
+from ffspectra.functions import (GammaTraceInverse, Monomial, TableFunction,
+                                 canonical_exponent)
+from ffspectra.spectra import fbct_entry, fbct_rows, fbct_spectrum, orbit_rows
 
 
 # --- Kloosterman sums -------------------------------------------------------
@@ -209,6 +214,16 @@ def test_half_power_claim_fails_on_gf11():
     assert "not attained" in v.notes[1]
 
 
+def test_half_power_requires_positive_k():
+    """gcd(-1, 2n) = 1, so only the k >= 1 check stops a negative k; k = 0
+    still stops at the gcd check."""
+    v = verify("T2", p=5, n=1, k=-1)
+    assert v.status == "hypothesis_error" and v.cells_checked == 0
+    assert v.notes == ("hypothesis not satisfied: T2 requires k >= 1, got k=-1",)
+    assert "gcd(0, 2) = 2" in verify("T2", p=5, n=1, k=0).notes[0]
+    assert verify("T2", p=5, n=2, k=3).params["k"] == 3
+
+
 def test_trace_perturbed_inverse_bound_not_attained_note():
     v = verify("T6", n=4)
     assert v.passed
@@ -270,6 +285,85 @@ def test_catalogue_of_odd_char_power_maps():
             assert int(got) == observed[where] != int(claimed), note
         else:
             assert got == claimed, note
+
+
+# --- the first cell outside an allowed set ----------------------------------
+
+def _every_row_scan(F, allowed):
+    """Oracle: every FBCT row 1..q-1 in order, no orbits.  The nontrivial
+    histogram, and (a, b, value) of the first nontrivial cell in row-major
+    order whose value is not in ``allowed`` (None when there is none)."""
+    f = F.field
+    hist, first = Counter(), None
+    for a, row in fbct_rows(F):
+        bs = [b for b in range(1, f.q) if not (f.char2 and b == a)]
+        values = row[bs].tolist()
+        hist.update(values)
+        if first is None:
+            first = next(((a, b, v) for b, v in zip(bs, values)
+                          if v not in allowed), None)
+    return sorted(hist.items()), first
+
+
+def _locator_cases():
+    """(function, allowed set): T2's set on x^((p+1)/2); {0, 4, 8} on
+    gamma-trace inverses, whose rows come in Frobenius orbits; and, on each,
+    every observed value set minus one value, so each value once offends."""
+    fns = []
+    for p, n in [(11, 1), (13, 1), (5, 2)]:
+        f = make_field(p, n)
+        fns.append((Monomial(f, (p + 1) // 2), {0, 1, (p - 3) // 2}))
+    for n in (6, 8):
+        f = make_field(2, n)
+        for t in range(1, n):
+            gs = _admissible_gammas(f, t)
+            for g in sorted({gs[0], gs[-1]}) if gs else ():
+                fns.append((GammaTraceInverse(f, t, f.from_code(g)), {0, 4, 8}))
+    for F, allowed in fns:
+        yield F, allowed
+        values = {v for v, _ in fbct_spectrum(F).histogram}
+        for v in sorted(values):
+            yield F, values - {v}
+
+
+def _check_locator(F, allowed):
+    """The histogram and the located cell against the oracle; returns the
+    oracle's cell."""
+    hist, first = _every_row_scan(F, allowed)
+    assert fbct_spectrum(F).histogram == hist, F
+    if first is None:
+        with pytest.raises(InvariantError):
+            _first_outside(F, allowed)
+        return None
+    a, b, mismatch = _first_outside(F, allowed)
+    assert (a, b, mismatch["observed"]) == first, (F, allowed)
+    f = F.field
+    assert mismatch["a"] == f.from_code(a).text and mismatch["b"] == f.from_code(b).text
+    return first
+
+
+def test_first_outside_matches_every_row_scan():
+    cases = list(_locator_cases())
+    orbits = [len(orbit_rows(F)) for F, _ in cases if F.field.char2]
+    assert min(orbits) < max(orbits) < 255  # Frobenius orbits, of two sizes
+    past_row_one = 0
+    for F, allowed in cases:
+        first = _check_locator(F, allowed)
+        past_row_one += first is not None and first[0] > 1
+    assert past_row_one
+
+
+def test_first_outside_on_a_table_past_row_one():
+    """A seeded random table on GF(2^5), allowed the values of row 1: the
+    first violation lies in a later row."""
+    f = make_field(2, 5)
+    rng = random.Random(11)
+    F = TableFunction(f, [rng.randrange(f.q) for _ in range(f.q)])
+    assert len(orbit_rows(F)) == f.q - 1
+    row1 = next(fbct_rows(F, [1]))[1]
+    allowed = set(np.delete(row1, [0, 1]).tolist())
+    first = _check_locator(F, allowed)
+    assert first is not None and first[0] > 1
 
 
 def test_mass_identity_verdict():

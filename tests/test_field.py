@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffspectra import field as field_module
-from ffspectra.field import (Field, FieldError, _is_prime, _prime_factors, make_field, omega,
+from ffspectra.field import (Field, FieldError, _prime_factors, make_field, omega,
                              quadratic_character, solve_quadratic,
                              special_elements, trace)
 
@@ -44,12 +44,15 @@ def test_reducible_modulus_rejected():
 def test_primality_and_factoring_match_sympy():
     import sympy
 
-    limit = 200_000
-    assert [m for m in range(limit) if _is_prime(m)] == list(sympy.primerange(limit))
-    # a Carmichael number, strong pseudoprimes to the bases 2..7 and 2..23,
-    # and the Mersenne prime 2^61 - 1
-    for m in (561, 3215031751, 3825123056546413051, 2 ** 61 - 1):
-        assert _is_prime(m) == sympy.isprime(m), m
+    # make_field's primality rule, on every p below 3000 and around 2^20
+    for m in [*range(-2, 3000), 2 ** 20 - 3, 2 ** 20 - 1, 2 ** 20]:
+        try:
+            make_field(m, 1)
+            prime = True
+        except FieldError as exc:
+            assert "is not prime" in str(exc), (m, exc)
+            prime = False
+        assert prime == sympy.isprime(m), m
     rng = random.Random(3)
     sample = [1, 2, 3, 4, 2 ** 20, 2 ** 20 - 1, 3 ** 12 - 1, 1021 ** 2 - 1]
     sample += [rng.randrange(1, 2 ** 20 + 1) for _ in range(3000)]
@@ -61,8 +64,8 @@ def test_huge_characteristic_needs_no_primality_answer(monkeypatch):
     def refuse(m):
         raise AssertionError(f"primality of {m} asked")
 
-    monkeypatch.setattr(field_module, "_is_prime", refuse)
-    for p in (2 ** 62 + 1, 2 ** 89 - 1, 10 ** 30):
+    monkeypatch.setattr(field_module, "_prime_factors", refuse)
+    for p in (2 ** 20 + 7, 2 ** 62 + 1, 2 ** 89 - 1, 10 ** 30):
         with pytest.raises(FieldError, match="exceeds the supported"):
             make_field(p, 1)
 
