@@ -113,6 +113,9 @@ def _mismatch(field: Field, a: int, b: int, predicted, observed) -> dict:
 # Kloosterman sums
 # ---------------------------------------------------------------------------
 
+_CARLITZ_LIMIT = 4096  # the largest n ``carlitz`` accepts (its sum has O(n) big terms)
+
+
 def kloosterman(n: int, method: str = "direct") -> int:
     """Kloosterman sum K(1) over GF(2^n).
 
@@ -131,6 +134,9 @@ def kloosterman(n: int, method: str = "direct") -> int:
         signs = 1 - 2 * tb.tr[tb.inv[x] ^ x]
         return int(signs.sum())
     if method == "carlitz":
+        if n > _CARLITZ_LIMIT:
+            raise ValueError(f"n={n} exceeds the supported n <= {_CARLITZ_LIMIT} "
+                             f"of the closed form")
         acc = sum((-1) ** i * math.comb(n, 2 * i) * 7 ** i
                   for i in range(n // 2 + 1))
         val = 1 + Fraction((-1) ** (n - 1), 2 ** (n - 1)) * acc
@@ -786,8 +792,9 @@ CLAIMS = {
                 "(p-3)/2 (checked at the spectrum level)",
         params=("p", "n", "k"),
         check=_check_T2, defaults={"k": 1},
+        # p^k mod 2(q-1) is odd, so halving it gives (p^k+1)/2 mod q-1
         setting=lambda f, kw: {"k": kw["k"], "d": canonical_exponent(
-            f.q, (f.p ** kw["k"] + 1) // 2)},
+            f.q, (pow(f.p, kw["k"], 2 * (f.q - 1)) + 1) // 2)},
         run=_run_T2),
     "T3": Claim(
         summary="x^4 on GF(p^n), p > 3, n > 1: cell value for ab != 0 is "

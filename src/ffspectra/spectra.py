@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import Field, FieldElement, InvariantError
+from .field import Field, FieldElement, InvariantError, _prime_factors
 from .functions import FunctionUnderTest, Monomial
 
 _BLOCK_CELLS = 1 << 20
@@ -55,40 +55,66 @@ def ddt_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
 # symmetry orbits of the rows
 # ---------------------------------------------------------------------------
 
+def _scaling_index(f: Field, G: np.ndarray) -> int:
+    """The index m of H = {c != 0 : G(cx) = lambda_c * G(x) for every x} in
+    GF(q)*, so H = <g^m> for the generator g.  With L[i] the log of G(g^i)
+    (-1 at a zero), c = g^k scales G iff L rolled by k is L shifted by one
+    log lambda, read at the first i with L[i] >= 0 (G = 0 is scaled by every c)."""
+    t = f.tables()
+    L = t.log[G[t.exp]]
+    nz = np.flatnonzero(L >= 0)
+    if not nz.size:
+        return 1
+    i0, q1 = int(nz[0]), f.q - 1
+
+    def scales(k: int) -> bool:
+        lam = (L[(i0 + k) % q1] - L[i0]) % q1
+        return np.array_equal(np.roll(L, -k), np.where(L < 0, L, (L + lam) % q1))
+
+    if scales(1):
+        return 1
+    m = q1
+    for ell in _prime_factors(q1):
+        while m % ell == 0 and scales(m // ell):
+            m //= ell
+    return m
+
+
 def orbit_rows(F: FunctionUnderTest, full: bool = False) -> list:
     """[(a, weight)]: one row a per symmetry orbit of the rows 1..q-1, with
     the orbit's size.  The DDT and FBCT rows of an orbit are column
     permutations of each other, so a statistic that ignores column order
     (histogram, maximum, pair count) is the weighted sum over the orbits.
+    Both symmetries are read off the value table:
 
-    - a power map: delta(a, b) = delta(1, b/a^d), nabla(a, b) = nabla(1, b/a),
-      so row 1 with weight q - 1;
-    - else, for the smallest proper divisor e of n such that the value table
-      shows F(s(x)) = s(F(x)) at every x, s: x -> x^(p^e): row s(a) is row a
-      read at s(b), so the smallest code of each orbit of s (this is all a
-      ``table:`` map can get; it is never taken for a power map);
-    - else, or with ``full``: every row, weight 1.
+    - scaling: for c in H = <g^m> (`_scaling_index` of G = F - F(0)),
+      nabla(ca, cb) = nabla(a, b) and delta(ca, lambda_c b) = delta(a, b), so a
+      row depends only on its coset index log(a) mod m; a power map has m = 1;
+    - Frobenius: for the smallest proper divisor e of n with F(s(x)) = s(F(x))
+      at every x, s: x -> x^(p^e), row s(a) is row a read at s(b); on the
+      coset index s acts as i -> i * p^e mod m.
+
+    Each orbit of coset indices is one orbit of rows, represented by its
+    smallest code; with ``full``, every row, weight 1.
     """
     f = F.field
     q = f.q
-    rows = [(a, 1) for a in range(1, q)]
     if full:
-        return rows
-    if isinstance(F, Monomial):
-        rows = [(1, q - 1)]
-    else:
-        FT, frob = F.table(), f.tables().frob
-        X = sigma = np.arange(q, dtype=np.int64)
-        for e in range(1, f.n // 2 + 1):
-            sigma = frob[sigma]
-            if f.n % e == 0 and np.array_equal(FT[sigma], sigma[FT]):
-                rep = cur = X
-                for _ in range(f.n // e - 1):
-                    cur = sigma[cur]
-                    rep = np.minimum(rep, cur)
-                size = np.bincount(rep[1:], minlength=q)
-                rows = list(zip(np.flatnonzero(size).tolist(), size[size > 0].tolist()))
-                break
+        return [(a, 1) for a in range(1, q)]
+    t, FT = f.tables(), F.table()
+    m = _scaling_index(f, f.vsub(FT, FT[0]))
+    key = low = t.exp.reshape(-1, m).min(axis=0)  # smallest code of each coset
+    sigma = np.arange(q, dtype=np.int64)
+    for e in range(1, f.n // 2 + 1):
+        sigma = t.frob[sigma]
+        if f.n % e == 0 and np.array_equal(FT[sigma], sigma[FT]):
+            i = np.arange(m)
+            for _ in range(f.n // e - 1):
+                i = i * pow(f.p, e, m) % m
+                key = np.minimum(key, low[i])
+            break
+    size = np.bincount(key, minlength=q) * ((q - 1) // m)
+    rows = list(zip(np.flatnonzero(size).tolist(), size[size > 0].tolist()))
     if sum(w for _, w in rows) != q - 1:
         raise InvariantError(f"row orbit sizes do not sum to q - 1 = {q - 1}")
     return rows
@@ -373,8 +399,8 @@ def classify(F: FunctionUnderTest) -> Classification:
         row1 = ddt_row_counts(F, 1)
         locally = int(row1[2:].max()) == 2  # b outside the prime subfield {0,1}
 
-    # the solution counts of row a^(p^e), or of row c*a of a power map, are
-    # those of row a, permuted
+    # the solution counts of row a^(p^e), or of row c*a for c in the scaling
+    # subgroup H of `orbit_rows`, are those of row a, permuted
     FT = F.table()
     X = np.arange(q, dtype=np.int64)
     is_gapn = True

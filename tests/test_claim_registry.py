@@ -15,7 +15,8 @@ from ffspectra.field import make_field
 #: T2 on GF(5^2) (its histogram note now leads every T2 verdict) and TABLE1
 #: (the x^((p+1)/2) row now also checks GF(11) and GF(13)) were re-recorded.
 #: T7 at n = 6 (71 admissible pairs) was recorded before T7 read its values
-#: off fbct_spectrum.
+#: off fbct_spectrum, and T7 at n = 8 before orbit_rows found the scaling
+#: symmetry of its 255 x^(-1) functions at t = 4.
 PINNED = [
     ("L1", dict(p=2, n=4),
      "395811328d7927a0708c84bd1daf1944f3d18412dc3142b77619b45056d6c123"),
@@ -95,6 +96,8 @@ PINNED = [
      "6844044cb323161be09148dcc4f1d4deccada90e037ecc070e7aa827c44fb761"),
     ("T7", dict(n=6),
      "8ccdb4342a76a4c648bffac69be8a523f78298541bee90fe91f864cabb4766d4"),
+    ("T7", dict(n=8),
+     "8859fe2810f20a66a91edb3589ff913520a6ba5149b98175a2aaf2a008fd6272"),
 ]
 
 

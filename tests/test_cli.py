@@ -85,9 +85,9 @@ def test_usage_errors_exit_2(capsys):
         assert out == ""
 
 
-#: Fields past the size limit q <= 2^20, and a power past the exponent
-#: grammar's bit bound: each must be refused at once, before any modulus
-#: search or huge integer is formed.
+#: Fields past the size limit q <= 2^20, a power past the exponent
+#: grammar's bit bound, and a Carlitz n past n <= 4096: each must be refused
+#: at once, before any modulus search or huge integer is formed.
 OVERSIZED = [
     ("field", "--p", "2", "--n", "62"),
     ("field", "--p", "3", "--n", "39"),
@@ -96,6 +96,8 @@ OVERSIZED = [
     ("verify", "--theorem", "C_F1", "--n", "40"),
     ("verify", "--theorem", "C_F2_VB", "--n", "41"),
     ("kloosterman", "--n", "40", "--method", "direct"),
+    ("kloosterman", "--n", "4097", "--method", "carlitz"),
+    ("kloosterman", "--n", "100000000", "--method", "both"),
     ("fbct", "--p", "2", "--n", "3", "--fn", "monomial:d=2^2^2^2^2^2"),
 ]
 

@@ -2,15 +2,16 @@
 
 import json
 import random
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from ffspectra.closed_forms import (THEOREMS, HypothesisError, _admissible_gammas,
-                                    _first_outside, kloosterman, predict,
-                                    s6_count_formula, vanishing_count_formula,
-                                    verify)
+from ffspectra.closed_forms import (CLAIMS, THEOREMS, HypothesisError,
+                                    _admissible_gammas, _first_outside,
+                                    kloosterman, predict, s6_count_formula,
+                                    vanishing_count_formula, verify)
 from ffspectra.field import InvariantError, make_field, omega
 from ffspectra.flats import count_two_flats, vanishing_flats
 from ffspectra.functions import (GammaTraceInverse, Monomial, TableFunction,
@@ -35,6 +36,8 @@ def test_kloosterman_methods_agree():
 def test_kloosterman_validation():
     with pytest.raises(ValueError):
         kloosterman(0)
+    with pytest.raises(ValueError, match="n <= 4096"):
+        kloosterman(4097, method="carlitz")
     with pytest.raises(ValueError):
         kloosterman(4, method="guess")
 
@@ -224,6 +227,20 @@ def test_half_power_requires_positive_k():
     assert verify("T2", p=5, n=2, k=3).params["k"] == 3
 
 
+def test_half_power_exponent_from_p_to_the_k_mod_2_q_minus_1():
+    """T2's d from p^k mod 2(q-1) is the d of (p^k+1)/2 formed in full, and
+    a huge k no longer forms p^k."""
+    setting = CLAIMS["T2"].setting
+    for p, n in [(5, 1), (5, 2), (7, 1), (7, 3), (11, 2), (13, 1)]:
+        f = make_field(p, n)
+        for k in range(1, 10):
+            assert setting(f, {"k": k})["d"] == canonical_exponent(f.q, (p ** k + 1) // 2), (p, n, k)
+    start = time.perf_counter()
+    v = verify("T2", p=5, n=1, k=20000001)
+    assert time.perf_counter() - start < 2
+    assert v.params["k"] == 20000001 and v.status != "hypothesis_error"
+
+
 def test_trace_perturbed_inverse_bound_not_attained_note():
     v = verify("T6", n=4)
     assert v.passed
@@ -234,6 +251,18 @@ def test_gamma_trace_family_vacuous_when_no_pair_exists():
     v = verify("T7", n=5)
     assert v.passed and v.cells_checked == 0
     assert any("no admissible" in note for note in v.notes)
+
+
+def test_gamma_trace_inverse_at_half_n_is_one_row():
+    """At t = n/2, Tr(x^(2^t+1)) = 0, so every admissible gamma gives x^(-1):
+    the value table proves the scaling symmetry and one row stands for all."""
+    for n in (6, 8):
+        f = make_field(2, n)
+        gs = _admissible_gammas(f, n // 2)
+        assert len(gs) == f.q - 1
+        for g in gs:
+            F = GammaTraceInverse(f, n // 2, f.from_code(g))
+            assert orbit_rows(F) == [(1, f.q - 1)], (n, g)
 
 
 def test_gamma_trace_family_small_field():

@@ -316,6 +316,12 @@ def _table_of(F):
     return TableFunction(F.field, [int(v) for v in F.table()])
 
 
+def _table_by(p, n, values):
+    """The table function of ``values(f, X)`` over GF(p^n), X every code."""
+    f = make_field(p, n)
+    return TableFunction(f, [int(v) for v in values(f, np.arange(f.q, dtype=np.int64))])
+
+
 # (id, function, the largest orbit size the rows must show: 1 is every row)
 FAMILIES = [
     ("x7-GF2^6", Monomial(make_field(2, 6), 7), 63),
@@ -330,9 +336,17 @@ FAMILIES = [
     ("gamma-GF2^4-t1-g1", _gamma_trace_inverses(make_field(2, 4))[0], 4),
     ("gamma-GF2^4-t1-g6", GammaTraceInverse(make_field(2, 4), 1, make_field(2, 4).from_code(6)), 2),
     ("gamma-GF2^6-last", _gamma_trace_inverses(make_field(2, 6))[-1], None),
-    ("table-x7-GF2^6", _table_of(Monomial(make_field(2, 6), 7)), 6),
-    ("table-x5-GF3^3", _table_of(Monomial(make_field(3, 3), 5)), 3),
-    ("table-x3-GF5^2", _table_of(Monomial(make_field(5, 2), 3)), 2),
+    ("table-x7-GF2^6", _table_of(Monomial(make_field(2, 6), 7)), 63),
+    ("table-x5-GF3^3", _table_of(Monomial(make_field(3, 3), 5)), 26),
+    ("table-x3-GF5^2", _table_of(Monomial(make_field(5, 2), 3)), 24),
+    # c^21 = 1 scales x^3 + x^24: H has order 21, Frobenius joins cosets 1, 2
+    ("table-x3+x24-GF2^6", _table_by(2, 6, lambda f, X: f.vadd(f.vpow(X, 3), f.vpow(X, 24))), 42),
+    # c^9 = 1: H has index 7 = 63 / 3^2, Frobenius orbits {0}, {1, 2, 4}, {3, 5, 6}
+    ("table-x+x10-GF2^6", _table_by(2, 6, lambda f, X: f.vadd(X, f.vpow(X, 10))), 27),
+    ("table-x+x14-GF3^3", _table_by(3, 3, lambda f, X: f.vadd(X, f.vpow(X, 14))), 13),
+    ("table-x+x4-GF7", _table_by(7, 1, lambda f, X: f.vadd(X, f.vpow(X, 4))), 3),
+    ("table-5x7+9-GF2^6", _table_by(2, 6, lambda f, X: f.vadd(f.vmul(5, f.vpow(X, 7)), 9)), 63),
+    ("table-2x5+4-GF3^3", _table_by(3, 3, lambda f, X: f.vadd(f.vmul(2, f.vpow(X, 5)), 4)), 26),
     ("table-invtrace-GF2^6", _table_of(InversePlusTrace(make_field(2, 6))), 6),
     ("table-random-GF2^6", _random_table(make_field(2, 6), 3), 1),
     ("table-random-GF3^3", _random_table(make_field(3, 3), 3), 1),
@@ -352,10 +366,9 @@ def test_orbit_rows_agree_with_every_row(monkeypatch, F, largest):
     assert sum(weights) == f.q - 1
     if largest is not None:
         assert max(weights) == largest
-    if not isinstance(F, Monomial):
-        # representatives come in ascending code order, the fixed point 1 first
-        assert [a for a, _ in rows] == sorted(a for a, _ in rows)
-        assert rows[0][0] == 1
+    # representatives come in ascending code order, the fixed point 1 first
+    assert [a for a, _ in rows] == sorted(a for a, _ in rows)
+    assert rows[0][0] == 1
     got = (ddt_spectrum(F).histogram, fbct_spectrum(F).histogram,
            differential_uniformity(F), classify(F),
            vanishing_flats_count(F) if f.char2 else None)
@@ -391,6 +404,21 @@ def test_one_changed_entry_breaks_the_frobenius_symmetry():
         values = [int(v) for v in FT]
         values[x] ^= 1
         assert orbit_rows(TableFunction(f, values)) == [(a, 1) for a in range(1, f.q)], x
+
+
+def test_one_changed_entry_breaks_the_scaling_symmetry():
+    """A table power map takes one row.  Changing it at any x != 0 leaves no
+    c != 1 with G(cx) = lambda_c * G(x), so only Frobenius orbits remain."""
+    for p, n, d in [(2, 6, 7), (3, 3, 5), (5, 2, 3)]:
+        f = make_field(p, n)
+        FT = Monomial(f, d).table()
+        assert orbit_rows(_table_of(Monomial(f, d))) == [(1, f.q - 1)]
+        for x in range(1, f.q):
+            values = [int(v) for v in FT]
+            values[x] = f.add_code(values[x], 1)
+            F = TableFunction(f, values)
+            assert spectra._scaling_index(f, F.table()) == f.q - 1, (p, n, x)
+            assert max(w for _, w in orbit_rows(F)) <= n, (p, n, x)
 
 
 def test_one_kernel_block_is_the_kernels_own_array(monkeypatch):
