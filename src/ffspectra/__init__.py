@@ -19,9 +19,7 @@ from .functions import (
     Monomial,
     TableFunction,
     canonical_exponent,
-    gapn_derivative,
     parse_function,
-    second_order_diff,
 )
 from .closed_forms import (
     THEOREMS,
@@ -40,8 +38,7 @@ __all__ = [
     "Field", "FieldElement", "FieldError", "make_field", "omega",
     "quadratic_character", "solve_quadratic", "special_elements", "trace",
     "FunctionError", "FunctionUnderTest", "GammaTraceInverse", "InversePlusTrace",
-    "Monomial", "TableFunction", "canonical_exponent", "gapn_derivative",
-    "parse_function", "second_order_diff",
+    "Monomial", "TableFunction", "canonical_exponent", "parse_function",
     "THEOREMS", "HypothesisError", "TheoremVerdict", "kloosterman", "predict",
     "s6_count_formula", "vanishing_count_formula", "verify",
 ]

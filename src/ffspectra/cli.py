@@ -102,8 +102,11 @@ def _emit(cfg: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {cfg.out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -275,11 +278,11 @@ def dispatch(cfg: argparse.Namespace) -> int:
     """Run one command; returns the process exit status."""
     try:
         code, text = _COMMANDS[cfg.command](cfg)
+        _emit(cfg, text)
     except (UsageError, HypothesisError, FunctionError, FieldError,
             ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(cfg, text)
     return code
 
 

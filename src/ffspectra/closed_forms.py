@@ -32,8 +32,8 @@ from .functions import (
     TableFunction,
     canonical_exponent,
 )
-from .spectra import (ddt_row_counts, differential_uniformity, fbct_rows,
-                      fbct_spectrum, orbit_rows)
+from .spectra import (_nontrivial, _trivial, ddt_row_counts, differential_uniformity,
+                      fbct_rows, fbct_spectrum, orbit_rows)
 from .flats import check_prop_identity, vanishing_flats
 from .algebra import linearized_kernel_dim
 
@@ -350,9 +350,10 @@ def _s6_mask(field: Field, t: int) -> np.ndarray:
     return mask
 
 
-# Row-one predictors of power maps: entry c is the claimed value at (1, c);
-# row a follows by nabla(a, b) = nabla(1, b/a).  `_predicted_row` sets the
-# trivial cells, so their entries here are arbitrary.
+# Row-one predictors of power maps: entry c is the claimed value at (1, c).
+# Row a is row one read at b/a, so `_compare_rows` compares row one alone and
+# `predict` reads (a, b) at (1, b/a).  `_predicted_row` sets the trivial
+# cells, so their entries here are arbitrary.
 
 def _inverse_row1(field: Field, t) -> np.ndarray:
     """x^(q-2): 0 off the trivial cells, except 4 at the primitive cube
@@ -439,44 +440,38 @@ def _t6_row(field: Field, a: int) -> np.ndarray:
 # generic row comparison
 # ---------------------------------------------------------------------------
 
-#: Note labels of the row-compared claims; the nontrivial maximum includes
-#: the a = b diagonal, the other two exclude it.
+#: Note labels of the row-compared claims' observed maximum over the
+#: nontrivial cells; the label is text only, `_trivial` picks the cells.
 _OFF_DIAGONAL = "observed off-diagonal maximum"
 _NONTRIVIAL = "observed nontrivial maximum"
 _BETA = "observed F-boomerang uniformity"
 
 
-@functools.cache
-def _row_one(theorem_id: str, field: Field, t) -> np.ndarray:
-    row = CLAIMS[theorem_id].row1(field, t)
-    row.flags.writeable = False  # one array serves every caller of the cache
-    return row
-
-
 def _predicted_row(theorem_id: str, field: Field, t, a: int) -> np.ndarray:
-    """Row a of a per-cell claim; a power map's is its row one read at b/a.
-    The trivial cells b = 0 and, in characteristic 2, b = a hold q."""
+    """Predicted row a of a per-cell claim, its trivial cells set to q: row
+    one of a power map (``a`` is 1), or the row a of ``row``."""
     claim = CLAIMS[theorem_id]
-    if claim.row1 is None:
-        row = claim.row(field, a)
-    else:
-        cols = field.vmul(np.arange(field.q, dtype=np.int64), field.vinv(a))
-        row = _row_one(theorem_id, field, t)[cols]
-    row[[0, a] if field.char2 else 0] = field.q
+    row = claim.row(field, a) if claim.row1 is None else claim.row1(field, t)
+    row[_trivial(field, a)] = field.q
     return row
 
 
 def _compare_rows(theorem_id: str, field: Field, setting: dict, kw: dict):
     """The run of every per-cell claim: compare brute-force rows with the
     prediction over the grid a, b != 0 (the a = b diagonal included) up to
-    the first mismatching cell, note the maximum the claim's label names,
-    then apply its expected-maximum check."""
+    the first mismatching cell, note the nontrivial maximum under the
+    claim's label, then apply its expected-maximum check.  A power map
+    (``row1``) compares row one alone: both sides of row a are row one read
+    at b/a, the observed by the symmetry `orbit_rows` proves on the value
+    table, the predicted by construction, so every row gives the same verdict."""
     claim = CLAIMS[theorem_id]
     q = field.q
     F = claim.build(field, setting)
-    diagonal = claim.label == _NONTRIVIAL
+    codes = None if claim.row1 is None else [1]
+    if codes and orbit_rows(F) != [(1, q - 1)]:
+        raise InvariantError(f"the rows of {F.text()} are not row one read at b/a")
     observed, cells, first = 0, (q - 1) * (q - 1), None
-    for a, obs in fbct_rows(F):
+    for a, obs in fbct_rows(F, codes):
         pred = _predicted_row(theorem_id, field, setting.get("t"), a)
         bad = np.nonzero(obs[1:] != pred[1:])[0]
         if bad.size:
@@ -484,8 +479,7 @@ def _compare_rows(theorem_id: str, field: Field, setting: dict, kw: dict):
             cells = (a - 1) * (q - 1) + b
             first = _mismatch(field, a, b, int(pred[b]), int(obs[b]))
             break
-        row = obs[1:] if diagonal else np.delete(obs[1:], a - 1)
-        observed = max(observed, int(row.max(initial=0)))
+        observed = max(observed, int(_nontrivial(field, a, obs).max(initial=0)))
     notes = [f"{claim.label} {observed}"]
     if claim.expect is not None:
         first = claim.expect(F, setting, observed, first, notes)
@@ -551,7 +545,7 @@ def _first_outside(F, allowed) -> tuple:
     f = F.field
     for a, row in fbct_rows(F, [a for a, _ in orbit_rows(F)]):
         outside = ~np.isin(row, sorted(allowed))
-        outside[[0, a] if f.char2 else 0] = False
+        outside[_trivial(f, a)] = False
         hit = np.flatnonzero(outside)
         if hit.size:
             b = int(hit[0])
@@ -929,7 +923,8 @@ def _arguments(claim: Claim, **given) -> dict:
 def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
             t: Optional[int] = None):
     """Closed-form predicted cell value at (a, b), read off the claim's
-    predicted row for a under the same hypotheses ``verify`` checks.
+    predicted row for a (for a power map, row one at b/a) under the same
+    hypotheses ``verify`` checks.
 
     For T7 the claim is membership only, so the nontrivial prediction is the
     frozen set {0, 4, 8}; every other supported id yields an integer.  T2 has
@@ -953,7 +948,10 @@ def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
     if claim.values is not None:
         return q if a.code == b.code else claim.values
     t = claim.setting(field, kw).get("t")
-    return int(_predicted_row(theorem_id, field, t, a.code)[b.code])
+    a, b = a.code, b.code
+    if claim.row1 is not None:
+        a, b = 1, int(field.vmul(b, field.vinv(a)))
+    return int(_predicted_row(theorem_id, field, t, a)[b])
 
 
 def verify(theorem_id: str, *, p: Optional[int] = None,

@@ -18,7 +18,8 @@ import numpy as np
 
 from .field import FieldError, InvariantError
 from .functions import FunctionUnderTest
-from .spectra import _PAIR_KEYS, _equal_pairs, ddt_row_counts, fbct_spectrum, orbit_rows
+from .spectra import (_PAIR_KEYS, _equal_pairs, _nontrivial, ddt_row_counts, fbct_rows,
+                      orbit_rows)
 
 
 def count_two_flats(n: int) -> int:
@@ -85,16 +86,15 @@ def _vanishing_listing(F: FunctionUnderTest) -> list:
     return list(zip(*B.T.tolist()))
 
 
-def vanishing_flats(F: FunctionUnderTest, list_blocks: bool = False,
-                    full: bool = False) -> FlatReport:
-    """The vanishing 2-flats of F: the count over `orbit_rows` (every row with
-    ``full``) and, with ``list_blocks``, the blocks, which must be as many."""
+def vanishing_flats(F: FunctionUnderTest, list_blocks: bool = False) -> FlatReport:
+    """The vanishing 2-flats of F: the count over `orbit_rows` and, with
+    ``list_blocks``, the blocks, which must be as many."""
     f = F.field
     if not f.char2:
         raise FieldError("vanishing flats are defined in characteristic 2 only")
     if f.n < 2:
         raise ValueError("need n >= 2 for 2-flats to exist")
-    count = _vanishing_count_pairs(F, orbit_rows(F, full=full))
+    count = _vanishing_count_pairs(F, orbit_rows(F))
     listing = _vanishing_listing(F) if list_blocks else None
     if listing is not None and len(listing) != count:
         raise InvariantError(f"{len(listing)} blocks listed, {count} counted")
@@ -113,11 +113,11 @@ class PropIdentityCheck:
 def check_prop_identity(F: FunctionUnderTest) -> PropIdentityCheck:
     """Compare the off-trivial FBCT mass with 24 times the vanishing count,
     both summed over every row, so neither side rests on a row symmetry."""
-    if not F.field.char2:
+    f = F.field
+    if not f.char2:
         raise FieldError("identity defined in characteristic 2 only")
-    rep = fbct_spectrum(F, full=True)
-    lhs = sum(v * c for v, c in rep.histogram)
-    count = vanishing_flats(F, full=True).vanishing_count
+    lhs = sum(int(_nontrivial(f, a, row).sum()) for a, row in fbct_rows(F))
+    count = _vanishing_count_pairs(F, [(a, 1) for a in range(1, f.q)])
     return PropIdentityCheck(holds=(lhs == 24 * count), fbct_sum=lhs,
                              vanishing_count=count, rhs_24x=24 * count)
 

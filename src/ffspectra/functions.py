@@ -1,4 +1,4 @@
-"""Functions under analysis over GF(p^n) and their difference operators.
+"""Functions under analysis over GF(p^n).
 
 Four variants: power maps X^d, the map X^(-1) + Tr(X^2/(X+1)), the map
 1/(X + gamma*Tr(X^(2^t+1))), and explicit value tables.  All division follows
@@ -281,21 +281,3 @@ def parse_function(field: Field, text: str, k: int | None = None,
         return TableFunction(field, codes)
     raise FunctionError(f"unparseable function text {text!r}")
 
-
-# ---------------------------------------------------------------------------
-# difference operators
-# ---------------------------------------------------------------------------
-
-def second_order_diff(F: FunctionUnderTest, a: FieldElement, b: FieldElement,
-                      x: FieldElement) -> FieldElement:
-    """F(x+a+b) - F(x+b) - F(x+a) + F(x)."""
-    return F.eval(x + a + b) - F.eval(x + b) - F.eval(x + a) + F.eval(x)
-
-
-def gapn_derivative(F: FunctionUnderTest, a: FieldElement, x: FieldElement) -> FieldElement:
-    """Sum of F(x + a*i) over all i in the prime subfield."""
-    f = F.field
-    acc = f.zero
-    for i in range(f.p):
-        acc = acc + F.eval(x + a * f.from_code(i))
-    return acc

@@ -30,7 +30,7 @@ _PAIR_COST = 32
 
 
 # ---------------------------------------------------------------------------
-# derivative rows and single entries
+# derivative rows
 # ---------------------------------------------------------------------------
 
 def deriv_row(F: FunctionUnderTest, a: int) -> np.ndarray:
@@ -38,11 +38,6 @@ def deriv_row(F: FunctionUnderTest, a: int) -> np.ndarray:
     f = F.field
     FT = F.table()
     return f.vsub(FT[f.vadd(np.arange(f.q, dtype=np.int64), a)], FT)
-
-
-def ddt_entry(F: FunctionUnderTest, a, b) -> int:
-    a, b = F.field.element(a).code, F.field.element(b).code
-    return int(np.count_nonzero(deriv_row(F, a) == b))
 
 
 def ddt_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
@@ -80,7 +75,7 @@ def _scaling_index(f: Field, G: np.ndarray) -> int:
     return m
 
 
-def orbit_rows(F: FunctionUnderTest, full: bool = False) -> list:
+def orbit_rows(F: FunctionUnderTest) -> list:
     """[(a, weight)]: one row a per symmetry orbit of the rows 1..q-1, with
     the orbit's size.  The DDT and FBCT rows of an orbit are column
     permutations of each other, so a statistic that ignores column order
@@ -95,12 +90,10 @@ def orbit_rows(F: FunctionUnderTest, full: bool = False) -> list:
       coset index s acts as i -> i * p^e mod m.
 
     Each orbit of coset indices is one orbit of rows, represented by its
-    smallest code; with ``full``, every row, weight 1.
+    smallest code.
     """
     f = F.field
     q = f.q
-    if full:
-        return [(a, 1) for a in range(1, q)]
     t, FT = f.tables(), F.table()
     m = _scaling_index(f, f.vsub(FT, FT[0]))
     key = low = t.exp.reshape(-1, m).min(axis=0)  # smallest code of each coset
@@ -123,13 +116,6 @@ def orbit_rows(F: FunctionUnderTest, full: bool = False) -> list:
 def differential_uniformity(F: FunctionUnderTest) -> int:
     """max delta_F(a,b) over a != 0, all b; one row per orbit, no table kept."""
     return max(int(ddt_row_counts(F, a).max()) for a, _ in orbit_rows(F))
-
-
-def fbct_entry(F: FunctionUnderTest, a, b) -> int:
-    f = F.field
-    a, b = f.element(a).code, f.element(b).code
-    d = deriv_row(F, a)
-    return int(np.count_nonzero(d[f.vadd(np.arange(f.q, dtype=np.int64), b)] == d))
 
 
 def _block_rows(q: int) -> int:
@@ -322,22 +308,27 @@ def _hist_pairs(counts: np.ndarray) -> list:
     return [(int(v), int(counts[v])) for v in nz]
 
 
+def _trivial(f: Field, a: int) -> list:
+    """The trivial cells b of FBCT row a: b = 0, and b = a in characteristic 2."""
+    return [0, a] if f.char2 else [0]
+
+
 def _nontrivial(f: Field, a: int, row: np.ndarray) -> np.ndarray:
-    """FBCT row a without its trivial cells (b = 0, and b = a in
-    characteristic 2), after checking that they hold q."""
-    trivial = [0, a] if f.char2 else [0]
+    """FBCT row a without its trivial cells, after checking that they hold q."""
+    trivial = _trivial(f, a)
     if (row[trivial] != f.q).any():
         raise InvariantError(f"a trivial cell of FBCT row a={a} does not hold q")
     return np.delete(row, trivial)
 
 
 def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumReport:
-    """Histogram over `orbit_rows`, or over every row of the kept table."""
+    """Histogram over `orbit_rows`; a kept table gives the representatives' rows."""
     f = F.field
     q = f.q
     table = np.stack([ddt_row_counts(F, a) for a in range(q)]) if keep_table else None
-    orbits = orbit_rows(F, full=keep_table)
-    rows = table[1:] if keep_table else (ddt_row_counts(F, a) for a, _ in orbits)
+    orbits = orbit_rows(F)
+    reps = [a for a, _ in orbits]
+    rows = table[reps] if keep_table else (ddt_row_counts(F, a) for a in reps)
     hist = np.zeros(q + 1, dtype=np.int64)
     for (_, w), row in zip(orbits, rows):
         hist += w * np.bincount(row, minlength=q + 1)
@@ -349,16 +340,14 @@ def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumRepo
         nontrivial_cells=(q - 1) * q, trivial_cells=q, table=table)
 
 
-def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False,
-                  full: bool = False) -> SpectrumReport:
-    """Histogram over `orbit_rows`, over every row with ``full``, or over
-    every row of the kept table."""
+def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumReport:
+    """Histogram over `orbit_rows`; a kept table gives the representatives' rows."""
     f = F.field
     q = f.q
     table = fbct_row_counts(F, range(q)) if keep_table else None
-    orbits = orbit_rows(F, full=full or keep_table)
+    orbits = orbit_rows(F)
     reps = [a for a, _ in orbits]
-    rows = zip(reps, table[1:]) if keep_table else fbct_rows(F, reps)
+    rows = zip(reps, table[reps]) if keep_table else fbct_rows(F, reps)
     hist = np.zeros(q + 1, dtype=np.int64)
     for (a, row), (_, w) in zip(rows, orbits):
         hist += w * np.bincount(_nontrivial(f, a, row), minlength=q + 1)

@@ -1,0 +1,50 @@
+"""Definition-level oracles the tests compare the program against.
+
+Each recomputes one quantity straight from its definition, one cell or one
+element at a time, with no row kernel, orbit or closed form in between.
+"""
+
+import numpy as np
+
+from ffspectra.field import FieldElement
+from ffspectra.functions import FunctionUnderTest
+from ffspectra.spectra import deriv_row
+
+
+def ddt_entry(F: FunctionUnderTest, a, b) -> int:
+    a, b = F.field.element(a).code, F.field.element(b).code
+    return int(np.count_nonzero(deriv_row(F, a) == b))
+
+
+def fbct_entry(F: FunctionUnderTest, a, b) -> int:
+    f = F.field
+    a, b = f.element(a).code, f.element(b).code
+    d = deriv_row(F, a)
+    return int(np.count_nonzero(d[f.vadd(np.arange(f.q, dtype=np.int64), b)] == d))
+
+
+def brute_fbct(F, a, b):
+    f = F.field
+    hits = 0
+    for x in range(f.q):
+        xab = F.eval_code(f.add_code(f.add_code(x, a), b))
+        xb = F.eval_code(f.add_code(x, b))
+        xa = F.eval_code(f.add_code(x, a))
+        val = f.add_code(f.sub_code(f.sub_code(xab, xb), xa), F.eval_code(x))
+        hits += val == 0
+    return hits
+
+
+def second_order_diff(F: FunctionUnderTest, a: FieldElement, b: FieldElement,
+                      x: FieldElement) -> FieldElement:
+    """F(x+a+b) - F(x+b) - F(x+a) + F(x)."""
+    return F.eval(x + a + b) - F.eval(x + b) - F.eval(x + a) + F.eval(x)
+
+
+def gapn_derivative(F: FunctionUnderTest, a: FieldElement, x: FieldElement) -> FieldElement:
+    """Sum of F(x + a*i) over all i in the prime subfield."""
+    f = F.field
+    acc = f.zero
+    for i in range(f.p):
+        acc = acc + F.eval(x + a * f.from_code(i))
+    return acc

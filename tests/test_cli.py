@@ -69,8 +69,11 @@ def test_verify_hypothesis_error_exit_code(capsys):
     assert json.loads(out)["status"] == "hypothesis_error"
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
+    fbct = ("fbct", "--p", "2", "--n", "3", "--fn", "monomial:d=3", "--out")
     cases = [
+        fbct + (str(tmp_path / "missing" / "x"),),          # no such directory
+        fbct + (str(tmp_path),),                            # a directory
         ("verify", "--theorem", "NOPE", "--n", "4"),
         ("fbct", "--fn", "monomial:d=3"),                   # --n missing
         ("sumfree", "--p", "2", "--n", "4", "--fn", "monomial:d=3"),

@@ -1,13 +1,19 @@
 """Closed-form verifiers: count formulas, per-cell predictors, verdicts."""
 
+import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from ffspectra import closed_forms
 from ffspectra.closed_forms import (CLAIMS, THEOREMS, HypothesisError,
                                     _admissible_gammas, _first_outside,
                                     kloosterman, predict, s6_count_formula,
@@ -16,7 +22,8 @@ from ffspectra.field import InvariantError, make_field, omega
 from ffspectra.flats import count_two_flats, vanishing_flats
 from ffspectra.functions import (GammaTraceInverse, Monomial, TableFunction,
                                  canonical_exponent)
-from ffspectra.spectra import fbct_entry, fbct_rows, fbct_spectrum, orbit_rows
+from ffspectra.spectra import fbct_row_counts, fbct_rows, fbct_spectrum, orbit_rows
+from oracles import fbct_entry
 
 
 # --- Kloosterman sums -------------------------------------------------------
@@ -393,6 +400,147 @@ def test_first_outside_on_a_table_past_row_one():
     allowed = set(np.delete(row1, [0, 1]).tolist())
     first = _check_locator(F, allowed)
     assert first is not None and first[0] > 1
+
+
+# --- row-one comparison of power maps against every row ---------------------
+
+#: Two fields each power-map claim's hypotheses admit, as (p, n, modulus, t).
+#: GF(2^9) would take C_F2 and C_F3 past a second of `predict` calls, so each
+#: takes GF(2^7) under two moduli.
+ROW_ONE_FIELDS = {
+    "L1": [(2, 4, None, None), (2, 6, None, None)],
+    "L2": [(2, 3, None, None), (2, 5, None, None)],
+    "T1": [(11, 1, None, None), (5, 3, None, None)],
+    "T3": [(5, 2, None, None), (7, 2, None, None)],
+    "T4": [(3, 1, None, None), (3, 3, None, None)],
+    "THMT": [(2, 5, None, 2), (2, 6, None, 3)],
+    "C_F1": [(2, 6, None, None), (2, 8, None, None)],
+    "C_F2": [(2, 7, None, None), (2, 7, [1, 0, 0, 1, 0, 0, 0, 1], None)],
+    "C_F3": [(2, 7, None, None), (2, 7, [1, 0, 0, 1, 0, 0, 0, 1], None)],
+}
+ROW_ONE_CASES = [(tid, *case) for tid, cases in ROW_ONE_FIELDS.items() for case in cases]
+
+
+def test_row_one_ids_are_the_power_map_claims():
+    assert sorted(ROW_ONE_FIELDS) == sorted(t for t, c in CLAIMS.items() if c.row1)
+
+
+def _verify_on(tid, p, n, modulus, t):
+    return verify(tid, p=p, n=n, modulus=modulus, t=t)
+
+
+def _every_row_walk(tid, field, setting):
+    """Oracle: every FBCT row 1..q-1 against `predict` at each (a, b), a, b
+    != 0, up to the first mismatch; the observed maximum over the rows that
+    matched whole; then the claim's expected-maximum check.  Returns (first
+    mismatch, cells checked, notes) as the verdict holds them."""
+    claim = CLAIMS[tid]
+    F = Monomial(field, setting["d"])
+    q = field.q
+    first, cells, observed = None, 0, 0
+    for a, row in zip(range(1, q), fbct_row_counts(F, range(1, q))):
+        for b in range(1, q):
+            cells += 1
+            want = predict(tid, field.from_code(a), field.from_code(b), t=setting.get("t"))
+            if row[b] != want:
+                first = {"a": field.from_code(a).text, "b": field.from_code(b).text,
+                         "predicted": want, "observed": int(row[b])}
+                break
+        if first is not None:
+            break
+        observed = max([observed] + [int(row[b]) for b in range(1, q)
+                                     if not (field.char2 and b == a)])
+    notes = [f"{claim.label} {observed}"]
+    if claim.expect is not None:
+        first = claim.expect(F, setting, observed, first, notes)
+    return first, cells, notes
+
+
+@pytest.mark.parametrize("tid,p,n,modulus,t", ROW_ONE_CASES)
+def test_row_one_verdict_equals_every_row_walk(tid, p, n, modulus, t):
+    v = _verify_on(tid, p, n, modulus, t)
+    assert v.status != "hypothesis_error", v.notes
+    field = make_field(p, n, modulus)
+    walk = _every_row_walk(tid, field, v.params)
+    assert (v.first_mismatch, v.cells_checked, list(v.notes)) == walk
+
+
+@pytest.mark.parametrize("tid", sorted(ROW_ONE_FIELDS))
+def test_corrupted_row_one_fails_where_every_row_walk_does(monkeypatch, tid):
+    """One predicted row-one cell c off by one: the verdict fails at (1, c)
+    after c cells, as the walk over every row does."""
+    p, n, modulus, t = ROW_ONE_FIELDS[tid][0]
+    field = make_field(p, n, modulus)
+    c = field.q // 2 + 1
+    real = CLAIMS[tid].row1
+
+    def corrupt(f, tt):
+        row = real(f, tt)
+        row[c] += 1
+        return row
+
+    monkeypatch.setitem(CLAIMS, tid, dataclasses.replace(CLAIMS[tid], row1=corrupt))
+    v = _verify_on(tid, p, n, modulus, t)
+    assert v.status == "failed"
+    assert v.cells_checked == c
+    assert (v.first_mismatch["a"], v.first_mismatch["b"]) == (field.one.text,
+                                                              field.from_code(c).text)
+    assert (v.first_mismatch, v.cells_checked, list(v.notes)) == \
+        _every_row_walk(tid, field, v.params)
+
+
+def test_row_one_claims_count_one_row_and_T6_every_row(monkeypatch):
+    counted = []
+    real = closed_forms.fbct_rows
+
+    def counting(F, codes=None):
+        for a, row in real(F, codes):
+            counted.append(a)
+            yield a, row
+
+    monkeypatch.setattr(closed_forms, "fbct_rows", counting)
+    for tid, cases in ROW_ONE_FIELDS.items():
+        counted.clear()
+        assert _verify_on(tid, *cases[0]).passed, tid
+        assert counted == [1], tid
+    counted.clear()
+    assert verify("T6", n=6).passed
+    assert counted == list(range(1, 64))
+
+
+def test_row_one_check_survives_python_O():
+    """Under ``python -O`` a power-map claim whose function loses the scaling
+    symmetry (x^(-1) with one entry changed) raises instead of comparing row one."""
+    script = textwrap.dedent("""
+        import dataclasses
+        import sys
+        from ffspectra import closed_forms
+        from ffspectra.field import InvariantError
+        from ffspectra.functions import Monomial, TableFunction
+
+        if not sys.flags.optimize:
+            raise SystemExit("expected python -O")
+
+        def build(f, setting):
+            values = Monomial(f, setting["d"]).table().tolist()
+            values[3] ^= 1
+            return TableFunction(f, values)
+
+        claims = closed_forms.CLAIMS
+        claims["L1"] = dataclasses.replace(claims["L1"], build=build)
+        try:
+            closed_forms.verify("L1", n=4)
+            print("no error")
+        except InvariantError as exc:
+            print("InvariantError", exc)
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("InvariantError"), out.stdout
+    assert "not row one read at b/a" in out.stdout
 
 
 def test_mass_identity_verdict():

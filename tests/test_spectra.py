@@ -13,28 +13,16 @@ from ffspectra.field import make_field
 from ffspectra.functions import (FunctionError, GammaTraceInverse,
                                  InversePlusTrace, Monomial, TableFunction,
                                  parse_function)
-from ffspectra.spectra import (classify, ddt_entry, ddt_row_counts,
-                               ddt_spectrum, differential_uniformity,
-                               fbct_entry, fbct_row_counts, fbct_spectrum,
-                               orbit_rows, table_csv_lines)
+from ffspectra.spectra import (classify, ddt_row_counts, ddt_spectrum,
+                               differential_uniformity, fbct_row_counts,
+                               fbct_spectrum, orbit_rows, table_csv_lines)
+from oracles import brute_fbct, ddt_entry, fbct_entry
 
 
 def brute_ddt(F, a, b):
     f = F.field
     return sum(1 for x in range(f.q)
                if f.sub_code(F.eval_code(f.add_code(x, a)), F.eval_code(x)) == b)
-
-
-def brute_fbct(F, a, b):
-    f = F.field
-    hits = 0
-    for x in range(f.q):
-        xab = F.eval_code(f.add_code(f.add_code(x, a), b))
-        xb = F.eval_code(f.add_code(x, b))
-        xa = F.eval_code(f.add_code(x, a))
-        val = f.add_code(f.sub_code(f.sub_code(xab, xb), xa), F.eval_code(x))
-        hits += val == 0
-    return hits
 
 
 CASES = [
@@ -274,17 +262,19 @@ def test_spectrum_json_schema():
 
 def _full_path(monkeypatch):
     """Send every caller of `orbit_rows` down the full path: all rows, weight 1."""
-    real = spectra.orbit_rows
     for mod in (spectra, flats):
-        monkeypatch.setattr(mod, "orbit_rows", lambda F, full=False: real(F, full=True))
+        monkeypatch.setattr(mod, "orbit_rows", lambda F: [(a, 1) for a in range(1, F.field.q)])
 
 
-def test_power_map_histogram_from_row_one():
-    for p, n, d in [(2, 5, 7), (3, 3, 5)]:
-        F = Monomial(make_field(p, n), d)
+def test_power_map_histogram_from_row_one(monkeypatch):
+    cases = [Monomial(make_field(p, n), d) for p, n, d in [(2, 5, 7), (3, 3, 5)]]
+    got = []
+    for F in cases:
         assert orbit_rows(F) == [(1, F.field.q - 1)]
-        assert (fbct_spectrum(F).histogram == fbct_spectrum(F, full=True).histogram
-                == fbct_spectrum(F, keep_table=True).histogram)
+        got.append(fbct_spectrum(F).histogram)
+        assert got[-1] == fbct_spectrum(F, keep_table=True).histogram
+    _full_path(monkeypatch)
+    assert got == [fbct_spectrum(F).histogram for F in cases]
 
 
 def test_power_map_rows_are_row_one_at_b_over_a():
