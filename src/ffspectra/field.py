@@ -268,7 +268,12 @@ class Field:
         """Build (once) and return numpy acceleration tables.
 
         Attributes: exp, log, inv, tr, gen, frob; odd characteristic adds
-        dig (the q x n digit matrix), neg, eta.  All code-indexed.
+        dig (the q x n digit matrix), neg, eta.  All code-indexed.  Each
+        table comes from whole-array passes whose temporaries are a few
+        q-length vectors: exp by doubling (see _powers); log, inv and frob
+        read off exp and log; tr by linearity from its values on the n basis
+        codes (_linear_table); dig and neg one digit column at a time; eta
+        from the parity of log.
         """
         t = self._tab
         if t is not None:
@@ -297,83 +302,110 @@ class Field:
             raise InvariantError("generator order mismatch")
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
-
         inv = np.zeros(q, dtype=np.int64)
-        if q > 1:
-            nz = np.arange(1, q, dtype=np.int64)
-            inv[nz] = exp[(q - 1 - log[nz]) % (q - 1)]
-
+        inv[1:] = exp[-log[1:] % (q - 1)]
         frob = np.zeros(q, dtype=np.int64)
-        if q > 1:
-            nz = np.arange(1, q, dtype=np.int64)
-            frob[nz] = exp[(log[nz] * p) % (q - 1)]
+        frob[1:] = exp[log[1:] * p % (q - 1)]
 
-        tr_acc = np.arange(q, dtype=np.int64)
+        # t_i = Tr(x^i) (code p^i) is the sum of the n Frobenius images of
+        # x^i.  The trace is GF(p)-linear (Lidl-Niederreiter, Thm 2.23), so
+        # tr[c*p^i + r] = (c*t_i + tr[r]) mod p for r < p^i.
+        orbit = [self._pow_vec]
+        for _ in range(n - 1):
+            orbit.append(frob[orbit[-1]])
         if self.char2:
-            cur_v = np.arange(q, dtype=np.int64)
-            for _ in range(n - 1):
-                cur_v = frob[cur_v]
-                tr_acc = tr_acc ^ cur_v
-            tr = tr_acc
+            ts = np.bitwise_xor.reduce(orbit)
         else:
-            acc_dig = dig.copy()
-            cur_v = np.arange(q, dtype=np.int64)
-            for _ in range(n - 1):
-                cur_v = frob[cur_v]
-                acc_dig = (acc_dig + dig[cur_v]) % p
-            if n > 1 and np.any(acc_dig[:, 1:]):
-                raise InvariantError("trace left the prime subfield")
-            tr = acc_dig[:, 0].astype(np.int64)
-        if np.any(tr >= p):
-            raise InvariantError("trace out of range")
+            ts = (dig[np.array(orbit)].sum(axis=0, dtype=np.int64) % p) @ self._pow_vec
+        if ts.max() >= p:
+            raise InvariantError("trace left the prime subfield")
+        tr = self._linear_table(ts)
 
         ns = SimpleNamespace(gen=gen, exp=exp, log=log, inv=inv, frob=frob, tr=tr,
                              dig=None, neg=None, eta=None)
         if not self.char2:
             ns.dig = dig
-            ns.neg = ((p - dig) % p) @ self._pow_vec
+            ns.neg = self._codes(q, ((p - dig[:, i]) % p for i in reversed(range(n))))
             eta = np.where(log % 2 == 0, 1, -1).astype(np.int8)
             eta[0] = 0
             ns.eta = eta
         return ns
 
     def _powers(self, gen: int, dig) -> np.ndarray:
-        """exp[i] = gen^i for i < q - 1.  Odd characteristic doubles the table:
-        y -> gen*y is GF(p)-linear with matrix M (row i: the digits of gen*p^i),
-        so exp[m:2m] is exp[:m] times M^m, taken _POWER_CHUNK rows at a time."""
-        q = self.q
-        exp = np.ones(q - 1, dtype=np.int64)
+        """exp[i] = gen^i for i < q - 1, filled by doubling: exp[m:2m] is
+        exp[:m] times the constant c = gen^m.  y -> c*y is GF(p)-linear.  In
+        characteristic 2 it is a lookup in its table, built by _linear_table
+        from the n values c*2^i.  Otherwise it is the digit rows of exp[:m]
+        times the matrix M^m (row i: the digits of gen*p^i), taken
+        _POWER_CHUNK rows at a time."""
+        p, n, q = self.p, self.n, self.q
+        exp = np.zeros(q - 1, dtype=np.int64)
+        exp[0] = 1
         if self.char2:
-            cur = 1
-            for i in range(1, q - 1):
-                cur = self.mul_code(cur, gen)
-                exp[i] = cur
+            images = [self.mul_code(gen, w) for w in self._pows]
+            m = 1
+            while m < q - 1:
+                times_c = self._linear_table(images)
+                k = min(m, q - 1 - m)
+                exp[m:m + k] = times_c[exp[:k]]
+                images = times_c[images]        # c^2 * 2^i = c * (c * 2^i)
+                m *= 2
             return exp
-        p, m = self.p, 1
-        step = np.array([_digits(self.mul_code(w, gen), self.n, p) for w in self._pows])
+        m = 1
+        step = np.array([_digits(self.mul_code(w, gen), n, p) for w in self._pows])
         while m < q - 1:
             end = min(2 * m, q - 1)
             for s in range(m, end, _POWER_CHUNK):
                 src = dig[exp[s - m:min(s + _POWER_CHUNK, end) - m]].astype(np.int64)
-                exp[s:s + len(src)] = (src @ step % p) @ self._pow_vec
+                exp[s:s + len(src)] = self._codes(len(src), (src @ step % p).T[::-1])
             step = step @ step % p
             m = end
         return exp
 
+    def _linear_table(self, images) -> np.ndarray:
+        """The GF(p)-linear map sending code p^i to images[i], at every code:
+        L[c*p^i + r] = c*images[i] + L[r] for r < p^i.  The images are codes
+        in characteristic 2 (the sum is XOR) or of the prime subfield (the
+        sum is mod p)."""
+        p = self.p
+        L = np.zeros(self.q, dtype=np.int64)
+        for w, b in zip(self._pows, images):
+            if self.char2:
+                np.bitwise_xor(L[:w], b, out=L[w:2 * w])
+            else:
+                L[w:p * w] = ((np.arange(1, p)[:, None] * b + L[:w]) % p).ravel()
+        return L
+
+    def _codes(self, size: int, columns) -> np.ndarray:
+        """Codes of digit rows given as their columns, most significant first:
+        one Horner pass."""
+        code = np.zeros(size, dtype=np.int64)
+        for col in columns:
+            code *= self.p
+            code += col
+        return code
+
     def _digit_matrix(self) -> np.ndarray:
         """Row x holds the base-p digits of code x, in the narrowest dtype
-        that holds the sum of two digits."""
-        ids = np.arange(self.q, dtype=np.int64)
-        dtype = np.min_scalar_type(2 * (self.p - 1))
-        return np.stack([(ids // w) % self.p for w in self._pows], axis=1).astype(dtype)
+        that holds the sum of two digits.  Seen as a (p,)*n array, digit i
+        of the code is axis n-1-i, so column i is arange(p) broadcast there."""
+        p, n = self.p, self.n
+        dig = np.empty((self.q, n), dtype=np.min_scalar_type(2 * (p - 1)))
+        axes = dig.reshape((p,) * n + (n,))
+        for i in range(n):
+            axes[..., i] = np.arange(p, dtype=dig.dtype).reshape((p,) + (1,) * i)
+        return dig
 
     # -- vectorized arithmetic on code arrays --------------------------------------
 
     def vadd(self, X, Y):
-        """Elementwise sum of code arrays: XOR in characteristic 2, digit-wise
-        addition mod p otherwise."""
+        """Elementwise sum of code arrays: XOR in characteristic 2, the
+        integer sum mod p in a prime field, digit-wise addition mod p
+        otherwise."""
         if self.char2:
             return np.bitwise_xor(X, Y)
+        if self.n == 1:
+            return np.add(X, Y, dtype=np.int64) % self.p
         dig = self.tables().dig
         return ((dig[X] + dig[Y]) % self.p) @ self._pow_vec
 

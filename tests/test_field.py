@@ -1,6 +1,7 @@
 """Field arithmetic: exact tables, algebraic laws, and special elements."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,9 +120,11 @@ def test_generator_has_full_order(field):
     assert len(seen) == f.q - 1 and acc == 1 % f.q
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (3, 10), (5, 6), (11, 3), (1327, 1)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 9), (2, 13), (2, 16), (3, 1), (3, 10), (5, 6),
+                                 (11, 3), (1327, 1)])
 def test_exp_table_is_the_scalar_power_chain(p, n):
-    # odd characteristic fills exp by doubling with the matrix of y -> gen*y
+    # exp is filled by doubling with y -> gen^m * y: by the table of that
+    # linear map in characteristic 2, by its matrix otherwise
     f = make_field(p, n)
     tb = f.tables()
     want = np.empty(max(f.q - 1, 1), dtype=np.int64)
@@ -144,6 +147,19 @@ def test_frobenius_table(field):
     tb = f.tables()
     for x in range(f.q):
         assert int(tb.frob[x]) == f.pow_code(x, f.p)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 7), (3, 1), (3, 5), (5, 3), (7, 2), (1327, 1)])
+def test_trace_neg_and_digit_tables_are_the_scalar_routines(p, n):
+    f = make_field(p, n)
+    tb = f.tables()
+    xs = range(f.q)
+    assert tb.tr.tolist() == [f.trace_code(x) for x in xs]
+    if f.char2:
+        assert tb.neg is None and tb.dig is None
+        return
+    assert tb.neg.tolist() == [f.neg_code(x) for x in xs]
+    assert [tuple(row) for row in tb.dig.tolist()] == [f.coeffs_of(x) for x in xs]
 
 
 def test_trace_is_linear_and_balanced(field):
@@ -240,7 +256,7 @@ def test_vectorized_ops_match_scalars(field):
     assert all(int(v) == f.pow_code(int(x), 5) for v, x in zip(f.vpow(xs, 5), xs))
 
 
-@pytest.mark.parametrize("p,n", [(3, 8), (5, 6)])
+@pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (1327, 1)])
 def test_vectorized_add_sub_beyond_the_old_table_limit(p, n):
     f = make_field(p, n)
     rng = np.random.RandomState(4)
@@ -256,6 +272,21 @@ def test_tables_hold_no_quadratic_array():
     f = make_field(3, 7)
     sizes = [np.size(v) for v in vars(f.tables()).values() if v is not None]
     assert max(sizes) < f.q ** 2
+
+
+@pytest.mark.parametrize("p,n", [(3, 10), (2, 16)])
+def test_table_build_peak_stays_near_what_the_tables_keep(p, n):
+    # a fresh Field, not the cached one, so tables() really builds; numpy
+    # reports its buffers to tracemalloc
+    f = Field(p, n, make_field(p, n).modulus)
+    tracemalloc.start()
+    try:
+        tb = f.tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(v.nbytes for v in vars(tb).values() if isinstance(v, np.ndarray))
+    assert peak <= 1.5 * kept, (peak, kept)
 
 
 def test_element_operators(field):
