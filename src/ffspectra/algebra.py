@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field, FieldElement, FieldError, InvariantError, solve_quadratic
+from .field import (Field, FieldElement, FieldError, InvariantError, _gf2_solve,
+                    solve_quadratic)
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +188,6 @@ def linearized_kernel_dim(t: int, B: FieldElement) -> int:
         raise FieldError("linearized kernel map lives in characteristic 2")
     if not 1 <= t < f.n:
         raise ValueError(f"t={t} out of range 1..{f.n - 1}")
-    B = f.element(B)
-    Bp1 = B.code ^ 1
-    e = 1 << t
-    images = []
-    for j in range(f.n):
-        x = 1 << j
-        img = f.pow_code(x, e) ^ f.mul_code(B.code, f.mul_code(x, x)) ^ f.mul_code(Bp1, x)
-        images.append(img)
-    # Gaussian elimination on bitmasks
-    pivots = []
-    for img in images:
-        cur = img
-        for pv in pivots:
-            cur = min(cur, cur ^ pv)
-        if cur:
-            pivots.append(cur)
-            pivots.sort(reverse=True)
-    rank = len(pivots)
-    return f.n - rank
+    basis = [1 << j for j in range(f.n)]
+    return _gf2_solve([f.pow_code(x, 1 << t) ^ f.mul_code(B.code, f.mul_code(x, x))
+                       ^ f.mul_code(B.code ^ 1, x) for x in basis])[0]

@@ -537,8 +537,9 @@ def _one_of(values) -> str:
 
 
 def _first_outside(F, allowed) -> tuple:
-    """(a, b, mismatch) at the first nontrivial FBCT cell, in row-major order,
-    whose value is not in ``allowed``; called only once the histogram shows
+    """(cells, mismatch) at the first nontrivial FBCT cell (a, b), in
+    row-major order, whose value is not in ``allowed``, where cells =
+    (a - 1)(q - 1) + b counts it; called only once the histogram shows
     such a value.  The rows of one `orbit_rows` orbit hold the same values,
     so the first offending row is the smallest member of its orbit, which is
     its representative: the representatives are walked in ascending order."""
@@ -549,7 +550,7 @@ def _first_outside(F, allowed) -> tuple:
         hit = np.flatnonzero(outside)
         if hit.size:
             b = int(hit[0])
-            return a, b, _mismatch(f, a, b, _one_of(allowed), int(row[b]))
+            return (a - 1) * (f.q - 1) + b, _mismatch(f, a, b, _one_of(allowed), int(row[b]))
     raise InvariantError(f"the histogram of {F.text()} holds a value outside "
                          f"{_one_of(allowed)} that no row holds")
 
@@ -563,9 +564,9 @@ def _run_T2(theorem_id: str, field: Field, setting: dict, kw: dict):
     notes = ["observed nontrivial value histogram: "
              + ", ".join(f"{v}: {c}" for v, c in hist)]
     if any(v not in allowed for v, _ in hist):
-        a, b, first = _first_outside(F, allowed)
+        cells, first = _first_outside(F, allowed)
         notes.append(f"claimed value set and maximum not attained on GF({q})")
-        return setting, (a - 1) * (q - 1) + b, first, notes
+        return setting, cells, first, notes
     withmax = hist[-1][0]
     notes += [f"{_NONTRIVIAL} {withmax}",
               "per-cell branch conditions are not machine-checkable; "
@@ -633,9 +634,9 @@ def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
             raise HypothesisError(str(exc)) from exc
         values = {v for v, _ in fbct_spectrum(F).histogram}
         if not values <= _T7_VALUES:
-            a, b, first = _first_outside(F, _T7_VALUES)
+            row_major, first = _first_outside(F, _T7_VALUES)
             first.update(t=tt, gamma=field.from_code(g).text)
-            return params, cells + (a - 1) * (q - 1), first, []
+            return params, cells + row_major, first, []
         observed |= values
         cells += (q - 1) * (q - 1)
     notes = [f"admissible (t, gamma) pairs: {len(pairs)}"]

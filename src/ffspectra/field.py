@@ -561,71 +561,32 @@ def quadratic_character(x: FieldElement) -> int:
     return x.field.eta_code(x.code)
 
 
-def _sqrt_odd(field: Field, d: int) -> int:
-    """Tonelli-Shanks square root of a quadratic residue d != 0."""
-    q = field.q
-    if q % 4 == 3:
-        return field.pow_code(d, (q + 1) // 4)
-    s, t = 0, q - 1
-    while t % 2 == 0:
-        s += 1
-        t //= 2
-    z = 2 % q
-    while field.eta_code(z) != -1:
-        z += 1
-    m = s
-    c = field.pow_code(z, t)
-    u = field.pow_code(d, t)
-    r = field.pow_code(d, (t + 1) // 2)
-    while u != 1:
-        # find least i with u^(2^i) = 1
-        i = 0
-        probe = u
-        while probe != 1:
-            probe = field.mul_code(probe, probe)
-            i += 1
-        b = c
-        for _ in range(m - i - 1):
-            b = field.mul_code(b, b)
-        m = i
-        c = field.mul_code(b, b)
-        u = field.mul_code(u, c)
-        r = field.mul_code(r, b)
-    return r
-
-
-def _artin_schreier_solve(field: Field, c: int) -> int:
-    """Solve y^2 + y = c over GF(2^n) by F2-linear elimination (any n)."""
-    n = field.n
-    imgs = []
-    for j in range(n):
-        e = 1 << j
-        imgs.append(field.mul_code(e, e) ^ e)
-    # Gaussian elimination on the images with augmented right-hand side c.
-    rows = [(imgs[j], 1 << j) for j in range(n)]
-    sol = 0
-    rhs = c
-    for bit in range(n):
-        pivot = None
-        for idx, (img, comb) in enumerate(rows):
-            if img >> bit & 1:
-                pivot = idx
-                break
-        if pivot is None:
-            continue
-        pimg, pcomb = rows.pop(pivot)
-        rows = [(img ^ pimg, comb ^ pcomb) if img >> bit & 1 else (img, comb)
-                for img, comb in rows]
-        if rhs >> bit & 1:
-            rhs ^= pimg
-            sol ^= pcomb
-    if rhs != 0:
-        return -1  # no solution (trace 1)
-    return sol
+def _gf2_solve(images, rhs: int = 0) -> tuple:
+    """(kernel dimension, y or None) for the GF(2)-linear map L with
+    L(2^j) = images[j]: y solves L(y) = rhs, None when rhs is outside the
+    image.  Each row packs image << n | 1 << j, so the combination of basis
+    vectors rides along the reduction; rhs << n is reduced last, and its low
+    bits are then y."""
+    n = len(images)
+    pivots = []
+    for cur in [img << n | 1 << j for j, img in enumerate(images)] + [rhs << n]:
+        for pv in pivots:
+            cur = min(cur, cur ^ pv)
+        if cur >> n:
+            pivots.append(cur)
+            pivots.sort(reverse=True)
+    if cur >> n:  # rhs added a pivot of its own
+        return n - len(pivots) + 1, None
+    return n - len(pivots), cur
 
 
 def solve_quadratic(A: FieldElement, B: FieldElement, C: FieldElement) -> frozenset:
-    """All roots X of A*X^2 + B*X + C = 0 in the common field (A != 0)."""
+    """All roots X of A*X^2 + B*X + C = 0 in the common field (A != 0).
+
+    Characteristic 2 solves Y^2 + Y = AC/B^2 by GF(2) elimination; odd
+    characteristic reads the square root of the discriminant off the log
+    table, so the first call on a field builds its tables (about 0.4 s once
+    on GF(3^12), in-process)."""
     field = A.field
     if B.field != field or C.field != field:
         raise FieldError("operands come from different fields")
@@ -641,8 +602,9 @@ def solve_quadratic(A: FieldElement, B: FieldElement, C: FieldElement) -> frozen
         # substitute X = (B/A) Y: reduces to Y^2 + Y = AC/B^2
         ratio = field.mul_code(b, field.inv_code(a))
         w = field.mul_code(field.mul_code(a, c), field.inv_code(field.mul_code(b, b)))
-        y0 = _artin_schreier_solve(field, w)
-        if y0 < 0:
+        y0 = _gf2_solve([field.mul_code(1 << j, 1 << j) ^ (1 << j)
+                         for j in range(field.n)], w)[1]
+        if y0 is None:
             return frozenset()
         roots = {field.mul_code(ratio, y0), field.mul_code(ratio, y0 ^ 1)}
         return frozenset(FieldElement(field, r) for r in roots)
@@ -653,9 +615,12 @@ def solve_quadratic(A: FieldElement, B: FieldElement, C: FieldElement) -> frozen
     if disc == 0:
         root = field.mul_code(field.neg_code(b), inv2a)
         return frozenset({FieldElement(field, root)})
-    if field.eta_code(disc) == -1:
+    # a nonzero square has an even discrete log, so sqrt(disc) = g^(log/2)
+    t = field.tables()
+    half, odd = divmod(int(t.log[disc]), 2)
+    if odd:
         return frozenset()
-    s = _sqrt_odd(field, disc)
+    s = int(t.exp[half])
     r1 = field.mul_code(field.add_code(field.neg_code(b), s), inv2a)
     r2 = field.mul_code(field.sub_code(field.neg_code(b), s), inv2a)
     return frozenset({FieldElement(field, r1), FieldElement(field, r2)})

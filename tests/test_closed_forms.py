@@ -279,6 +279,16 @@ def test_gamma_trace_family_small_field():
                for note in v.notes)
 
 
+def test_gamma_trace_failure_in_row_one_counts_its_column(monkeypatch):
+    """With 4 no longer allowed, GF(2^4) fails at a = 1, b = code 6: six
+    cells are checked, counted row-major as T2 and the row-one claims do."""
+    monkeypatch.setattr(closed_forms, "_T7_VALUES", frozenset({0, 8}))
+    v = verify("T7", n=4)
+    assert v.status == "failed"
+    assert (v.first_mismatch["a"], v.first_mismatch["b"]) == ("1,0,0,0", "0,1,1,0")
+    assert v.cells_checked == 6
+
+
 def test_power_family_edge_exponent():
     v = verify("THMT", n=4, t=1)
     assert v.passed and v.cells_checked == 225
@@ -371,9 +381,10 @@ def _check_locator(F, allowed):
         with pytest.raises(InvariantError):
             _first_outside(F, allowed)
         return None
-    a, b, mismatch = _first_outside(F, allowed)
-    assert (a, b, mismatch["observed"]) == first, (F, allowed)
+    cells, mismatch = _first_outside(F, allowed)
+    a, b, observed = first
     f = F.field
+    assert (cells, mismatch["observed"]) == ((a - 1) * (f.q - 1) + b, observed), (F, allowed)
     assert mismatch["a"] == f.from_code(a).text and mismatch["b"] == f.from_code(b).text
     return first
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ffspectra import field as field_module
-from ffspectra.field import (Field, FieldError, _prime_factors, make_field, omega,
+from ffspectra.field import (Field, FieldError, _gf2_solve, _prime_factors, make_field, omega,
                              quadratic_character, solve_quadratic,
                              special_elements, trace)
 
@@ -198,8 +198,11 @@ def test_quadratic_character_rejected_in_char2():
 
 
 def test_solve_quadratic_matches_root_scan():
+    """GF(17) and GF(257) have q - 1 = 2^4 and 2^8; GF(2^8) and GF(2^9) take
+    Y^2 + Y = w at both parities of n."""
     rng = np.random.RandomState(11)
-    for p, n in [(2, 4), (2, 5), (3, 2), (5, 1), (7, 1), (5, 2)]:
+    for p, n in [(2, 4), (2, 5), (3, 2), (5, 1), (7, 1), (5, 2),
+                 (17, 1), (257, 1), (3, 4), (5, 3), (2, 8), (2, 9)]:
         f = make_field(p, n)
         for _ in range(40):
             A = f.from_code(int(rng.randint(1, f.q)))
@@ -210,6 +213,33 @@ def test_solve_quadratic_matches_root_scan():
                     if (A * f.from_code(x) * f.from_code(x)
                         + B * f.from_code(x) + C).code == 0}
             assert got == want
+
+
+def test_gf2_solve_matches_span_scan():
+    """Oracle: every L(y), y < 2^n, by XOR of the images, for random maps of
+    rank at most r = 0..n on n = 1..7, at every right-hand side."""
+    rng = random.Random(5)
+    for n in range(1, 8):
+        for rank in range(n + 1):
+            for _ in range(3):
+                gens = [rng.randrange(1, 1 << n) for _ in range(rank)]
+                images = [0] * n
+                for j in range(n):
+                    for g in gens:
+                        images[j] ^= g * rng.randrange(2)
+                values = [0] * (1 << n)
+                for y in range(1, 1 << n):
+                    low = y & -y
+                    values[y] = values[y ^ low] ^ images[low.bit_length() - 1]
+                kernel = values.count(0)
+                span = set(values)
+                for rhs in range(1 << n):
+                    dim, y = _gf2_solve(images, rhs)
+                    assert 1 << dim == kernel, (images, rhs)
+                    if rhs in span:
+                        assert y is not None and values[y] == rhs, (images, rhs)
+                    else:
+                        assert y is None, (images, rhs)
 
 
 def test_omega_is_a_primitive_cube_root():
