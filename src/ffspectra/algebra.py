@@ -1,6 +1,6 @@
-"""Root counting helpers: cubics over odd characteristic, quartic
-factorization patterns over GF(2^n), and kernels of the linearized maps
-x -> x^(2^t) + Bx^2 + (B+1)x.
+"""Root counting helpers (cubics over odd characteristic, quartic
+factorization patterns over GF(2^n), kernels of the linearized maps
+x -> x^(2^t) + Bx^2 + (B+1)x) and the binary Kloosterman sum K(1).
 
 Exhaustive scans over the field are the authoritative root finders at this
 scale; closed-form classifications are asserted against them, never trusted
@@ -9,12 +9,14 @@ alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .field import (Field, FieldElement, FieldError, InvariantError, _gf2_solve,
-                    solve_quadratic)
+                    make_field, solve_quadratic)
 
 
 # ---------------------------------------------------------------------------
@@ -191,3 +193,43 @@ def linearized_kernel_dim(t: int, B: FieldElement) -> int:
     basis = [1 << j for j in range(f.n)]
     return _gf2_solve([f.pow_code(x, 1 << t) ^ f.mul_code(B.code, f.mul_code(x, x))
                        ^ f.mul_code(B.code ^ 1, x) for x in basis])[0]
+
+
+# ---------------------------------------------------------------------------
+# Kloosterman sums
+# ---------------------------------------------------------------------------
+
+_CARLITZ_LIMIT = 4096  # the largest n ``carlitz`` accepts (its sum has O(n) big terms)
+
+
+def kloosterman(n: int, method: str = "direct") -> int:
+    """Kloosterman sum K(1) over GF(2^n).
+
+    ``direct`` evaluates sum_x (-1)^Tr(x^(-1) + x) with the x = 0 term
+    contributing +1 (the inverse of 0 is taken as 0).  ``carlitz`` evaluates
+    the closed form 1 + ((-1)^(n-1)/2^(n-1)) * sum_i (-1)^i C(n,2i) 7^i in
+    exact rational arithmetic; a non-integer result indicates a bug, never an
+    input condition.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if method == "direct":
+        f = make_field(2, n)
+        tb = f.tables()
+        x = np.arange(f.q, dtype=np.int64)
+        signs = 1 - 2 * tb.tr[tb.inv[x] ^ x]
+        return int(signs.sum())
+    if method == "carlitz":
+        if n > _CARLITZ_LIMIT:
+            raise ValueError(f"n={n} exceeds the supported n <= {_CARLITZ_LIMIT} "
+                             f"of the closed form")
+        acc = sum((-1) ** i * math.comb(n, 2 * i) * 7 ** i
+                  for i in range(n // 2 + 1))
+        val = 1 + Fraction((-1) ** (n - 1), 2 ** (n - 1)) * acc
+        if val.denominator != 1:
+            raise RuntimeError(
+                f"closed-form Kloosterman evaluation for n={n} is not an "
+                f"integer: {val}"
+            )
+        return int(val)
+    raise ValueError(f"unknown method {method!r}; use 'direct' or 'carlitz'")

@@ -26,11 +26,9 @@ import argparse
 import json
 import sys
 
+from . import algebra, closed_forms, flats, spectra  # lazy: each runs on first use
 from .field import Field, FieldError, make_field, omega
-from .functions import FunctionError, parse_function
-from .spectra import ddt_spectrum, fbct_spectrum, table_csv_lines
-from .flats import flats_listing_lines, is_kth_sum_free, vanishing_flats
-from .closed_forms import (HypothesisError, THEOREMS, kloosterman, verify)
+from .functions import parse_function
 
 
 class UsageError(ValueError):
@@ -153,17 +151,20 @@ def _cmd_one_spectrum(cfg: argparse.Namespace, spectrum):
     rep = spectrum(F, keep_table=cfg.keep_table)
     if cfg.format == "csv":
         if cfg.keep_table:
-            return 0, "\n".join(table_csv_lines(rep.table))
+            return 0, "\n".join(spectra.table_csv_lines(rep.table))
         lines = ["value,count"] + [f"{v},{c}" for v, c in sorted(rep.histogram)]
         return 0, "\n".join(lines)
     return 0, _json_text(rep.to_json_obj())
 
 
 def _cmd_spectrum(cfg: argparse.Namespace):
+    if cfg.format == "csv" and cfg.keep_table:
+        raise UsageError("spectrum --format csv prints histograms only; "
+                         "use --format json with --keep-table")
     field = _field_from(cfg)
     F = _function_from(cfg, field)
-    ddt = ddt_spectrum(F, keep_table=cfg.keep_table)
-    fbct = fbct_spectrum(F, keep_table=cfg.keep_table)
+    ddt = spectra.ddt_spectrum(F, keep_table=cfg.keep_table)
+    fbct = spectra.fbct_spectrum(F, keep_table=cfg.keep_table)
     if cfg.format == "csv":
         lines = ["kind,value,count"]
         lines += [f"ddt,{v},{c}" for v, c in sorted(ddt.histogram)]
@@ -175,12 +176,12 @@ def _cmd_spectrum(cfg: argparse.Namespace):
 def _cmd_flats(cfg: argparse.Namespace):
     field = _field_from(cfg)
     F = _function_from(cfg, field)
-    rep = vanishing_flats(F, list_blocks=cfg.list_items)
+    rep = flats.vanishing_flats(F, list_blocks=cfg.list_items)
     if cfg.format == "csv":
         lines = [f"total_two_flats,{rep.total_two_flats}",
                  f"vanishing_count,{rep.vanishing_count}"]
         if cfg.list_items:
-            lines += flats_listing_lines(rep, field)
+            lines += flats.flats_listing_lines(rep, field)
         return 0, "\n".join(lines)
     obj = {"field": {"p": field.p, "n": field.n,
                      "modulus": field.modulus_text()},
@@ -197,7 +198,7 @@ def _cmd_sumfree(cfg: argparse.Namespace):
     F = _function_from(cfg, field)
     if cfg.k is None:
         raise UsageError("sumfree requires --k (flat dimension)")
-    rep = is_kth_sum_free(F, cfg.k)
+    rep = flats.is_kth_sum_free(F, cfg.k)
     if cfg.format == "csv":
         flat = ("" if rep.violating_flat is None
                 else "|".join(str(c) for c in rep.violating_flat))
@@ -213,14 +214,14 @@ def _cmd_sumfree(cfg: argparse.Namespace):
 def _cmd_kloosterman(cfg: argparse.Namespace):
     n = _require_n(cfg)
     if cfg.method == "both":
-        direct = kloosterman(n, method="direct")
-        carlitz = kloosterman(n, method="carlitz")
+        direct = algebra.kloosterman(n, method="direct")
+        carlitz = algebra.kloosterman(n, method="carlitz")
         if direct != carlitz:
             return 1, _json_text({"n": n, "direct": direct,
                                   "carlitz": carlitz, "equal": False})
         obj = {"n": n, "direct": direct, "carlitz": carlitz}
     else:
-        obj = {"n": n, cfg.method: kloosterman(n, method=cfg.method)}
+        obj = {"n": n, cfg.method: algebra.kloosterman(n, method=cfg.method)}
     if cfg.format == "csv":
         lines = [f"{k},{v}" for k, v in obj.items() if k != "n"]
         return 0, "\n".join([f"n,{n}"] + lines)
@@ -234,7 +235,7 @@ def _cmd_verify(cfg: argparse.Namespace):
     if cfg.gamma is not None:
         kwargs["gamma"] = _field_from(cfg).from_text(cfg.gamma)
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    verdict = verify(cfg.theorem, seed=cfg.seed, **kwargs)
+    verdict = closed_forms.verify(cfg.theorem, seed=cfg.seed, **kwargs)
     obj = verdict.to_json_obj(fixed_time=True)
     if verdict.status == "hypothesis_error":
         sys.stderr.write((verdict.notes[0] if verdict.notes else
@@ -253,7 +254,7 @@ def _cmd_verify(cfg: argparse.Namespace):
 def _cmd_list_theorems(cfg: argparse.Namespace):
     rows = [{"id": tid, "summary": meta["summary"],
              "params": list(meta["params"])}
-            for tid, meta in THEOREMS.items()]
+            for tid, meta in closed_forms.THEOREMS.items()]
     if cfg.format == "csv":
         lines = ["id,summary"] + [f"{r['id']},\"{r['summary']}\"" for r in rows]
         return 0, "\n".join(lines)
@@ -263,8 +264,8 @@ def _cmd_list_theorems(cfg: argparse.Namespace):
 _COMMANDS = {
     "field": _cmd_field,
     "eval": _cmd_eval,
-    "ddt": lambda cfg: _cmd_one_spectrum(cfg, ddt_spectrum),
-    "fbct": lambda cfg: _cmd_one_spectrum(cfg, fbct_spectrum),
+    "ddt": lambda cfg: _cmd_one_spectrum(cfg, spectra.ddt_spectrum),
+    "fbct": lambda cfg: _cmd_one_spectrum(cfg, spectra.fbct_spectrum),
     "spectrum": _cmd_spectrum,
     "flats": _cmd_flats,
     "sumfree": _cmd_sumfree,
@@ -279,8 +280,7 @@ def dispatch(cfg: argparse.Namespace) -> int:
     try:
         code, text = _COMMANDS[cfg.command](cfg)
         _emit(cfg, text)
-    except (UsageError, HypothesisError, FunctionError, FieldError,
-            ValueError) as exc:
+    except ValueError as exc:  # UsageError, HypothesisError, FunctionError, FieldError
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return code

@@ -35,7 +35,7 @@ from .functions import (
 from .spectra import (_nontrivial, _trivial, ddt_row_counts, differential_uniformity,
                       fbct_rows, fbct_spectrum, orbit_rows)
 from .flats import check_prop_identity, vanishing_flats
-from .algebra import linearized_kernel_dim
+from .algebra import kloosterman, linearized_kernel_dim
 
 __all__ = [
     "HypothesisError",
@@ -107,46 +107,6 @@ def _mismatch(field: Field, a: int, b: int, predicted, observed) -> dict:
         "predicted": predicted,
         "observed": observed,
     }
-
-
-# ---------------------------------------------------------------------------
-# Kloosterman sums
-# ---------------------------------------------------------------------------
-
-_CARLITZ_LIMIT = 4096  # the largest n ``carlitz`` accepts (its sum has O(n) big terms)
-
-
-def kloosterman(n: int, method: str = "direct") -> int:
-    """Kloosterman sum K(1) over GF(2^n).
-
-    ``direct`` evaluates sum_x (-1)^Tr(x^(-1) + x) with the x = 0 term
-    contributing +1 (the inverse of 0 is taken as 0).  ``carlitz`` evaluates
-    the closed form 1 + ((-1)^(n-1)/2^(n-1)) * sum_i (-1)^i C(n,2i) 7^i in
-    exact rational arithmetic; a non-integer result indicates a bug, never an
-    input condition.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if method == "direct":
-        f = make_field(2, n)
-        tb = f.tables()
-        x = np.arange(f.q, dtype=np.int64)
-        signs = 1 - 2 * tb.tr[tb.inv[x] ^ x]
-        return int(signs.sum())
-    if method == "carlitz":
-        if n > _CARLITZ_LIMIT:
-            raise ValueError(f"n={n} exceeds the supported n <= {_CARLITZ_LIMIT} "
-                             f"of the closed form")
-        acc = sum((-1) ** i * math.comb(n, 2 * i) * 7 ** i
-                  for i in range(n // 2 + 1))
-        val = 1 + Fraction((-1) ** (n - 1), 2 ** (n - 1)) * acc
-        if val.denominator != 1:
-            raise RuntimeError(
-                f"closed-form Kloosterman evaluation for n={n} is not an "
-                f"integer: {val}"
-            )
-        return int(val)
-    raise ValueError(f"unknown method {method!r}; use 'direct' or 'carlitz'")
 
 
 # ---------------------------------------------------------------------------

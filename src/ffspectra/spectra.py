@@ -26,7 +26,8 @@ from .functions import FunctionUnderTest, Monomial
 
 _BLOCK_CELLS = 1 << 20
 _PAIR_KEYS = 1 << 16
-_PAIR_COST = 32
+_PAIR_COST = 32        # characteristic 2 and prime fields
+_PAIR_COST_ODD = 108   # GF(p^n), p odd, n >= 2: each pair's y - x is a digit-wise vsub
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +220,10 @@ def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
     iterable is a sequence of them, and gives the (len, q) block of their
     rows.  The derivatives of up to _BLOCK_CELLS / q rows are held as the
     columns of one (q, R) array D.  A row takes the pair kernel when
-    _PAIR_COST * s_a <= q^2 and the dense scan otherwise, and must sum to s_a;
-    _PAIR_COST is the measured cost of a pair over that of a one-byte dense
-    cell (README, "FBCT row kernels").  A block counted by one kernel is that
+    K * s_a <= q^2 and the dense scan otherwise, and must sum to s_a; K is
+    the lowest measured cost of a pair over that of a one-byte dense cell,
+    _PAIR_COST_ODD on odd extension fields and _PAIR_COST on the others
+    (README, "FBCT row kernels").  A block counted by one kernel is that
     kernel's own array, not a copy.
     """
     f = F.field
@@ -236,7 +238,8 @@ def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
         return counts
     D = _derivs(F, codes)
     mass = _level_mass(D)
-    by_pairs = _PAIR_COST * mass <= q * q
+    K = _PAIR_COST if f.char2 or f.n == 1 else _PAIR_COST_ODD
+    by_pairs = K * mass <= q * q
     if by_pairs.all():
         counts = _fbct_pairs(f, D)
     elif not by_pairs.any():

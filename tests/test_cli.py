@@ -80,6 +80,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ("eval", "--p", "2", "--n", "4"),                   # --fn missing
         ("fbct", "--p", "2", "--n", "4", "--fn", "monomial:q/2"),
         ("verify", "--theorem", "L1", "--p", "2", "--n", "4", "--t", "3"),
+        ("spectrum", "--p", "2", "--n", "4", "--fn", "monomial:d=3",  # no csv table
+         "--format", "csv", "--keep-table"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

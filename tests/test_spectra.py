@@ -176,6 +176,24 @@ def test_one_block_mixes_both_kernels(monkeypatch):
     assert ran == {"pairs": 256, "dense": 255}
 
 
+def test_odd_extension_rows_between_the_two_costs_stay_dense(monkeypatch):
+    """On GF(3^6) a pair costs about 116 dense cells, not 32: a row with
+    q^2 / s_a between 32 and 108 takes the dense scan there."""
+    f = make_field(3, 6)
+    F = TableFunction(f, [int(v) for v in np.random.RandomState(5).randint(0, 50, f.q)])
+    rows = range(1, 41)
+    D = spectra._derivs(F, rows)
+    band = f.q ** 2 / spectra._level_mass(D)
+    assert ((band > spectra._PAIR_COST) & (band < spectra._PAIR_COST_ODD)).all()
+    want = _dense_oracle(F, rows)
+    ran = _count_kernel_rows(monkeypatch)
+    got = fbct_row_counts(F, rows)
+    assert ran == {"pairs": 0, "dense": len(rows)}
+    assert np.array_equal(got, want)
+    for r, b in zip(range(0, 40, 7), (0, 1, 5, 300, 728, 404)):
+        assert got[r, b] == brute_fbct(F, rows[r], b), (rows[r], b)
+
+
 def test_fbct_row_beyond_the_old_addition_table_limit(monkeypatch):
     # q = 6561 > 4096: odd-characteristic rows used to need a q x q table
     f = make_field(3, 8)
