@@ -11,7 +11,7 @@ import sys
 
 _EXPORTS = {
     "field": ("Field", "FieldElement", "FieldError", "make_field", "omega",
-              "quadratic_character", "solve_quadratic", "special_elements", "trace"),
+              "quadratic_character", "solve_quadratic", "trace"),
     "functions": ("FunctionError", "FunctionUnderTest", "GammaTraceInverse",
                   "InversePlusTrace", "Monomial", "TableFunction", "canonical_exponent",
                   "parse_function"),

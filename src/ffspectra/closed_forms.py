@@ -578,8 +578,7 @@ def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
     q, t, gamma = field.q, kw["t"], kw["gamma"]
     params = {} if t is None else {"t": t}
     if gamma is not None:
-        g = (field.from_code(gamma.code) if isinstance(gamma, FieldElement)
-             else field.from_text(str(gamma)))
+        g = field.element(gamma)
         pairs = [(t, g.code)]
         params["gamma"] = g.text
     else:

@@ -626,21 +626,9 @@ def solve_quadratic(A: FieldElement, B: FieldElement, C: FieldElement) -> frozen
     return frozenset({FieldElement(field, r1), FieldElement(field, r2)})
 
 
-def special_elements(field: Field, kind: str):
-    """Named special values; the one kind is the cube roots of unity."""
-    if kind == "cube_roots_of_unity":
-        if (field.q - 1) % 3 != 0:
-            return (field.one,)
-        t = field.tables()
-        w = int(t.exp[(field.q - 1) // 3])
-        roots = sorted({1 % field.q, w, field.mul_code(w, w)})
-        return tuple(FieldElement(field, r) for r in roots)
-    raise FieldError(f"unknown special element kind {kind!r}")
-
-
 def omega(field: Field) -> FieldElement:
     """The least primitive cube root of unity (requires 3 | q-1)."""
-    roots = special_elements(field, "cube_roots_of_unity")
-    if len(roots) != 3:
+    if (field.q - 1) % 3:
         raise FieldError("field has no primitive cube root of unity")
-    return roots[1]
+    w = int(field.tables().exp[(field.q - 1) // 3])
+    return FieldElement(field, min(w, field.mul_code(w, w)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,8 +19,7 @@ import numpy as np
 
 from .field import FieldError, InvariantError
 from .functions import FunctionUnderTest
-from .spectra import (_PAIR_KEYS, _equal_pairs, _nontrivial, ddt_row_counts, fbct_rows,
-                      orbit_rows)
+from .spectra import _PAIR_KEYS, _equal_pairs, _nontrivial, ddt_spectrum, fbct_rows
 
 
 def count_two_flats(n: int) -> int:
@@ -41,60 +41,52 @@ class FlatReport:
     listing: Optional[list] = None  # list of 4-tuples of element codes
 
 
-def _vanishing_count_pairs(F: FunctionUnderTest, rows: list) -> int:
-    """Count via pair buckets, whose sizes are half the DDT row s; ``rows`` is
-    `orbit_rows`' [(s, weight)], the rows of an orbit holding the same sizes."""
-    acc = 0
-    for s, w in rows:
-        c = ddt_row_counts(F, s)
-        if (c % 2).any():  # x and x+s list each pair twice
-            raise InvariantError(f"odd entry in DDT row {s} in characteristic 2")
-        m = c // 2
-        acc += w * int((m * (m - 1) // 2).sum())
-    count, rem = divmod(acc, 3)
-    if rem:
-        raise InvariantError("pair-bucket total is not a multiple of 3")
-    return count
-
-
-def _bucket_blocks(FT: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The vanishing blocks (lo, lo+s, hi, hi+s), s in S, from the pairs
-    {x, x+s}, x < x+s, stably sorted by bucket: lo is a block's smallest code,
+def _bucket_blocks(FT: np.ndarray, S: np.ndarray):
+    """Yield the vanishing blocks (lo, lo+s, hi, hi+s), s in S, from the
+    pairs {x, x+s}, x < x+s, walked by bucket: lo is a block's smallest code,
     and of its 3 pairings only the one with lo+s < hi is kept."""
     q = FT.size
     X = np.arange(q, dtype=np.int64)
     r, x = np.nonzero((X ^ S[:, None]) > X)
     y = x ^ S[r]
-    keys = r * q + (FT[x] ^ FT[y])
-    order = np.argsort(keys.astype(np.min_scalar_type(S.size * q - 1)), kind="stable")
-    sk, x, y = keys[order], x[order], y[order]
-    found = []
-    for i, k in _equal_pairs(sk):
-        i = i[y[i] < x[i + k]]
-        found.append(np.stack([x[i], y[i], x[i + k], y[i + k]], axis=1))
-    return np.concatenate(found)
+    for i, j in _equal_pairs(r * q + (FT[x] ^ FT[y]), S.size * q):
+        keep = y[i] < x[j]
+        i, j = i[keep], j[keep]
+        yield np.stack([x[i], y[i], x[j], y[j]], axis=1)
+
+
+def _blocks(F: FunctionUnderTest):
+    """The vanishing blocks, array by array, from whole s values of up to
+    max(_PAIR_KEYS, q/2) pairs at a time."""
+    q = F.field.q
+    step = max(1, _PAIR_KEYS // (q // 2))
+    for s in range(1, q, step):
+        yield from _bucket_blocks(F.table(), np.arange(s, min(s + step, q)))
 
 
 def _vanishing_listing(F: FunctionUnderTest) -> list:
-    """The vanishing blocks as sorted code tuples in lexicographic order,
-    from whole s values of up to max(_PAIR_KEYS, q/2) pairs at a time."""
-    q = F.field.q
-    step = max(1, _PAIR_KEYS // (q // 2))
-    B = np.concatenate([_bucket_blocks(F.table(), np.arange(s, min(s + step, q)))
-                        for s in range(1, q, step)])
+    """The vanishing blocks as sorted code tuples in lexicographic order."""
+    B = np.concatenate(list(_blocks(F)))
     B = B[np.lexsort((B[:, 2], B[:, 1], B[:, 0]))]
     return list(zip(*B.T.tolist()))
 
 
 def vanishing_flats(F: FunctionUnderTest, list_blocks: bool = False) -> FlatReport:
-    """The vanishing 2-flats of F: the count over `orbit_rows` and, with
-    ``list_blocks``, the blocks, which must be as many."""
+    """The vanishing 2-flats of F: the count from `ddt_spectrum`'s histogram
+    and, with ``list_blocks``, the blocks, which must be as many.  Bucket
+    (s, b) holds delta(s, b)/2 pairs {x, x+s}, and each vanishing block is
+    two pairs of one bucket in 3 ways."""
     f = F.field
     if not f.char2:
         raise FieldError("vanishing flats are defined in characteristic 2 only")
     if f.n < 2:
         raise ValueError("need n >= 2 for 2-flats to exist")
-    count = _vanishing_count_pairs(F, orbit_rows(F))
+    hist = ddt_spectrum(F).histogram
+    if any(v % 2 for v, _ in hist):  # x and x+s list each pair twice
+        raise InvariantError("odd DDT entry in characteristic 2")
+    count, rem = divmod(sum(c * math.comb(v // 2, 2) for v, c in hist), 3)
+    if rem:
+        raise InvariantError("pair-bucket total is not a multiple of 3")
     listing = _vanishing_listing(F) if list_blocks else None
     if listing is not None and len(listing) != count:
         raise InvariantError(f"{len(listing)} blocks listed, {count} counted")
@@ -111,13 +103,14 @@ class PropIdentityCheck:
 
 
 def check_prop_identity(F: FunctionUnderTest) -> PropIdentityCheck:
-    """Compare the off-trivial FBCT mass with 24 times the vanishing count,
-    both summed over every row, so neither side rests on a row symmetry."""
+    """Compare the off-trivial FBCT mass over every row with 24 times the
+    number of blocks `_blocks` lists, so neither side rests on a row
+    symmetry or on the other (README, "Orbit representatives")."""
     f = F.field
     if not f.char2:
         raise FieldError("identity defined in characteristic 2 only")
     lhs = sum(int(_nontrivial(f, a, row).sum()) for a, row in fbct_rows(F))
-    count = _vanishing_count_pairs(F, [(a, 1) for a in range(1, f.q)])
+    count = sum(len(B) for B in _blocks(F))
     return PropIdentityCheck(holds=(lhs == 24 * count), fbct_sum=lhs,
                              vanishing_count=count, rhs_24x=24 * count)
 

@@ -114,11 +114,6 @@ def orbit_rows(F: FunctionUnderTest) -> list:
     return rows
 
 
-def differential_uniformity(F: FunctionUnderTest) -> int:
-    """max delta_F(a,b) over a != 0, all b; one row per orbit, no table kept."""
-    return max(int(ddt_row_counts(F, a).max()) for a, _ in orbit_rows(F))
-
-
 def _block_rows(q: int) -> int:
     return max(1, _BLOCK_CELLS // q)
 
@@ -162,15 +157,19 @@ def _fbct_dense(f: Field, D: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _equal_pairs(sk: np.ndarray):
-    """Yield (i, k) for k = 1, 2, ...: the positions i with sk[i] == sk[i + k]
-    in the sorted keys sk, ending with an empty i.  Only the positions still
-    equal at offset k can be equal at k + 1."""
+def _equal_pairs(keys: np.ndarray, bound: int):
+    """Yield (i, j) for offsets k = 1, 2, ... in the stable sort of ``keys``
+    (each below ``bound``): the index pairs i < j of equal keys k apart in
+    sorted order, ending with an empty i.  Only the positions still equal at
+    offset k can be equal at k + 1."""
+    # below 2^16 the keys fit uint16, which numpy's stable sort radix-sorts
+    order = np.argsort(keys.astype(np.min_scalar_type(bound - 1)), kind="stable")
+    sk = keys[order]
     i, k = np.arange(sk.size), 1
     while i.size:
         i = i[:np.searchsorted(i, sk.size - k)]
         i = i[sk[i + k] == sk[i]]
-        yield i, k
+        yield order[i], order[i + k]
         k += 1
 
 
@@ -179,10 +178,10 @@ def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
     the ordered pairs (x, y) with d_a(x) = d_a(y) and y - x = b, so a row
     costs s_a pairs instead of q^2 cells.
 
-    Up to _PAIR_KEYS keys r*q + d_a(x) are sorted at once and walked with
-    `_equal_pairs`.  Each equal pair (x, y), x first in sorted order, adds
-    one to H(y - x); the pairs in the other order give H(x - y), and x = y
-    gives q at b = 0.  Pending differences are bincounted once
+    Up to _PAIR_KEYS keys r*q + d_a(x), at index r*q + x, are walked at once
+    with `_equal_pairs`.  Each equal pair (x, y), x < y, adds one to
+    H(y - x); the pairs in the other order give H(x - y), and x = y gives q
+    at b = 0.  Pending differences are bincounted once
     max(_PAIR_KEYS, q) of them have piled up, so a sub-block holds
     O(max(_PAIR_KEYS, q)) memory whatever its pair count.
     """
@@ -194,15 +193,11 @@ def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
     for s in range(0, R, step):
         m = min(step, R - s)
         keys = (D[:, s:s + m].T + np.arange(0, m * q, q, dtype=np.int64)[:, None]).ravel()
-        # below 2^16 the keys fit uint16, which numpy's stable sort radix-sorts
-        order = np.argsort(keys.astype(np.min_scalar_type(keys.size - 1)), kind="stable")
-        sk = keys[order]
-        xs = order % q
-        rowq = order - xs
         hist = np.zeros(m * q, dtype=np.int64)
         pending, npend = [], 0
-        for i, k in _equal_pairs(sk):
-            pending.append(rowq[i] + f.vsub(xs[i + k], xs[i]))
+        for i, j in _equal_pairs(keys, m * q):
+            rowq = i - i % q  # j is in i's row
+            pending.append(rowq + f.vsub(j - rowq, i - rowq))
             npend += i.size
             if npend >= cap or not i.size:
                 hist += np.bincount(np.concatenate(pending), minlength=m * q)
@@ -341,6 +336,11 @@ def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumRepo
         histogram=_hist_pairs(hist), uniformity=uniformity, beta=None,
         trivial_histogram=[(0, q - 1), (q, 1)] if q > 1 else [(q, 1)],
         nontrivial_cells=(q - 1) * q, trivial_cells=q, table=table)
+
+
+def differential_uniformity(F: FunctionUnderTest) -> int:
+    """max delta_F(a,b) over a != 0, all b, read off `ddt_spectrum`."""
+    return ddt_spectrum(F).uniformity
 
 
 def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumReport:

@@ -18,7 +18,7 @@ from ffspectra.closed_forms import (CLAIMS, THEOREMS, HypothesisError,
                                     _admissible_gammas, _first_outside,
                                     kloosterman, predict, s6_count_formula,
                                     vanishing_count_formula, verify)
-from ffspectra.field import InvariantError, make_field, omega
+from ffspectra.field import FieldError, InvariantError, make_field, omega
 from ffspectra.flats import count_two_flats, vanishing_flats
 from ffspectra.functions import (GammaTraceInverse, Monomial, TableFunction,
                                  canonical_exponent)
@@ -191,6 +191,13 @@ def test_inadmissible_gamma_is_a_hypothesis_error():
     v = verify("T7", n=4, t=1, gamma=f.from_code(bad))
     assert v.status == "hypothesis_error"
     assert v.params["gamma"] == f.from_code(bad).text
+
+
+def test_gamma_from_another_field_is_a_field_error():
+    """gamma is coerced with `Field.element`, which refuses an element of
+    GF(2^4) in GF(2^6) instead of reading its code there."""
+    with pytest.raises(FieldError, match="different field"):
+        verify("T7", n=6, t=2, gamma=make_field(2, 4).from_code(3))
 
 
 # --- verify: verdicts on concrete fields ------------------------------------

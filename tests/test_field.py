@@ -8,8 +8,7 @@ import pytest
 
 from ffspectra import field as field_module
 from ffspectra.field import (Field, FieldError, _gf2_solve, _prime_factors, make_field, omega,
-                             quadratic_character, solve_quadratic,
-                             special_elements, trace)
+                             quadratic_character, solve_quadratic, trace)
 
 FIELDS = [(2, 1), (2, 4), (2, 5), (3, 1), (3, 3), (5, 2), (7, 1), (11, 1)]
 
@@ -251,10 +250,6 @@ def test_omega_is_a_primitive_cube_root():
         assert (w * w + w + f.one).code == 0
     with pytest.raises(FieldError):
         omega(make_field(2, 5))  # 3 does not divide 31
-    roots = special_elements(make_field(2, 5), "cube_roots_of_unity")
-    assert [r.code for r in roots] == [1]
-    with pytest.raises(FieldError):
-        special_elements(make_field(2, 4), "primitive_mth_root")
 
 
 def test_element_text_round_trip(field):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ffspectra import flats
+from ffspectra.closed_forms import verify
 from ffspectra.field import FieldError, make_field
 from ffspectra.flats import (check_prop_identity, count_two_flats,
                              echelon_bases, flats_listing_lines,
@@ -169,6 +170,17 @@ def test_mass_identity_on_samples():
         direct = sum(int(fbct_row_counts(F, a)[1:].sum())
                      - int(fbct_row_counts(F, a)[a]) for a in range(1, f.q))
         assert chk.fbct_sum == direct
+
+
+def test_prop_identity_can_fail(monkeypatch):
+    """The right side is the blocks listed one by one, so a walk one block
+    short breaks the identity, in the check and in PROP_VB's verdict."""
+    real = flats._blocks
+    monkeypatch.setattr(flats, "_blocks", lambda F: iter([np.concatenate(list(real(F)))[1:]]))
+    chk = check_prop_identity(Monomial(make_field(2, 4), 7))
+    assert not chk.holds and chk.fbct_sum == chk.rhs_24x + 24
+    v = verify("PROP_VB", n=3, num_random_tables=0)
+    assert v.status == "failed" and v.first_mismatch["a"] == "monomial d=1"
 
 
 def test_mass_identity_requires_char2():
