@@ -310,10 +310,16 @@ def _s6_mask(field: Field, t: int) -> np.ndarray:
     return mask
 
 
-# Row-one predictors of power maps: entry c is the claimed value at (1, c).
-# Row a is row one read at b/a, so `_compare_rows` compares row one alone and
-# `predict` reads (a, b) at (1, b/a).  `_predicted_row` sets the trivial
+# Row-one predictors of power maps: entry c is the claimed value at (1, c),
+# and `_homogeneous` reads row a off it.  `_predicted_row` sets the trivial
 # cells, so their entries here are arbitrary.
+
+def _homogeneous(row1: Callable) -> Callable:
+    """A power map's predictor of row a: row one read at b/a, since
+    nabla(ca, cb) = nabla(a, b) for x^d (monomial homogeneity)."""
+    return lambda field, t, a: row1(field, t)[
+        field.vmul(np.arange(field.q, dtype=np.int64), field.vinv(a))]
+
 
 def _inverse_row1(field: Field, t) -> np.ndarray:
     """x^(q-2): 0 off the trivial cells, except 4 at the primitive cube
@@ -370,7 +376,7 @@ def _s6_row1(field: Field, t: int, power: int, value: int,
     return row
 
 
-def _t6_row(field: Field, a: int) -> np.ndarray:
+def _t6_row(field: Field, t, a: int) -> np.ndarray:
     """Row a of x^(2^n-2) + Tr(x^2/(x+1)): explicit trace conditions on a and
     b; on the coset b in {aw, aw^2} the value depends on b alone."""
     tr = field.tables().tr
@@ -408,10 +414,8 @@ _BETA = "observed F-boomerang uniformity"
 
 
 def _predicted_row(theorem_id: str, field: Field, t, a: int) -> np.ndarray:
-    """Predicted row a of a per-cell claim, its trivial cells set to q: row
-    one of a power map (``a`` is 1), or the row a of ``row``."""
-    claim = CLAIMS[theorem_id]
-    row = claim.row(field, a) if claim.row1 is None else claim.row1(field, t)
+    """Predicted row a of a per-cell claim, its trivial cells set to q."""
+    row = CLAIMS[theorem_id].row(field, t, a)
     row[_trivial(field, a)] = field.q
     return row
 
@@ -420,18 +424,18 @@ def _compare_rows(theorem_id: str, field: Field, setting: dict, kw: dict):
     """The run of every per-cell claim: compare brute-force rows with the
     prediction over the grid a, b != 0 (the a = b diagonal included) up to
     the first mismatching cell, note the nontrivial maximum under the
-    claim's label, then apply its expected-maximum check.  A power map
-    (``row1``) compares row one alone: both sides of row a are row one read
-    at b/a, the observed by the symmetry `orbit_rows` proves on the value
-    table, the predicted by construction, so every row gives the same verdict."""
+    claim's label, then apply its expected-maximum check.  Only the
+    `orbit_rows(F)` representatives are walked, in ascending order.  The
+    predicted rows share the symmetry it proves on the observed ones (power
+    maps by `_homogeneous`, T6 by Frobenius), so an orbit's rows match or
+    fail together: the first offending row is the smallest of its orbit, the
+    representative, and the first mismatch, `cells_checked` and the observed
+    maximum are those of a walk over every row."""
     claim = CLAIMS[theorem_id]
     q = field.q
     F = claim.build(field, setting)
-    codes = None if claim.row1 is None else [1]
-    if codes and orbit_rows(F) != [(1, q - 1)]:
-        raise InvariantError(f"the rows of {F.text()} are not row one read at b/a")
     observed, cells, first = 0, (q - 1) * (q - 1), None
-    for a, obs in fbct_rows(F, codes):
+    for a, obs in fbct_rows(F, [a for a, _ in orbit_rows(F)]):
         pred = _predicted_row(theorem_id, field, setting.get("t"), a)
         bad = np.nonzero(obs[1:] != pred[1:])[0]
         if bad.size:
@@ -500,9 +504,8 @@ def _first_outside(F, allowed) -> tuple:
     """(cells, mismatch) at the first nontrivial FBCT cell (a, b), in
     row-major order, whose value is not in ``allowed``, where cells =
     (a - 1)(q - 1) + b counts it; called only once the histogram shows
-    such a value.  The rows of one `orbit_rows` orbit hold the same values,
-    so the first offending row is the smallest member of its orbit, which is
-    its representative: the representatives are walked in ascending order."""
+    such a value.  The representatives are walked in ascending order, as in
+    `_compare_rows`, which says why the first offending row is one."""
     f = F.field
     for a, row in fbct_rows(F, [a for a, _ in orbit_rows(F)]):
         outside = ~np.isin(row, sorted(allowed))
@@ -701,8 +704,8 @@ def _run_APN_IFF_FBCT0(theorem_id: str, field: Field, setting: dict, kw: dict):
 @dataclass(frozen=True)
 class Claim:
     """Everything ``verify``, ``predict`` and ``THEOREMS`` know about one id.
-    A per-cell claim gives ``row1`` or ``row`` and keeps the generic ``run``;
-    any other claim gives its own."""
+    A per-cell claim gives ``row`` and keeps the generic ``run``; any other
+    claim gives its own."""
 
     summary: str
     check: Callable[[dict], None]      # raises HypothesisError
@@ -710,8 +713,7 @@ class Claim:
     defaults: dict = dc_field(default_factory=dict)  # for those not given
     setting: Callable[[Field, dict], dict] = lambda field, kw: {}  # d, t, m, k
     build: Callable = _power_map       # the function checked, from its setting
-    row1: Optional[Callable] = None    # power maps: row one, read at b/a
-    row: Optional[Callable] = None     # other maps: the predicted row a
+    row: Optional[Callable] = None     # per-cell claims: the predicted row a
     label: str = _NONTRIVIAL           # note label of the observed maximum
     expect: Optional[Callable] = None  # expected-maximum check after the rows
     run: Callable = _compare_rows      # or a spectrum- or count-level check
@@ -727,19 +729,19 @@ CLAIMS = {
                 "primitive cube root of unity",
         check=functools.partial(_check_inverse, "L1", 0, 0), defaults=_GF2,
         setting=lambda f, kw: {"d": f.q - 2},
-        row1=_inverse_row1, label=_OFF_DIAGONAL),
+        row=_homogeneous(_inverse_row1), label=_OFF_DIAGONAL),
     "L2": Claim(
         summary="x^(2^n-2) on GF(2^n), n odd: every cell with "
                 "a,b nonzero and a != b is 0",
         check=functools.partial(_check_inverse, "L2", 1, 0), defaults=_GF2,
         setting=lambda f, kw: {"d": f.q - 2},
-        row1=_inverse_row1, label=_OFF_DIAGONAL),
+        row=_homogeneous(_inverse_row1), label=_OFF_DIAGONAL),
     "T1": Claim(
         summary="x^((2q-1)/3) on GF(q), q = p^n ≡ 2 (mod 3), p odd: "
                 "every cell with ab != 0 equals 1",
         check=_check_T1,
         setting=lambda f, kw: {"d": (2 * f.q - 1) // 3},
-        row1=lambda f, t: np.ones(f.q, dtype=np.int64)),
+        row=_homogeneous(lambda f, t: np.ones(f.q, dtype=np.int64))),
     "T2": Claim(
         summary="x^((p^k+1)/2) on GF(p^n), p > 3, gcd(k, 2n) = 1: "
                 "nontrivial values lie in {0, 1, (p-3)/2} with maximum "
@@ -755,7 +757,7 @@ CLAIMS = {
                 "1 + eta(-(a^2+b^2)/3)",
         check=_check_T3,
         setting=lambda f, kw: {"d": 4},
-        row1=_fourth_power_row1,
+        row=_homogeneous(_fourth_power_row1),
         expect=_maximum("maximum over ab != 0", lambda s: 2)),
     "T4": Claim(
         summary="x^((3^n-1)/2+2) on GF(3^n), n odd: cell value for "
@@ -763,7 +765,7 @@ CLAIMS = {
                 "eta(a^2+b^2); maximum 3",
         check=_check_T4, defaults={"p": 3},
         setting=lambda f, kw: {"d": (f.q - 1) // 2 + 2},
-        row1=_ternary_row1,
+        row=_homogeneous(_ternary_row1),
         expect=_maximum("maximum over ab != 0", lambda s: 3)),
     "THMT": Claim(
         summary="x^(2^t-1) on GF(2^n), 0 < t < n: row-one values "
@@ -773,13 +775,14 @@ CLAIMS = {
         params=("p", "n", "t"),
         check=_check_THMT, defaults=_GF2,
         setting=lambda f, kw: _mersenne(f, kw["t"]),
-        row1=_thmt_row1, label=_BETA, expect=_below_differential_uniformity),
+        row=_homogeneous(_thmt_row1), label=_BETA,
+        expect=_below_differential_uniformity),
     "C_F1": Claim(
         summary="x^(2^m-1) on GF(2^(2m)), m > 2: F-boomerang uniformity "
                 "2^m-4, attained on the b with b^(2^m-1) = 1",
         check=functools.partial(_check_m, "C_F1", 0), defaults=_GF2,
         setting=lambda f, kw: _mersenne(f, f.n // 2, with_m=True),
-        row1=_cf1_row1, label=_BETA,
+        row=_homogeneous(_cf1_row1), label=_BETA,
         expect=_maximum("F-boomerang uniformity", lambda s: 2 ** s["m"] - 4)),
     "C_F1_VB": Claim(
         summary="vanishing-flat count of x^(2^m-1) on GF(2^(2m)): "
@@ -793,7 +796,7 @@ CLAIMS = {
                 "uniformity 8 if m ≡ 1 (mod 3), else 4",
         check=functools.partial(_check_m, "C_F2", 1), defaults=_GF2,
         setting=lambda f, kw: _mersenne(f, (f.n - 1) // 2, with_m=True),
-        row1=lambda f, m: _s6_row1(f, m, 2 ** m - 2, 8, m % 3 == 1),
+        row=_homogeneous(lambda f, m: _s6_row1(f, m, 2 ** m - 2, 8, m % 3 == 1)),
         label=_BETA,
         expect=_maximum("F-boomerang uniformity",
                         lambda s: 8 if s["m"] % 3 == 1 else 4)),
@@ -808,7 +811,7 @@ CLAIMS = {
                 "uniformity 4",
         check=_check_C_F3, defaults=_GF2,
         setting=lambda f, kw: _mersenne(f, (f.n + 3) // 2),
-        row1=lambda f, t: _s6_row1(f, t, 2 ** t - 1, 4, f.n % 3 == 0),
+        row=_homogeneous(lambda f, t: _s6_row1(f, t, 2 ** t - 1, 4, f.n % 3 == 0)),
         label=_BETA,
         expect=_maximum("F-boomerang uniformity", lambda s: 4)),
     "C_F3_VB": Claim(
@@ -883,8 +886,7 @@ def _arguments(claim: Claim, **given) -> dict:
 def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
             t: Optional[int] = None):
     """Closed-form predicted cell value at (a, b), read off the claim's
-    predicted row for a (for a power map, row one at b/a) under the same
-    hypotheses ``verify`` checks.
+    predicted row a under the same hypotheses ``verify`` checks.
 
     For T7 the claim is membership only, so the nontrivial prediction is the
     frozen set {0, 4, 8}; every other supported id yields an integer.  T2 has
@@ -895,7 +897,7 @@ def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
         raise HypothesisError(
             "T2 has no per-cell predictor (its branch conditions are not "
             "pinned to explicit cells); verify it at the spectrum level")
-    if claim.row1 is None and claim.row is None and claim.values is None:
+    if claim.row is None and claim.values is None:
         raise ValueError(f"id {theorem_id!r} has no per-cell predictor")
     field = a.field
     if b.field != field:
@@ -908,10 +910,7 @@ def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
     if claim.values is not None:
         return q if a.code == b.code else claim.values
     t = claim.setting(field, kw).get("t")
-    a, b = a.code, b.code
-    if claim.row1 is not None:
-        a, b = 1, int(field.vmul(b, field.vinv(a)))
-    return int(_predicted_row(theorem_id, field, t, a)[b])
+    return int(_predicted_row(theorem_id, field, t, a.code)[b.code])
 
 
 def verify(theorem_id: str, *, p: Optional[int] = None,

@@ -42,22 +42,21 @@ class FlatReport:
 
 
 def _bucket_blocks(FT: np.ndarray, S: np.ndarray):
-    """Yield the vanishing blocks (lo, lo+s, hi, hi+s), s in S, from the
-    pairs {x, x+s}, x < x+s, walked by bucket: lo is a block's smallest code,
-    and of its 3 pairings only the one with lo+s < hi is kept."""
+    """Yield (x, y, i, j) for the pairs (x, y = x+s), x < y, s in S, walked by
+    bucket: the vanishing blocks (lo, lo+s, hi, hi+s), lo the smallest code,
+    are (x[i], y[i], x[j], y[j]), kept in the one pairing with lo+s < hi."""
     q = FT.size
     X = np.arange(q, dtype=np.int64)
     r, x = np.nonzero((X ^ S[:, None]) > X)
     y = x ^ S[r]
     for i, j in _equal_pairs(r * q + (FT[x] ^ FT[y]), S.size * q):
         keep = y[i] < x[j]
-        i, j = i[keep], j[keep]
-        yield np.stack([x[i], y[i], x[j], y[j]], axis=1)
+        yield x, y, i[keep], j[keep]
 
 
 def _blocks(F: FunctionUnderTest):
-    """The vanishing blocks, array by array, from whole s values of up to
-    max(_PAIR_KEYS, q/2) pairs at a time."""
+    """The vanishing blocks as `_bucket_blocks` yields them, from whole s
+    values of up to max(_PAIR_KEYS, q/2) pairs at a time."""
     q = F.field.q
     step = max(1, _PAIR_KEYS // (q // 2))
     for s in range(1, q, step):
@@ -66,7 +65,8 @@ def _blocks(F: FunctionUnderTest):
 
 def _vanishing_listing(F: FunctionUnderTest) -> list:
     """The vanishing blocks as sorted code tuples in lexicographic order."""
-    B = np.concatenate(list(_blocks(F)))
+    B = np.concatenate([np.stack([x[i], y[i], x[j], y[j]], axis=1)
+                        for x, y, i, j in _blocks(F)])
     B = B[np.lexsort((B[:, 2], B[:, 1], B[:, 0]))]
     return list(zip(*B.T.tolist()))
 
@@ -110,7 +110,7 @@ def check_prop_identity(F: FunctionUnderTest) -> PropIdentityCheck:
     if not f.char2:
         raise FieldError("identity defined in characteristic 2 only")
     lhs = sum(int(_nontrivial(f, a, row).sum()) for a, row in fbct_rows(F))
-    count = sum(len(B) for B in _blocks(F))
+    count = sum(i.size for _, _, i, _ in _blocks(F))
     return PropIdentityCheck(holds=(lhs == 24 * count), fbct_sum=lhs,
                              vanishing_count=count, rhs_24x=24 * count)
 

@@ -2,11 +2,7 @@
 
 import dataclasses
 import json
-import os
 import random
-import subprocess
-import sys
-import textwrap
 import time
 from collections import Counter
 
@@ -20,8 +16,8 @@ from ffspectra.closed_forms import (CLAIMS, THEOREMS, HypothesisError,
                                     vanishing_count_formula, verify)
 from ffspectra.field import FieldError, InvariantError, make_field, omega
 from ffspectra.flats import count_two_flats, vanishing_flats
-from ffspectra.functions import (GammaTraceInverse, Monomial, TableFunction,
-                                 canonical_exponent)
+from ffspectra.functions import (GammaTraceInverse, InversePlusTrace, Monomial,
+                                 TableFunction, canonical_exponent)
 from ffspectra.spectra import fbct_row_counts, fbct_rows, fbct_spectrum, orbit_rows
 from oracles import fbct_entry
 
@@ -420,7 +416,7 @@ def test_first_outside_on_a_table_past_row_one():
     assert first is not None and first[0] > 1
 
 
-# --- row-one comparison of power maps against every row ---------------------
+# --- representative rows of per-cell claims against every row ---------------
 
 #: Two fields each power-map claim's hypotheses admit, as (p, n, modulus, t).
 #: GF(2^9) would take C_F2 and C_F3 past a second of `predict` calls, so each
@@ -437,10 +433,13 @@ ROW_ONE_FIELDS = {
     "C_F3": [(2, 7, None, None), (2, 7, [1, 0, 0, 1, 0, 0, 0, 1], None)],
 }
 ROW_ONE_CASES = [(tid, *case) for tid, cases in ROW_ONE_FIELDS.items() for case in cases]
+#: T6 walks its Frobenius representatives against the same every-row oracle.
+T6_CASES = [("T6", 2, 4, None, None), ("T6", 2, 6, None, None)]
 
 
 def test_row_one_ids_are_the_power_map_claims():
-    assert sorted(ROW_ONE_FIELDS) == sorted(t for t, c in CLAIMS.items() if c.row1)
+    assert sorted(ROW_ONE_FIELDS) == sorted(
+        t for t, c in CLAIMS.items() if c.build is closed_forms._power_map and c.row)
 
 
 def _verify_on(tid, p, n, modulus, t):
@@ -453,7 +452,7 @@ def _every_row_walk(tid, field, setting):
     matched whole; then the claim's expected-maximum check.  Returns (first
     mismatch, cells checked, notes) as the verdict holds them."""
     claim = CLAIMS[tid]
-    F = Monomial(field, setting["d"])
+    F = claim.build(field, setting)
     q = field.q
     first, cells, observed = None, 0, 0
     for a, row in zip(range(1, q), fbct_row_counts(F, range(1, q))):
@@ -474,7 +473,7 @@ def _every_row_walk(tid, field, setting):
     return first, cells, notes
 
 
-@pytest.mark.parametrize("tid,p,n,modulus,t", ROW_ONE_CASES)
+@pytest.mark.parametrize("tid,p,n,modulus,t", ROW_ONE_CASES + T6_CASES)
 def test_row_one_verdict_equals_every_row_walk(tid, p, n, modulus, t):
     v = _verify_on(tid, p, n, modulus, t)
     assert v.status != "hypothesis_error", v.notes
@@ -485,19 +484,20 @@ def test_row_one_verdict_equals_every_row_walk(tid, p, n, modulus, t):
 
 @pytest.mark.parametrize("tid", sorted(ROW_ONE_FIELDS))
 def test_corrupted_row_one_fails_where_every_row_walk_does(monkeypatch, tid):
-    """One predicted row-one cell c off by one: the verdict fails at (1, c)
-    after c cells, as the walk over every row does."""
+    """One predicted row-one cell c off by one, and so cell ca of each row a:
+    the verdict fails at (1, c) after c cells, as the walk over every row
+    does."""
     p, n, modulus, t = ROW_ONE_FIELDS[tid][0]
     field = make_field(p, n, modulus)
     c = field.q // 2 + 1
-    real = CLAIMS[tid].row1
+    real = CLAIMS[tid].row
 
-    def corrupt(f, tt):
-        row = real(f, tt)
-        row[c] += 1
+    def corrupt(f, tt, a):
+        row = real(f, tt, a)
+        row[f.vmul(c, a)] += 1
         return row
 
-    monkeypatch.setitem(CLAIMS, tid, dataclasses.replace(CLAIMS[tid], row1=corrupt))
+    monkeypatch.setitem(CLAIMS, tid, dataclasses.replace(CLAIMS[tid], row=corrupt))
     v = _verify_on(tid, p, n, modulus, t)
     assert v.status == "failed"
     assert v.cells_checked == c
@@ -507,7 +507,7 @@ def test_corrupted_row_one_fails_where_every_row_walk_does(monkeypatch, tid):
         _every_row_walk(tid, field, v.params)
 
 
-def test_row_one_claims_count_one_row_and_T6_every_row(monkeypatch):
+def test_row_one_claims_count_one_row_and_T6_its_representatives(monkeypatch):
     counted = []
     real = closed_forms.fbct_rows
 
@@ -523,42 +523,41 @@ def test_row_one_claims_count_one_row_and_T6_every_row(monkeypatch):
         assert counted == [1], tid
     counted.clear()
     assert verify("T6", n=6).passed
-    assert counted == list(range(1, 64))
+    reps = [a for a, _ in orbit_rows(InversePlusTrace(make_field(2, 6)))]
+    assert counted == reps and len(reps) == 13
 
 
-def test_row_one_check_survives_python_O():
-    """Under ``python -O`` a power-map claim whose function loses the scaling
-    symmetry (x^(-1) with one entry changed) raises instead of comparing row one."""
-    script = textwrap.dedent("""
-        import dataclasses
-        import sys
-        from ffspectra import closed_forms
-        from ffspectra.field import InvariantError
-        from ffspectra.functions import Monomial, TableFunction
+def test_power_map_build_without_symmetry_fails_like_every_row_walk(monkeypatch):
+    """A power-map claim whose function loses the scaling symmetry (x^(-1)
+    with one entry changed) compares its representatives and fails where
+    the walk over every row does."""
+    def build(f, setting):
+        values = Monomial(f, setting["d"]).table().tolist()
+        values[3] ^= 1
+        return TableFunction(f, values)
 
-        if not sys.flags.optimize:
-            raise SystemExit("expected python -O")
+    monkeypatch.setitem(CLAIMS, "L1", dataclasses.replace(CLAIMS["L1"], build=build))
+    field = make_field(2, 4)
+    v = verify("L1", n=4)
+    assert len(orbit_rows(build(field, v.params))) > 1
+    assert v.status == "failed" and v.cells_checked == 6
+    assert v.first_mismatch == {"a": "1,0,0,0", "b": "0,1,1,0",
+                                "predicted": 4, "observed": 8}
+    assert (v.first_mismatch, v.cells_checked, list(v.notes)) == \
+        _every_row_walk("L1", field, v.params)
 
-        def build(f, setting):
-            values = Monomial(f, setting["d"]).table().tolist()
-            values[3] ^= 1
-            return TableFunction(f, values)
 
-        claims = closed_forms.CLAIMS
-        claims["L1"] = dataclasses.replace(claims["L1"], build=build)
-        try:
-            closed_forms.verify("L1", n=4)
-            print("no error")
-        except InvariantError as exc:
-            print("InvariantError", exc)
-    """)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("InvariantError"), out.stdout
-    assert "not row one read at b/a" in out.stdout
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_t6_predictor_shares_the_frobenius_orbits(n):
+    """Row a^2 of T6's predictor is row a read at b^2, and the orbits
+    `orbit_rows` gives the map are Frobenius orbits only (sizes divide n)."""
+    f = make_field(2, n)
+    frob = f.tables().frob
+    for a in range(f.q):
+        assert (closed_forms._t6_row(f, None, frob[a])[frob]
+                == closed_forms._t6_row(f, None, a)).all(), a
+    assert all(n % w == 0 for _, w in orbit_rows(InversePlusTrace(f)))
+
 
 
 def test_mass_identity_verdict():

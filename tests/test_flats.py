@@ -176,7 +176,13 @@ def test_prop_identity_can_fail(monkeypatch):
     """The right side is the blocks listed one by one, so a walk one block
     short breaks the identity, in the check and in PROP_VB's verdict."""
     real = flats._blocks
-    monkeypatch.setattr(flats, "_blocks", lambda F: iter([np.concatenate(list(real(F)))[1:]]))
+
+    def short(F):
+        blocks = [(x, y, i, j) for x, y, i, j in real(F) if i.size]
+        x, y, i, j = blocks[0]
+        return iter([(x, y, i[1:], j[1:])] + blocks[1:])
+
+    monkeypatch.setattr(flats, "_blocks", short)
     chk = check_prop_identity(Monomial(make_field(2, 4), 7))
     assert not chk.holds and chk.fbct_sum == chk.rhs_24x + 24
     v = verify("PROP_VB", n=3, num_random_tables=0)
