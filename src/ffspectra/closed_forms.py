@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .field import Field, FieldElement, InvariantError, make_field, omega
+from .field import _TABLE_LIMIT, Field, FieldElement, InvariantError, make_field, omega
 from .functions import (
     FunctionError,
     GammaTraceInverse,
@@ -35,7 +35,7 @@ from .functions import (
 from .spectra import (_nontrivial, _trivial, ddt_row_counts, differential_uniformity,
                       fbct_rows, fbct_spectrum, orbit_rows)
 from .flats import check_prop_identity, vanishing_flats
-from .algebra import kloosterman, linearized_kernel_dim
+from .algebra import kloosterman
 
 __all__ = [
     "HypothesisError",
@@ -140,7 +140,9 @@ def _check_T1(kw: dict) -> None:
     p, n = kw["p"], kw["n"]
     _require(p is not None and n is not None, "T1 requires p and n")
     _require(p % 2 == 1, f"T1 requires odd characteristic, got p={p}")
-    _require(p ** n % 3 == 2, f"T1 requires p^n ≡ 2 (mod 3), got p^n={p ** n}")
+    _require(n >= 1, f"T1 requires n >= 1, got n={n}")
+    q = p ** n if n < _TABLE_LIMIT.bit_length() and p ** n <= _TABLE_LIMIT else f"{p}^{n}"
+    _require(pow(p, n, 3) == 2, f"T1 requires p^n ≡ 2 (mod 3), got p^n={q}")
 
 
 def _check_T2(kw: dict) -> None:
@@ -285,11 +287,6 @@ def _omega_codes(field: Field) -> tuple:
     return w, field.mul_code(w, w)
 
 
-@functools.cache
-def _kernel_dim(field: Field, t: int, B_code: int) -> int:
-    return linearized_kernel_dim(t, field.from_code(B_code))
-
-
 def _b_codes(field: Field, t: int) -> np.ndarray:
     """B(c) = (c^(2^t) + c) / (c(c+1)) for every code c; 0 at c in {0, 1},
     since inv(0) = 0."""
@@ -347,14 +344,15 @@ def _ternary_row1(field: Field, t) -> np.ndarray:
 
 
 def _thmt_row1(field: Field, t: int) -> np.ndarray:
-    """x^(2^t-1): classified through B(c) and the kernel dimension of
-    x^(2^t) + Bx^2 + (B+1)x."""
+    """x^(2^t-1) through B(c) and |ker L_B|, L_B(x) = x^(2^t) + x + B(x^2 + x):
+    0 and 1 are roots, and x outside {0, 1} is one iff B(x) = B."""
     n = field.n
-    Bs, where = np.unique(_b_codes(field, t), return_inverse=True)
-    by_B = [2 ** math.gcd(t, n) - 4 if B == 0
-            else 2 ** math.gcd(t - 1, n) if B == 1
-            else max(2 ** _kernel_dim(field, t, int(B)) - 4, 0) for B in Bs]
-    return np.array(by_B, dtype=np.int64)[where]
+    B = _b_codes(field, t)
+    ker = 2 + np.bincount(B[2:], minlength=field.q)
+    row = np.maximum(ker[B] - 4, 0)
+    row[B == 0] = 2 ** math.gcd(t, n) - 4
+    row[B == 1] = 2 ** math.gcd(t - 1, n)
+    return row
 
 
 def _cf1_row1(field: Field, m: int) -> np.ndarray:

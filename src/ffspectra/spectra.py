@@ -28,6 +28,7 @@ _BLOCK_CELLS = 1 << 20
 _PAIR_KEYS = 1 << 16
 _PAIR_COST = 32        # characteristic 2 and prime fields
 _PAIR_COST_ODD = 108   # GF(p^n), p odd, n >= 2: each pair's y - x is a digit-wise vsub
+_KEEP_TABLE_LIMIT = 1 << 12  # a kept table is q^2 int64 cells: 128 MiB at the limit
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +320,18 @@ def _nontrivial(f: Field, a: int, row: np.ndarray) -> np.ndarray:
     return np.delete(row, trivial)
 
 
+def _check_keep_table(f: Field, keep_table: bool) -> None:
+    """Refuse a kept table above q = 2^12, before any row is counted."""
+    if keep_table and f.q > _KEEP_TABLE_LIMIT:
+        raise ValueError(f"--keep-table holds q^2 cells and needs "
+                         f"q <= {_KEEP_TABLE_LIMIT}, got q={f.q}")
+
+
 def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumReport:
     """Histogram over `orbit_rows`; a kept table gives the representatives' rows."""
     f = F.field
     q = f.q
+    _check_keep_table(f, keep_table)
     table = np.stack([ddt_row_counts(F, a) for a in range(q)]) if keep_table else None
     orbits = orbit_rows(F)
     reps = [a for a, _ in orbits]
@@ -347,6 +356,7 @@ def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumRep
     """Histogram over `orbit_rows`; a kept table gives the representatives' rows."""
     f = F.field
     q = f.q
+    _check_keep_table(f, keep_table)
     table = fbct_row_counts(F, range(q)) if keep_table else None
     orbits = orbit_rows(F)
     reps = [a for a, _ in orbits]

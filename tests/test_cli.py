@@ -98,13 +98,16 @@ OVERSIZED = [
     ("field", "--p", "3", "--n", "39"),
     ("field", "--p", "2", "--n", "100000000000"),
     ("verify", "--theorem", "T1", "--p", "5", "--n", "25"),
+    ("verify", "--theorem", "T1", "--p", "5", "--n", "10000001"),
     ("verify", "--theorem", "C_F1", "--n", "40"),
     ("verify", "--theorem", "C_F2_VB", "--n", "41"),
     ("kloosterman", "--n", "40", "--method", "direct"),
     ("kloosterman", "--n", "4097", "--method", "carlitz"),
     ("kloosterman", "--n", "100000000", "--method", "both"),
     ("fbct", "--p", "2", "--n", "3", "--fn", "monomial:d=2^2^2^2^2^2"),
-]
+    ("fbct", "--p", "2", "--n", "20", "--fn", "monomial:d=3", "--keep-table"),
+] + [(cmd, "--p", p, "--n", n, "--fn", "monomial:d=7", "--keep-table")
+     for cmd in ("ddt", "fbct", "spectrum") for p, n in (("2", "13"), ("3", "8"))]
 
 
 @pytest.mark.parametrize("argv", OVERSIZED, ids=" ".join)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ffspectra import closed_forms
+from ffspectra.algebra import linearized_kernel_dim
 from ffspectra.closed_forms import (CLAIMS, THEOREMS, HypothesisError,
                                     _admissible_gammas, _first_outside,
                                     kloosterman, predict, s6_count_formula,
@@ -142,6 +144,43 @@ def test_predict_membership_and_errors():
             predict(tid, f.one, f.from_code(2))
 
 
+def _thmt_by_kernel_dims(field, t, Bs) -> dict:
+    """THMT's row-one value at each B in Bs, by one Gaussian elimination
+    (`linearized_kernel_dim`) per B: the oracle for the root count."""
+    n = field.n
+    return {B: 2 ** math.gcd(t, n) - 4 if B == 0
+            else 2 ** math.gcd(t - 1, n) if B == 1
+            else max(2 ** linearized_kernel_dim(t, field.from_code(B)) - 4, 0)
+            for B in Bs}
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_thmt_row_one_equals_one_kernel_per_B(n):
+    f = make_field(2, n)
+    for t in range(1, n):
+        B = closed_forms._b_codes(f, t).tolist()
+        want = _thmt_by_kernel_dims(f, t, set(B))
+        assert closed_forms._thmt_row1(f, t).tolist() == [want[b] for b in B], t
+
+
+@pytest.mark.parametrize("t", [5, 8])
+def test_thmt_root_count_is_the_kernel_at_n16(t):
+    """|ker L_B| = 2 + #{x outside {0, 1} : B(x) = B}, at 200 seeded B plus
+    0 and 1; and row one agrees with the per-B oracle wherever B(c) is one
+    of them."""
+    f = make_field(2, 16)
+    rng = np.random.default_rng(16 + t)
+    sample = np.concatenate([[0, 1], rng.integers(2, f.q, 200)])
+    Bc = closed_forms._b_codes(f, t)
+    roots = 2 + np.bincount(Bc[2:], minlength=f.q)
+    for B in sample.tolist():
+        assert roots[B] == 2 ** linearized_kernel_dim(t, f.from_code(B)), B
+    cells = np.flatnonzero(np.isin(Bc, sample))
+    want = _thmt_by_kernel_dims(f, t, set(Bc[cells].tolist()))
+    got = closed_forms._thmt_row1(f, t)[cells]
+    assert cells.size > 2 and got.tolist() == [want[b] for b in Bc[cells].tolist()]
+
+
 # --- verify: parameter policing and hypothesis gating -----------------------
 
 def test_verify_rejects_unused_parameters():
@@ -171,6 +210,7 @@ def test_verify_rejects_unused_parameters():
     ("L2", dict(p=2, n=4)),
     ("T7", dict(n=4, t=4)),
     ("PROP_VB", dict(p=3, n=2)),
+    ("T1", dict(p=3, n=-1)),      # pow(3, -1, 3) has no value
 ])
 def test_hypothesis_errors(tid, kwargs):
     v = verify(tid, **kwargs)
@@ -178,6 +218,16 @@ def test_hypothesis_errors(tid, kwargs):
     assert not v.passed
     assert v.cells_checked == 0 and v.first_mismatch is None
     assert v.notes and v.notes[0].startswith("hypothesis not satisfied:")
+
+
+def test_t1_congruence_at_huge_n_is_a_prompt_hypothesis_verdict():
+    start = time.perf_counter()
+    v = verify("T1", p=5, n=10 ** 7)
+    assert time.perf_counter() - start < 1.0
+    assert v.status == "hypothesis_error"
+    assert list(v.notes) == ["hypothesis not satisfied: T1 requires "
+                             "p^n ≡ 2 (mod 3), got p^n=5^10000000"]
+    assert verify("T1", p=5, n=2).notes[0].endswith("got p^n=25")
 
 
 def test_inadmissible_gamma_is_a_hypothesis_error():

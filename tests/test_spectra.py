@@ -465,6 +465,20 @@ def test_table_csv_lines_shape():
     assert lines[1] == "0,0,4"
 
 
+@pytest.mark.parametrize("p,n", [(2, 13), (3, 8)])
+def test_kept_table_above_q_4096_is_refused_before_any_row(monkeypatch, p, n):
+    def no_rows(*args):
+        raise AssertionError("a row was counted")
+
+    for name in ("ddt_row_counts", "fbct_row_counts", "fbct_rows", "orbit_rows"):
+        monkeypatch.setattr(spectra, name, no_rows)
+    F = Monomial(make_field(p, n), 7)
+    for spectrum in (ddt_spectrum, fbct_spectrum):
+        with pytest.raises(ValueError, match=f"q <= 4096, got q={p ** n}"):
+            spectrum(F, keep_table=True)
+    spectra._check_keep_table(make_field(2, 12), True)  # q = 4096 is kept
+
+
 def test_invariant_checks_survive_python_O():
     """Under ``python -O`` a corrupted trivial FBCT cell (entrywise and
     monomial paths), an odd characteristic-2 DDT entry, and an FBCT row from
