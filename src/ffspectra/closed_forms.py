@@ -32,8 +32,8 @@ from .functions import (
     TableFunction,
     canonical_exponent,
 )
-from .spectra import (_nontrivial, _trivial, ddt_row_counts, differential_uniformity,
-                      fbct_rows, fbct_spectrum, orbit_rows)
+from .spectra import (_nontrivial, _trivial, differential_uniformity, fbct_rows,
+                      fbct_spectrum, orbit_rows)
 from .flats import check_prop_identity, vanishing_flats
 from .algebra import kloosterman
 
@@ -287,22 +287,22 @@ def _omega_codes(field: Field) -> tuple:
     return w, field.mul_code(w, w)
 
 
-def _b_codes(field: Field, t: int) -> np.ndarray:
-    """B(c) = (c^(2^t) + c) / (c(c+1)) for every code c; 0 at c in {0, 1},
-    since inv(0) = 0."""
+def _b_map(field: Field, t: int) -> tuple:
+    """(B, count): B(c) = (c^(2^t) + c) / (c(c+1)) for every code c, 0 at
+    c in {0, 1} since inv(0) = 0, and count[v] = #{c outside {0, 1} : B(c) = v}.
+    Off {0, 1}, B(c) is the row-one derivative (c+1)^(2^t-1) + c^(2^t-1),
+    which is 1 at c in {0, 1}; so delta(1, v) of x^(2^t-1) is count[v] for v > 1."""
     cs = np.arange(field.q, dtype=np.int64)
-    return field.vmul(field.vpow(cs, 2 ** t) ^ cs,
-                      field.vinv(field.vmul(cs, cs ^ 1)))
+    B = field.vmul(field.vpow(cs, 2 ** t) ^ cs, field.vinv(field.vmul(cs, cs ^ 1)))
+    return B, np.bincount(B[2:], minlength=field.q)
 
 
 @functools.cache
 def _s6_mask(field: Field, t: int) -> np.ndarray:
     """Boolean mask over codes b: B(b) outside {0,1} (so b is too), and the
     row-one differential count of x^(2^t-1) at B(b) equals 6."""
-    F = Monomial(field, canonical_exponent(field.q, 2 ** t - 1))
-    drow = ddt_row_counts(F, 1)
-    Bv = _b_codes(field, t)
-    mask = (Bv != 0) & (Bv != 1) & (drow[Bv] == 6)
+    B, count = _b_map(field, t)
+    mask = (B > 1) & (count[B] == 6)
     mask.flags.writeable = False  # one array serves every caller of the cache
     return mask
 
@@ -347,8 +347,8 @@ def _thmt_row1(field: Field, t: int) -> np.ndarray:
     """x^(2^t-1) through B(c) and |ker L_B|, L_B(x) = x^(2^t) + x + B(x^2 + x):
     0 and 1 are roots, and x outside {0, 1} is one iff B(x) = B."""
     n = field.n
-    B = _b_codes(field, t)
-    ker = 2 + np.bincount(B[2:], minlength=field.q)
+    B, count = _b_map(field, t)
+    ker = 2 + count
     row = np.maximum(ker[B] - 4, 0)
     row[B == 0] = 2 ** math.gcd(t, n) - 4
     row[B == 1] = 2 ** math.gcd(t - 1, n)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import Field, FieldElement, InvariantError, _prime_factors
+from .field import Field, InvariantError, _prime_factors
 from .functions import FunctionUnderTest, Monomial
 
 _BLOCK_CELLS = 1 << 20
@@ -92,8 +92,11 @@ def orbit_rows(F: FunctionUnderTest) -> list:
       coset index s acts as i -> i * p^e mod m.
 
     Each orbit of coset indices is one orbit of rows, represented by its
-    smallest code.
+    smallest code.  Proved once, then kept on F as its value table is.
     """
+    rows = getattr(F, "_orbits", None)
+    if rows is not None:
+        return rows
     f = F.field
     q = f.q
     t, FT = f.tables(), F.table()
@@ -112,11 +115,8 @@ def orbit_rows(F: FunctionUnderTest) -> list:
     rows = list(zip(np.flatnonzero(size).tolist(), size[size > 0].tolist()))
     if sum(w for _, w in rows) != q - 1:
         raise InvariantError(f"row orbit sizes do not sum to q - 1 = {q - 1}")
+    F._orbits = rows
     return rows
-
-
-def _block_rows(q: int) -> int:
-    return max(1, _BLOCK_CELLS // q)
 
 
 def _derivs(F: FunctionUnderTest, codes) -> np.ndarray:
@@ -209,29 +209,18 @@ def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
     return counts
 
 
-def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
-    """nabla_F(a, b) for every b, as a length-q vector indexed by b's code.
-
-    ``a`` is one element (a FieldElement, a code or element text); any other
-    iterable is a sequence of them, and gives the (len, q) block of their
-    rows.  The derivatives of up to _BLOCK_CELLS / q rows are held as the
-    columns of one (q, R) array D.  A row takes the pair kernel when
-    K * s_a <= q^2 and the dense scan otherwise, and must sum to s_a; K is
-    the lowest measured cost of a pair over that of a one-byte dense cell,
-    _PAIR_COST_ODD on odd extension fields and _PAIR_COST on the others
-    (README, "FBCT row kernels").  A block counted by one kernel is that
-    kernel's own array, not a copy.
+def _fbct_block(F: FunctionUnderTest, codes: list) -> np.ndarray:
+    """The (len, q) block of FBCT rows of the int codes, at most
+    _BLOCK_CELLS / q of them, whose derivatives are held as the columns of
+    one (q, R) array D.  A row takes the pair kernel when K * s_a <= q^2 and
+    the dense scan otherwise, and must sum to s_a; K is the lowest measured
+    cost of a pair over that of a one-byte dense cell, _PAIR_COST_ODD on odd
+    extension fields and _PAIR_COST on the others (README, "FBCT row
+    kernels").  A block counted by one kernel is that kernel's own array,
+    not a copy.
     """
     f = F.field
     q = f.q
-    single = isinstance(a, (int, np.integer, str, FieldElement))
-    codes = [f.element(c).code for c in ([a] if single else a)]
-    step = _block_rows(q)
-    if len(codes) > step:
-        counts = np.empty((len(codes), q), dtype=np.int64)
-        for s in range(0, len(codes), step):
-            counts[s:s + step] = fbct_row_counts(F, codes[s:s + step])
-        return counts
     D = _derivs(F, codes)
     mass = _level_mass(D)
     K = _PAIR_COST if f.char2 or f.n == 1 else _PAIR_COST_ODD
@@ -249,17 +238,23 @@ def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
         r = bad[0]
         raise InvariantError(f"FBCT row a={codes[r]} sums to {counts[r].sum()}, "
                              f"not to sum_v delta(a, v)^2 = {mass[r]}")
-    return counts[0] if single else counts
+    return counts
+
+
+def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
+    """nabla_F(a, b) for every b, as a length-q vector indexed by b's code."""
+    return _fbct_block(F, [F.field.element(a).code])[0]
 
 
 def fbct_rows(F: FunctionUnderTest, codes=None):
     """Yield (a, nabla_F(a, .)) for each a of ``codes`` (default 1..q-1), one
-    kernel block at a time."""
-    codes = list(range(1, F.field.q) if codes is None else codes)
-    step = _block_rows(F.field.q)
+    kernel block at a time; the only path that counts many rows."""
+    q = F.field.q
+    codes = [F.field.element(c).code for c in (range(1, q) if codes is None else codes)]
+    step = max(1, _BLOCK_CELLS // q)
     for s in range(0, len(codes), step):
         block = codes[s:s + step]
-        yield from zip(block, fbct_row_counts(F, block))
+        yield from zip(block, _fbct_block(F, block))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +352,11 @@ def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumRep
     f = F.field
     q = f.q
     _check_keep_table(f, keep_table)
-    table = fbct_row_counts(F, range(q)) if keep_table else None
+    table = None
+    if keep_table:
+        table = np.empty((q, q), dtype=np.int64)
+        for a, row in fbct_rows(F, range(q)):
+            table[a] = row
     orbits = orbit_rows(F)
     reps = [a for a, _ in orbits]
     rows = zip(reps, table[reps]) if keep_table else fbct_rows(F, reps)

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ffspectra import closed_forms
+from ffspectra import closed_forms, spectra
 from ffspectra.algebra import linearized_kernel_dim
 from ffspectra.closed_forms import (CLAIMS, THEOREMS, HypothesisError,
                                     _admissible_gammas, _first_outside,
@@ -20,7 +20,7 @@ from ffspectra.field import FieldError, InvariantError, make_field, omega
 from ffspectra.flats import count_two_flats, vanishing_flats
 from ffspectra.functions import (GammaTraceInverse, InversePlusTrace, Monomial,
                                  TableFunction, canonical_exponent)
-from ffspectra.spectra import fbct_row_counts, fbct_rows, fbct_spectrum, orbit_rows
+from ffspectra.spectra import ddt_row_counts, fbct_rows, fbct_spectrum, orbit_rows
 from oracles import fbct_entry
 
 
@@ -158,7 +158,7 @@ def _thmt_by_kernel_dims(field, t, Bs) -> dict:
 def test_thmt_row_one_equals_one_kernel_per_B(n):
     f = make_field(2, n)
     for t in range(1, n):
-        B = closed_forms._b_codes(f, t).tolist()
+        B = closed_forms._b_map(f, t)[0].tolist()
         want = _thmt_by_kernel_dims(f, t, set(B))
         assert closed_forms._thmt_row1(f, t).tolist() == [want[b] for b in B], t
 
@@ -171,14 +171,37 @@ def test_thmt_root_count_is_the_kernel_at_n16(t):
     f = make_field(2, 16)
     rng = np.random.default_rng(16 + t)
     sample = np.concatenate([[0, 1], rng.integers(2, f.q, 200)])
-    Bc = closed_forms._b_codes(f, t)
-    roots = 2 + np.bincount(Bc[2:], minlength=f.q)
+    Bc, count = closed_forms._b_map(f, t)
+    roots = 2 + count
     for B in sample.tolist():
         assert roots[B] == 2 ** linearized_kernel_dim(t, f.from_code(B)), B
     cells = np.flatnonzero(np.isin(Bc, sample))
     want = _thmt_by_kernel_dims(f, t, set(Bc[cells].tolist()))
     got = closed_forms._thmt_row1(f, t)[cells]
     assert cells.size > 2 and got.tolist() == [want[b] for b in Bc[cells].tolist()]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_root_count_at_B_0_and_1(n):
+    """The kernels that THMT states outright are read off the root count too:
+    x^(2^t) = x has 2^gcd(t, n) roots, x^(2^t) = x^2 has 2^gcd(t-1, n)."""
+    f = make_field(2, n)
+    for t in range(1, n):
+        count = closed_forms._b_map(f, t)[1]
+        assert 2 + count[0] == 2 ** math.gcd(t, n), t
+        assert 2 + count[1] == 2 ** math.gcd(t - 1, n), t
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_s6_mask_is_the_row_one_ddt_count(n):
+    """S_6 against the DDT definition: b with B(b) outside {0, 1} and
+    delta(1, B(b)) = 6 for x^(2^t-1)."""
+    f = make_field(2, n)
+    for t in range(1, n):
+        B = closed_forms._b_map(f, t)[0]
+        drow = ddt_row_counts(Monomial(f, 2 ** t - 1), 1)
+        want = (B != 0) & (B != 1) & (drow[B] == 6)
+        assert np.array_equal(closed_forms._s6_mask(f, t), want), t
 
 
 # --- verify: parameter policing and hypothesis gating -----------------------
@@ -505,7 +528,7 @@ def _every_row_walk(tid, field, setting):
     F = claim.build(field, setting)
     q = field.q
     first, cells, observed = None, 0, 0
-    for a, row in zip(range(1, q), fbct_row_counts(F, range(1, q))):
+    for a, row in fbct_rows(F):
         for b in range(1, q):
             cells += 1
             want = predict(tid, field.from_code(a), field.from_code(b), t=setting.get("t"))
@@ -575,6 +598,21 @@ def test_row_one_claims_count_one_row_and_T6_its_representatives(monkeypatch):
     assert verify("T6", n=6).passed
     reps = [a for a, _ in orbit_rows(InversePlusTrace(make_field(2, 6)))]
     assert counted == reps and len(reps) == 13
+
+
+def test_orbits_are_proved_once_per_function(monkeypatch):
+    """THMT's row walk and its differential-uniformity note read one
+    `orbit_rows` result, kept on the function."""
+    calls = []
+    real = spectra._scaling_index
+
+    def counting(f, G):
+        calls.append(f.q)
+        return real(f, G)
+
+    monkeypatch.setattr(spectra, "_scaling_index", counting)
+    assert verify("THMT", n=9, t=4).passed
+    assert calls == [512]
 
 
 def test_power_map_build_without_symmetry_fails_like_every_row_walk(monkeypatch):

@@ -15,7 +15,7 @@ from ffspectra.functions import (FunctionError, GammaTraceInverse,
                                  parse_function)
 from ffspectra.spectra import (classify, ddt_row_counts, ddt_spectrum,
                                differential_uniformity, fbct_row_counts,
-                               fbct_spectrum, orbit_rows, table_csv_lines)
+                               fbct_rows, fbct_spectrum, orbit_rows, table_csv_lines)
 from oracles import brute_fbct, ddt_entry, fbct_entry
 
 
@@ -38,7 +38,7 @@ CASES = [
 def test_rows_match_definition(p, n, fn):
     f = make_field(p, n)
     F = parse_function(f, fn)
-    block = fbct_row_counts(F, range(f.q))
+    block = dict(fbct_rows(F, range(f.q)))
     for a in range(f.q):
         drow = ddt_row_counts(F, a)
         frow = fbct_row_counts(F, a)
@@ -55,7 +55,7 @@ def test_random_table_function_rows_match_definition():
     for p, n in [(2, 3), (5, 1)]:
         f = make_field(p, n)
         F = TableFunction(f, [int(v) for v in rng.randint(0, f.q, f.q)])
-        block = fbct_row_counts(F, range(f.q))
+        block = dict(fbct_rows(F, range(f.q)))
         for a in range(f.q):
             drow = ddt_row_counts(F, a)
             frow = fbct_row_counts(F, a)
@@ -112,7 +112,7 @@ def test_fbct_rows_equal_the_dense_scan(monkeypatch, p, n, build, rows, kernel):
     F = build(make_field(p, n))
     want = _dense_oracle(F, rows)
     ran = _count_kernel_rows(monkeypatch)
-    got = fbct_row_counts(F, rows)
+    got = spectra._fbct_block(F, list(rows))
     assert np.array_equal(got, want)
     assert ran == {"pairs": len(rows) if kernel == "pairs" else 0,
                    "dense": len(rows) if kernel == "dense" else 0}
@@ -168,10 +168,10 @@ def test_one_block_mixes_both_kernels(monkeypatch):
     perm = np.random.RandomState(4).permutation(f.q)[:256]
     F = TableFunction(f, [int(v) for v in perm] + [0] * 256)
     rows = range(1, f.q)
-    assert len(rows) <= spectra._block_rows(f.q)
+    assert len(rows) <= spectra._BLOCK_CELLS // f.q
     want = _dense_oracle(F, rows)
     ran = _count_kernel_rows(monkeypatch)
-    assert np.array_equal(fbct_row_counts(F, rows), want)
+    assert np.array_equal(spectra._fbct_block(F, list(rows)), want)
     assert ran == {"pairs": 256, "dense": 255}
 
 
@@ -186,7 +186,7 @@ def test_odd_extension_rows_between_the_two_costs_stay_dense(monkeypatch):
     assert ((band > spectra._PAIR_COST) & (band < spectra._PAIR_COST_ODD)).all()
     want = _dense_oracle(F, rows)
     ran = _count_kernel_rows(monkeypatch)
-    got = fbct_row_counts(F, rows)
+    got = spectra._fbct_block(F, list(rows))
     assert ran == {"pairs": 0, "dense": len(rows)}
     assert np.array_equal(got, want)
     for r, b in zip(range(0, 40, 7), (0, 1, 5, 300, 728, 404)):
@@ -305,6 +305,15 @@ def test_power_map_rows_are_row_one_at_b_over_a():
             row = fbct_row_counts(F, a)
             assert (row1[f.vmul(X, f.vinv(a))] == row).all(), a
             assert (table[a] == row).all(), a
+
+
+@pytest.mark.parametrize("cells", [1, 48])
+def test_kept_table_fills_across_blocks(monkeypatch, cells):
+    """Blocks of one and of three rows (q = 16) fill the kept table row by row."""
+    F = _random_table(make_field(2, 4), 8)
+    want = np.stack([fbct_row_counts(F, a) for a in range(16)])
+    monkeypatch.setattr(spectra, "_BLOCK_CELLS", cells)
+    assert np.array_equal(fbct_spectrum(F, keep_table=True).table, want)
 
 
 def _gamma_trace_inverses(f):
@@ -437,7 +446,7 @@ def test_one_kernel_block_is_the_kernels_own_array(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(spectra, "_fbct_pairs", kernel)
-    assert fbct_row_counts(Monomial(f, 3), range(1, f.q)) is made[0]
+    assert spectra._fbct_block(Monomial(f, 3), list(range(1, f.q))) is made[0]
 
 
 def test_classify_flags():
@@ -491,14 +500,14 @@ def test_invariant_checks_survive_python_O():
 
         if not sys.flags.optimize:
             raise SystemExit("expected python -O")
-        real_rows, real_ddt = spectra.fbct_row_counts, spectra.ddt_row_counts
+        real_block, real_ddt = spectra._fbct_block, spectra.ddt_row_counts
 
-        def corrupt_rows(F, a):
-            rows = real_rows(F, a)
-            rows[..., 0] -= 1
+        def corrupt_block(F, codes):
+            rows = real_block(F, codes)
+            rows[:, 0] -= 1
             return rows
 
-        spectra.fbct_row_counts = corrupt_rows
+        spectra._fbct_block = corrupt_block
         spectra.ddt_row_counts = lambda F, a: real_ddt(F, a) + 1
         def report(run):
             try:
@@ -525,8 +534,8 @@ def test_invariant_checks_survive_python_O():
         spectra._fbct_pairs = gain_one(spectra._fbct_pairs)
         spectra._fbct_dense = gain_one(spectra._fbct_dense)
         f6 = make_field(2, 6)
-        for run in (lambda: real_rows(Monomial(f6, 3), 1),
-                    lambda: real_rows(TableFunction(f6, [5] * 64), 1)):
+        for run in (lambda: real_block(Monomial(f6, 3), [1]),
+                    lambda: real_block(TableFunction(f6, [5] * 64), [1])):
             report(run)
     """)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
