@@ -532,11 +532,8 @@ def _run_T2(theorem_id: str, field: Field, setting: dict, kw: dict):
     notes += [f"{_NONTRIVIAL} {withmax}",
               "per-cell branch conditions are not machine-checkable; "
               "value-set and maximum checked instead"]
-    first = None
-    if withmax != max(allowed):
-        first = {"a": "maximum over ab != 0", "b": "",
-                 "predicted": max(allowed), "observed": withmax}
-    return setting, (q - 1) * (q - 1), first, notes
+    expect = _maximum("maximum over ab != 0", lambda s: max(allowed))
+    return setting, (q - 1) * (q - 1), expect(F, setting, withmax, None, notes), notes
 
 
 def _run_vb(theorem_id: str, field: Field, setting: dict, kw: dict):
@@ -575,19 +572,25 @@ _T7_VALUES = frozenset({0, 4, 8})
 
 def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
     """Every admissible (t, gamma), or the given ones: nontrivial values in
-    {0, 4, 8}."""
-    q, t, gamma = field.q, kw["t"], kw["gamma"]
+    {0, 4, 8}, one function per class.  Tr(x^(2^(n-t)+1)) = Tr(x^(2^t+1)) and
+    F_{t,g^2}(x^2) = F_{t,g}(x)^2, so an enumerated t > n - t, or gamma with a
+    smaller conjugate, repeats an earlier pair's value set; its cells count."""
+    q, n, t, gamma = field.q, field.n, kw["t"], kw["gamma"]
     params = {} if t is None else {"t": t}
     if gamma is not None:
         g = field.element(gamma)
         pairs = [(t, g.code)]
         params["gamma"] = g.text
     else:
-        pairs = [(tt, g) for tt in ([t] if t is not None else range(1, field.n))
+        pairs = [(tt, g) for tt in ([t] if t is not None else range(1, n))
                  for g in _admissible_gammas(field, tt)]
     cells = 0
     observed = set()
     for tt, g in pairs:
+        if gamma is None and ((t is None and tt > n - tt)
+                              or min(field.vpow(g, 2 ** i) for i in range(n)) < g):
+            cells += (q - 1) * (q - 1)
+            continue
         try:
             F = GammaTraceInverse(field, tt, field.from_code(g))
         except FunctionError as exc:

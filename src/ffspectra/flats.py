@@ -9,7 +9,6 @@ k-th derivative D_e1...D_ekF(u), for a basis e1..ek of E.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -156,39 +155,39 @@ class SumFreeReport:
     violating_flat: Optional[tuple]  # sorted element codes of a bad coset
 
 
-@functools.cache
-def _coset_reps(n: int, pivot_mask: int) -> np.ndarray:
-    """Codes with no pivot bit, one per coset: by bit count, then combinations order."""
-    free = [1 << c for c in range(n) if not (pivot_mask >> c) & 1]
-    reps = np.array([sum(bits) for r in range(len(free) + 1)
-                     for bits in itertools.combinations(free, r)], dtype=np.int64)
-    reps.flags.writeable = False  # one array serves every caller of the cache
-    return reps
-
-
 def is_kth_sum_free(F: FunctionUnderTest, k: int) -> SumFreeReport:
-    """True when the F-image of every k-dimensional affine subspace sums to a
-    nonzero value; returns the first violating coset otherwise, directions
-    in `echelon_bases` order and cosets in `_coset_reps` order."""
+    """True when the F-image of every k-dim affine subspace sums to nonzero,
+    else the first violating coset.  G = D_e1...D_ekF is constant on each coset
+    u + E, so E violates when G has a zero.  Bases sharing e1..e(k-1) take them
+    once, their ek max(1, _PAIR_KEYS // q) to a gather; the first violating E
+    names its zero with no pivot bit least by (bit count, ascending bits)."""
     f = F.field
     if not f.char2:
         raise FieldError("sum-freedom is defined in characteristic 2 only")
     n = f.n
     if not 2 <= k <= n:
         raise ValueError(f"k={k} out of range 2..{n}")
-    FT = F.table()
     X = np.arange(f.q, dtype=np.int64)
-    for basis in echelon_bases(n, k):
-        G = FT
-        for e in basis:
-            G = G ^ G[X ^ e]
-        reps = _coset_reps(n, sum(1 << (v.bit_length() - 1) for v in basis))
-        zero = np.flatnonzero(G[reps] == 0)
-        if zero.size:
-            flat = reps[zero[:1]]
-            for e in basis:
-                flat = np.union1d(flat, flat ^ e)
-            return SumFreeReport(k=k, is_sum_free=False, violating_flat=tuple(flat.tolist()))
+    step = max(1, _PAIR_KEYS // f.q)
+    for head, group in itertools.groupby(echelon_bases(n, k), key=lambda b: b[:-1]):
+        H = F.table()
+        for e in head:
+            H = H ^ H[X ^ e]
+        while last := [b[-1] for b in itertools.islice(group, step)]:
+            G = H ^ H[X ^ np.array(last)[:, None]]
+            if not G.all():
+                i = int(np.argmin(G.all(axis=1)))
+                basis = head + [last[i]]
+                pivots = sum(1 << (v.bit_length() - 1) for v in basis)
+                zeros = np.flatnonzero(G[i] == 0).tolist()
+                # one zero per coset has no pivot bit; least by bit count, then
+                # ascending bits, which is the largest bit-reversed code
+                least = min((u for u in zeros if not u & pivots),
+                            key=lambda u: (u.bit_count(), -int(f"{u:0{n}b}"[::-1], 2)))
+                flat = np.array([least])
+                for e in basis:
+                    flat = np.concatenate([flat, flat ^ e])
+                return SumFreeReport(k=k, is_sum_free=False, violating_flat=tuple(np.sort(flat).tolist()))
     return SumFreeReport(k=k, is_sum_free=True, violating_flat=None)
 
 

@@ -293,7 +293,7 @@ class SpectrumReport:
             "trivial_cells": int(self.trivial_cells),
         }
         if self.table is not None:
-            obj["full_table"] = [[int(x) for x in row] for row in self.table]
+            obj["full_table"] = self.table.tolist()
         return obj
 
 
@@ -423,8 +423,6 @@ def classify(F: FunctionUnderTest) -> Classification:
 def table_csv_lines(table: np.ndarray) -> list:
     """Full q x q table as "a,b,value" rows, a-major, codes as integers."""
     lines = ["a,b,value"]
-    q = table.shape[0]
-    for a in range(q):
-        row = table[a]
-        lines.extend(f"{a},{b},{int(row[b])}" for b in range(q))
+    for a, row in enumerate(table):
+        lines.extend(f"{a},{b},{v}" for b, v in enumerate(row.tolist()))
     return lines

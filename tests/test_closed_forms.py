@@ -365,6 +365,101 @@ def test_gamma_trace_failure_in_row_one_counts_its_column(monkeypatch):
     assert v.cells_checked == 6
 
 
+def test_t7_mirror_t_and_conjugate_gamma_give_one_value_set():
+    """Tr(x^(2^(n-t)+1)) = Tr(x^(2^t+1)), so t and n - t admit the same gamma
+    with the same function; and F_{t,g^2}(x^2) = F_{t,g}(x)^2."""
+    for n in range(3, 10):
+        f = make_field(2, n)
+        sq = f.vpow(np.arange(f.q, dtype=np.int64), 2)
+        for t in range(1, n):
+            gs = _admissible_gammas(f, t)
+            assert gs == _admissible_gammas(f, n - t), (n, t)
+            for g in gs:
+                F = GammaTraceInverse(f, t, f.from_code(g)).table()
+                assert np.array_equal(
+                    F, GammaTraceInverse(f, n - t, f.from_code(g)).table()), (n, t, g)
+                G = GammaTraceInverse(f, t, f.from_code(int(sq[g]))).table()
+                assert np.array_equal(G[sq], sq[F]), (n, t, g)
+
+
+def _t7_every_pair(n, t=None):
+    """T7's (status, cells, first mismatch) by a spectrum of every admissible
+    pair in (t, gamma) order, with no class skipped."""
+    f = make_field(2, n)
+    q = f.q
+    cells = 0
+    for tt in [t] if t is not None else range(1, n):
+        for g in _admissible_gammas(f, tt):
+            F = closed_forms.GammaTraceInverse(f, tt, f.from_code(g))
+            if not {v for v, _ in fbct_spectrum(F).histogram} <= closed_forms._T7_VALUES:
+                row_major, first = _first_outside(F, closed_forms._T7_VALUES)
+                first.update(t=tt, gamma=f.from_code(g).text)
+                return "failed", cells + row_major, first
+            cells += (q - 1) * (q - 1)
+    return "passed", cells, None
+
+
+def _t7_spy(monkeypatch, broken=()):
+    """Record the (t, gamma code) of each T7 function built, and build the
+    linear x^2 (every cell q) for the pairs in ``broken``."""
+    real, built = closed_forms.GammaTraceInverse, []
+
+    def make(field, t, gamma):
+        built.append((t, gamma.code))
+        return Monomial(field, 2) if (t, gamma.code) in broken else real(field, t, gamma)
+
+    monkeypatch.setattr(closed_forms, "GammaTraceInverse", make)
+    return built
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_t7_checks_one_function_per_class(n, monkeypatch):
+    """Each (min(t, n - t), least conjugate of gamma) class is built once,
+    at its least pair."""
+    f = make_field(2, n)
+    built = _t7_spy(monkeypatch)
+    assert verify("T7", n=n).passed
+    least = {}
+    for t in range(1, n):
+        for g in _admissible_gammas(f, t):
+            key = (min(t, n - t), min(f.pow_code(g, 2 ** i) for i in range(n)))
+            least.setdefault(key, (t, g))
+    assert built == sorted(least.values())
+
+
+def test_t7_given_gamma_is_checked_whatever_its_class(monkeypatch):
+    """A given (t, gamma) is built and checked, though t > n - t and gamma
+    has the smaller conjugate 12 on GF(2^8)."""
+    f = make_field(2, 8)
+    assert min(f.pow_code(80, 2 ** i) for i in range(8)) == 12
+    built = _t7_spy(monkeypatch)
+    v = verify("T7", n=8, t=6, gamma=f.from_code(80))
+    assert built == [(6, 80)] and v.passed and v.cells_checked == 255 ** 2
+    assert "observed nontrivial values: [0, 4, 8]" in v.notes
+
+
+@pytest.mark.parametrize("n, values", [(6, {0, 8}), (8, {0, 4})])
+def test_t7_forced_failure_equals_every_pair_walk(n, values, monkeypatch):
+    monkeypatch.setattr(closed_forms, "_T7_VALUES", frozenset(values))
+    v = verify("T7", n=n)
+    assert (v.status, v.cells_checked, v.first_mismatch) == _t7_every_pair(n)
+    assert v.status == "failed"
+
+
+@pytest.mark.parametrize("n, t0, g0, t", [(6, 2, 1, None), (8, 2, 12, None),
+                                         (8, 6, 12, 6), (8, 1, 188, None)])
+def test_t7_late_class_failure_equals_every_pair_walk(n, t0, g0, t, monkeypatch):
+    """A class that fails as a whole (its mirror t and every conjugate gamma
+    give x^2) is met first at its least pair, whatever pairs come before."""
+    f = make_field(2, n)
+    conj = {f.pow_code(g0, 2 ** i) for i in range(n)}
+    _t7_spy(monkeypatch, broken={(tt, g) for tt in (t0, n - t0) for g in conj})
+    v = verify("T7", n=n, t=t)
+    want = _t7_every_pair(n, t)
+    assert (v.status, v.cells_checked, v.first_mismatch) == want
+    assert want[0] == "failed" and want[1] > (f.q - 1) ** 2, want
+
+
 def test_power_family_edge_exponent():
     v = verify("THMT", n=4, t=1)
     assert v.passed and v.cells_checked == 225

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from ffspectra import flats
+from ffspectra import flats, spectra
 from ffspectra.closed_forms import verify
 from ffspectra.field import FieldError, make_field
 from ffspectra.flats import (check_prop_identity, count_two_flats,
@@ -249,13 +249,17 @@ def brute_sum_free(F, k):
 
 
 def ordered_coset_scan(F, k):
-    """(first violating flat or None, cosets visited): one reduce per coset,
-    directions in `echelon_bases` order, cosets by free-bit sums of rising
-    bit count in `itertools.combinations` order."""
+    """(first violating flat or None, cosets visited, place of its direction
+    among the consecutive bases sharing all but the last vector): one reduce
+    per coset, directions in `echelon_bases` order, cosets by free-bit sums of
+    rising bit count in `itertools.combinations` order."""
     n = F.field.n
     FT = F.table()
-    visited = 0
+    visited = place = 0
+    head = None
     for basis in echelon_bases(n, k):
+        place = place + 1 if basis[:-1] == head else 0
+        head = basis[:-1]
         span = np.zeros(1, dtype=np.int64)
         for v in basis:
             span = np.concatenate([span, span ^ v])
@@ -266,32 +270,57 @@ def ordered_coset_scan(F, k):
                 visited += 1
                 coset = span ^ sum(bits)
                 if int(np.bitwise_xor.reduce(FT[coset])) == 0:
-                    return tuple(sorted(int(x) for x in coset)), visited
-    return None, visited
+                    return tuple(sorted(int(x) for x in coset)), visited, place
+    return None, visited, None
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_first_violating_flat_matches_ordered_scan(n):
+def test_first_violating_flat_matches_ordered_scan(n, monkeypatch):
+    """Same verdict and flat with one direction to a gather, with parts of
+    three directions (the last part of a group short), and by default."""
     f = make_field(2, n)
     late = free = 0
+    places = set()
     for F in _oracle_functions(f):
         for k in range(2, n + 1):
-            flat, visited = ordered_coset_scan(F, k)
-            rep = is_kth_sum_free(F, k)
-            assert (rep.is_sum_free, rep.violating_flat) == (flat is None, flat), \
-                (F.text(), k)
+            flat, visited, place = ordered_coset_scan(F, k)
+            for keys in (f.q, 3 * f.q, spectra._PAIR_KEYS):
+                monkeypatch.setattr(flats, "_PAIR_KEYS", keys)
+                rep = is_kth_sum_free(F, k)
+                assert (rep.is_sum_free, rep.violating_flat) == (flat is None, flat), \
+                    (F.text(), k, keys)
             free += flat is None
             late += flat is not None and visited > 2 ** (n - k)
+            places.add(place)
     # sum-free verdicts, and violations past the first direction's cosets
     # (GF(4) is a single 2-flat)
     assert free and (late or n == 2), (free, late)
+    # violations past the first direction of a group (n = 4), and past the
+    # group's first part of three (n >= 5)
+    places.discard(None)
+    assert n < 4 or max(places) >= (1 if n == 4 else 3), places
+
+
+def test_first_violating_flat_is_named_by_bit_count_then_ascending_bits():
+    """On GF(2^6), k = 2, a seeded table made to vanish on the cosets 6 + E,
+    7 + E and 9 + E of E = <32, 23>: its twelfth direction, whose eleven
+    predecessors do not vanish.  The flat named is 9 + E: 6 = {1, 2} is
+    numerically less than 9 = {0, 3}, and 7 + E holds the one-bit code 16,
+    which has a pivot bit."""
+    T = np.random.RandomState(18).randint(0, 64, 64)
+    for u in (6, 7, 9):
+        T[u ^ 55] = T[u] ^ T[u ^ 32] ^ T[u ^ 23]
+    F = TableFunction(make_field(2, 6), [int(v) for v in T])
+    assert list(echelon_bases(6, 2))[11] == [32, 23]
+    assert ordered_coset_scan(F, 2) == ((9, 30, 41, 62), 11 * 16 + 8, 11)
+    assert is_kth_sum_free(F, 2).violating_flat == (9, 30, 41, 62)
 
 
 @pytest.mark.parametrize("d, k", [(7, 3), (3, 2), (126, 5), (-1, 2), (-1, 4)])
 def test_first_violating_flat_matches_ordered_scan_n7(d, k):
     f = make_field(2, 7)
     F = _oracle_functions(f)[-1] if d < 0 else Monomial(f, d)
-    flat, _ = ordered_coset_scan(F, k)
+    flat, _, _ = ordered_coset_scan(F, k)
     rep = is_kth_sum_free(F, k)
     assert (rep.is_sum_free, rep.violating_flat) == (flat is None, flat)
 
