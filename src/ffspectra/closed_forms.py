@@ -574,7 +574,8 @@ def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
     """Every admissible (t, gamma), or the given ones: nontrivial values in
     {0, 4, 8}, one function per class.  Tr(x^(2^(n-t)+1)) = Tr(x^(2^t+1)) and
     F_{t,g^2}(x^2) = F_{t,g}(x)^2, so an enumerated t > n - t, or gamma with a
-    smaller conjugate, repeats an earlier pair's value set; its cells count."""
+    smaller conjugate, repeats an earlier pair's value set; its cells count.
+    At t = n/2, Tr(x^(2^t+1)) = 0, so every gamma there gives x^(q-2)."""
     q, n, t, gamma = field.q, field.n, kw["t"], kw["gamma"]
     params = {} if t is None else {"t": t}
     if gamma is not None:
@@ -584,13 +585,13 @@ def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
     else:
         pairs = [(tt, g) for tt in ([t] if t is not None else range(1, n))
                  for g in _admissible_gammas(field, tt)]
-    cells = 0
-    observed = set()
+    cells, observed, half = 0, set(), False
     for tt, g in pairs:
-        if gamma is None and ((t is None and tt > n - tt)
+        if gamma is None and ((t is None and tt > n - tt) or (2 * tt == n and half)
                               or min(field.vpow(g, 2 ** i) for i in range(n)) < g):
             cells += (q - 1) * (q - 1)
             continue
+        half = half or 2 * tt == n
         try:
             F = GammaTraceInverse(field, tt, field.from_code(g))
         except FunctionError as exc:

@@ -28,7 +28,7 @@ _BLOCK_CELLS = 1 << 20
 _PAIR_KEYS = 1 << 16
 _PAIR_COST = 32        # characteristic 2 and prime fields
 _PAIR_COST_ODD = 108   # GF(p^n), p odd, n >= 2: each pair's y - x is a digit-wise vsub
-_KEEP_TABLE_LIMIT = 1 << 12  # a kept table is q^2 int64 cells: 128 MiB at the limit
+_KEEP_TABLE_LIMIT = 1 << 12  # a kept table is q^2 cells of 2 bytes: 32 MiB at the limit
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +120,8 @@ def orbit_rows(F: FunctionUnderTest) -> list:
 
 
 def _derivs(F: FunctionUnderTest, codes) -> np.ndarray:
-    """The (q, R) int32 array whose column r is d_a for a = codes[r]."""
-    D = np.empty((F.field.q, len(codes)), dtype=np.int32)
+    """The (q, R) array of codes whose column r is d_a for a = codes[r]."""
+    D = np.empty((F.field.q, len(codes)), dtype=np.min_scalar_type(F.field.q - 1))
     for r, c in enumerate(codes):
         D[:, r] = deriv_row(F, c)
     return D
@@ -141,20 +141,20 @@ def _fbct_dense(f: Field, D: np.ndarray) -> np.ndarray:
     the narrowest unsigned dtype (one byte for up to 256 values), which keeps
     every equality.  The comparison goes into one reused mask whose rows
     form equal runs of at most 255 (padded with zero rows): a uint8 column
-    sum over a run cannot wrap, and one int64 sum over the runs gives the count."""
+    sum over a run cannot wrap, and one sum over the runs gives the count."""
     q, R = D.shape
     used = np.zeros(q, dtype=bool)
     used[D] = True
     rank = np.cumsum(used) - 1
     E = rank.astype(np.min_scalar_type(rank[-1]))[D]
-    X = np.arange(q, dtype=np.int64)
+    X = np.arange(q, dtype=D.dtype)
     n_runs = -(-q // 255)
     eq = np.zeros((-(-q // n_runs) * n_runs, R), dtype=bool)
     runs = eq.view(np.uint8).reshape(n_runs, -1, R)
-    counts = np.empty((R, q), dtype=np.int64)
+    counts = np.empty((R, q), dtype=np.min_scalar_type(q))
     for b in range(q):
         np.equal(E[f.vadd(X, b)], E, out=eq[:q])
-        counts[:, b] = runs.sum(axis=1, dtype=np.uint8).sum(axis=0, dtype=np.int64)
+        counts[:, b] = runs.sum(axis=1, dtype=np.uint8).sum(axis=0, dtype=counts.dtype)
     return counts
 
 
@@ -162,16 +162,19 @@ def _equal_pairs(keys: np.ndarray, bound: int):
     """Yield (i, j) for offsets k = 1, 2, ... in the stable sort of ``keys``
     (each below ``bound``): the index pairs i < j of equal keys k apart in
     sorted order, ending with an empty i.  Only the positions still equal at
-    offset k can be equal at k + 1."""
+    offset k can be equal at k + 1.  Keys and indices take one dtype, the
+    narrowest unsigned one that holds both."""
     # below 2^16 the keys fit uint16, which numpy's stable sort radix-sorts
-    order = np.argsort(keys.astype(np.min_scalar_type(bound - 1)), kind="stable")
+    keys = keys.astype(np.min_scalar_type(max(bound, keys.size) - 1), copy=False)
+    order = np.argsort(keys, kind="stable").astype(keys.dtype)
     sk = keys[order]
-    i, k = np.arange(sk.size), 1
+    i, k = np.flatnonzero(sk[1:] == sk[:-1]).astype(keys.dtype), 1
+    yield order[i], order[i + k]
     while i.size:
+        k += 1
         i = i[:np.searchsorted(i, sk.size - k)]
         i = i[sk[i + k] == sk[i]]
         yield order[i], order[i + k]
-        k += 1
 
 
 def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
@@ -181,30 +184,30 @@ def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
 
     Up to _PAIR_KEYS keys r*q + d_a(x), at index r*q + x, are walked at once
     with `_equal_pairs`.  Each equal pair (x, y), x < y, adds one to
-    H(y - x); the pairs in the other order give H(x - y), and x = y gives q
-    at b = 0.  Pending differences are bincounted once
-    max(_PAIR_KEYS, q) of them have piled up, so a sub-block holds
-    O(max(_PAIR_KEYS, q)) memory whatever its pair count.
+    H(y - x); the pairs in the other order give H(x - y) (H itself in
+    characteristic 2), and x = y gives q at b = 0.  Pending differences are
+    bincounted once max(_PAIR_KEYS, q) of them have piled up, so a sub-block
+    holds O(max(_PAIR_KEYS, q)) memory whatever its pair count.
     """
     q, R = D.shape
-    counts = np.empty((R, q), dtype=np.int64)
-    neg = f.vneg(np.arange(q, dtype=np.int64))
+    counts = np.empty((R, q), dtype=np.min_scalar_type(q))
     step = max(1, _PAIR_KEYS // q)
     cap = max(_PAIR_KEYS, q)
     for s in range(0, R, step):
         m = min(step, R - s)
-        keys = (D[:, s:s + m].T + np.arange(0, m * q, q, dtype=np.int64)[:, None]).ravel()
-        hist = np.zeros(m * q, dtype=np.int64)
+        keys = np.ascontiguousarray(D[:, s:s + m].T, dtype=np.min_scalar_type(m * q - 1))
+        if m > 1:  # offset row r by r*q; keys is then a copy, never D itself
+            keys += np.arange(0, m * q, q, dtype=keys.dtype)[:, None]
+        hist = np.zeros((m, q), dtype=np.int64)
         pending, npend = [], 0
-        for i, j in _equal_pairs(keys, m * q):
-            rowq = i - i % q  # j is in i's row
+        for i, j in _equal_pairs(keys.ravel(), m * q):
+            rowq = i - i % q if m > 1 else 0  # j is in i's row
             pending.append(rowq + f.vsub(j - rowq, i - rowq))
             npend += i.size
             if npend >= cap or not i.size:
-                hist += np.bincount(np.concatenate(pending), minlength=m * q)
+                hist += np.bincount(np.concatenate(pending), minlength=m * q).reshape(m, q)
                 pending, npend = [], 0
-        hist = hist.reshape(m, q)
-        counts[s:s + m] = hist + hist[:, neg]
+        counts[s:s + m] = hist + (hist if f.char2 else hist[:, f.vneg(np.arange(q))])
         counts[s:s + m, 0] += q
     return counts
 
@@ -217,7 +220,7 @@ def _fbct_block(F: FunctionUnderTest, codes: list) -> np.ndarray:
     cost of a pair over that of a one-byte dense cell, _PAIR_COST_ODD on odd
     extension fields and _PAIR_COST on the others (README, "FBCT row
     kernels").  A block counted by one kernel is that kernel's own array,
-    not a copy.
+    not a copy.  Rows are np.min_scalar_type(q), which holds the trivial q.
     """
     f = F.field
     q = f.q
@@ -230,10 +233,10 @@ def _fbct_block(F: FunctionUnderTest, codes: list) -> np.ndarray:
     elif not by_pairs.any():
         counts = _fbct_dense(f, D)
     else:
-        counts = np.empty((len(codes), q), dtype=np.int64)
+        counts = np.empty((len(codes), q), dtype=np.min_scalar_type(q))
         counts[by_pairs] = _fbct_pairs(f, D[:, by_pairs])
         counts[~by_pairs] = _fbct_dense(f, D[:, ~by_pairs])
-    bad = np.nonzero(counts.sum(axis=1) != mass)[0]
+    bad = np.nonzero(counts.sum(axis=1, dtype=np.int64) != mass)[0]
     if bad.size:
         r = bad[0]
         raise InvariantError(f"FBCT row a={codes[r]} sums to {counts[r].sum()}, "
@@ -322,12 +325,20 @@ def _check_keep_table(f: Field, keep_table: bool) -> None:
                          f"q <= {_KEEP_TABLE_LIMIT}, got q={f.q}")
 
 
+def _kept_table(q: int, rows) -> np.ndarray:
+    """The q x q table of the (a, row a) pairs, in the narrowest dtype that holds q."""
+    table = np.empty((q, q), dtype=np.min_scalar_type(q))
+    for a, row in rows:
+        table[a] = row
+    return table
+
+
 def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumReport:
     """Histogram over `orbit_rows`; a kept table gives the representatives' rows."""
     f = F.field
     q = f.q
     _check_keep_table(f, keep_table)
-    table = np.stack([ddt_row_counts(F, a) for a in range(q)]) if keep_table else None
+    table = _kept_table(q, ((a, ddt_row_counts(F, a)) for a in range(q))) if keep_table else None
     orbits = orbit_rows(F)
     reps = [a for a, _ in orbits]
     rows = table[reps] if keep_table else (ddt_row_counts(F, a) for a in reps)
@@ -352,11 +363,7 @@ def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumRep
     f = F.field
     q = f.q
     _check_keep_table(f, keep_table)
-    table = None
-    if keep_table:
-        table = np.empty((q, q), dtype=np.int64)
-        for a, row in fbct_rows(F, range(q)):
-            table[a] = row
+    table = _kept_table(q, fbct_rows(F, range(q))) if keep_table else None
     orbits = orbit_rows(F)
     reps = [a for a, _ in orbits]
     rows = zip(reps, table[reps]) if keep_table else fbct_rows(F, reps)

@@ -23,6 +23,22 @@ def fbct_entry(F: FunctionUnderTest, a, b) -> int:
     return int(np.count_nonzero(d[f.vadd(np.arange(f.q, dtype=np.int64), b)] == d))
 
 
+def level_pair_row(F: FunctionUnderTest, a) -> np.ndarray:
+    """FBCT row a as the int64 histogram of y - x over the ordered pairs
+    (x, y) of each level set {x : d_a(x) = v}, the sets taken by size."""
+    f = F.field
+    d = deriv_row(F, f.element(a).code)
+    order = np.argsort(d, kind="stable")
+    starts = np.flatnonzero(np.r_[True, d[order][1:] != d[order][:-1]])
+    sizes = np.diff(np.r_[starts, f.q])
+    row = np.zeros(f.q, dtype=np.int64)
+    for g in np.unique(sizes).tolist():
+        sets = order[starts[sizes == g][:, None] + np.arange(g)]
+        x, y = np.repeat(sets, g, axis=1).ravel(), np.tile(sets, (1, g)).ravel()
+        row += np.bincount(f.vsub(y, x), minlength=f.q)
+    return row
+
+
 def brute_fbct(F, a, b):
     f = F.field
     hits = 0

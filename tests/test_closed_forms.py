@@ -415,16 +415,18 @@ def _t7_spy(monkeypatch, broken=()):
 @pytest.mark.parametrize("n", [6, 8])
 def test_t7_checks_one_function_per_class(n, monkeypatch):
     """Each (min(t, n - t), least conjugate of gamma) class is built once,
-    at its least pair."""
+    at its least pair; at t = n/2 every gamma gives x^(-1), so all of them
+    are one class."""
     f = make_field(2, n)
     built = _t7_spy(monkeypatch)
     assert verify("T7", n=n).passed
     least = {}
     for t in range(1, n):
         for g in _admissible_gammas(f, t):
-            key = (min(t, n - t), min(f.pow_code(g, 2 ** i) for i in range(n)))
-            least.setdefault(key, (t, g))
+            conj = 0 if 2 * t == n else min(f.pow_code(g, 2 ** i) for i in range(n))
+            least.setdefault((min(t, n - t), conj), (t, g))
     assert built == sorted(least.values())
+    assert [g for t, g in built if 2 * t == n] == [1]
 
 
 def test_t7_given_gamma_is_checked_whatever_its_class(monkeypatch):
@@ -444,6 +446,25 @@ def test_t7_forced_failure_equals_every_pair_walk(n, values, monkeypatch):
     v = verify("T7", n=n)
     assert (v.status, v.cells_checked, v.first_mismatch) == _t7_every_pair(n)
     assert v.status == "failed"
+
+
+@pytest.mark.parametrize("n, t", [(6, 3), (8, 4), (8, None)])
+def test_t7_half_n_takes_one_spectrum_and_the_every_pair_verdict(n, t, monkeypatch):
+    """At t = n/2 one spectrum, of the least admissible gamma, stands for
+    every gamma: a value set that x^(-1) breaks fails there with the verdict
+    and cells of the every-pair walk, and a pass counts every pair's cells."""
+    f = make_field(2, n)
+    half = _admissible_gammas(f, n // 2)
+    built = _t7_spy(monkeypatch)
+    v = verify("T7", n=n, t=t)
+    assert v.passed and [g for tt, g in built if 2 * tt == n] == [half[0]]
+    if t is not None:
+        assert v.cells_checked == len(half) * (f.q - 1) ** 2
+    values = {v for v, _ in fbct_spectrum(Monomial(f, f.q - 2)).histogram}
+    monkeypatch.setattr(closed_forms, "_T7_VALUES", frozenset(values - {max(values)}))
+    v = verify("T7", n=n, t=n // 2)
+    assert (v.status, v.cells_checked, v.first_mismatch) == _t7_every_pair(n, n // 2)
+    assert v.status == "failed" and v.first_mismatch["gamma"] == f.from_code(half[0]).text
 
 
 @pytest.mark.parametrize("n, t0, g0, t", [(6, 2, 1, None), (8, 2, 12, None),

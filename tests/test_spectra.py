@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ffspectra.functions import (FunctionError, GammaTraceInverse,
 from ffspectra.spectra import (classify, ddt_row_counts, ddt_spectrum,
                                differential_uniformity, fbct_row_counts,
                                fbct_rows, fbct_spectrum, orbit_rows, table_csv_lines)
-from oracles import brute_fbct, ddt_entry, fbct_entry
+from oracles import brute_fbct, ddt_entry, fbct_entry, level_pair_row
 
 
 def brute_ddt(F, a, b):
@@ -95,6 +96,12 @@ def _random_permutation(f, seed):
     return TableFunction(f, [int(v) for v in np.random.RandomState(seed).permutation(f.q)])
 
 
+def _half_permutation(f):
+    """A permutation on the half x < q/2 of GF(2^n), zero on the other half."""
+    perm = np.random.RandomState(4).permutation(f.q)[:f.q // 2]
+    return TableFunction(f, [int(v) for v in perm] + [0] * (f.q // 2))
+
+
 PAIR_ORACLE_CASES = [
     # (p, n, function, rows, the kernel every row must take)
     (2, 9, lambda f: Monomial(f, 15), range(1, 512), "pairs"),           # APN
@@ -102,18 +109,27 @@ PAIR_ORACLE_CASES = [
     (3, 6, lambda f: Monomial(f, 5), range(1, 729), "pairs"),
     (11, 3, lambda f: Monomial(f, 887), range(1, 41), "pairs"),         # the T1 map
     (1327, 1, lambda f: _power_table(f, 884), range(1, 9), "dense"),    # one level set of 441
+    # both sides of the row dtype's edge: a row holds q in its trivial
+    # cells, so it is uint8 up to q = 255 and uint16 above
+    (2, 7, lambda f: _random_table(f, 9), range(1, 128), "pairs"),
+    (2, 8, lambda f: _random_table(f, 9), range(1, 256), "pairs"),
+    (3, 5, lambda f: _random_permutation(f, 11), range(1, 243), "pairs"),
+    (257, 1, lambda f: _random_permutation(f, 9), range(1, 257), "pairs"),
 ]
 
 
 @pytest.mark.parametrize("p,n,build,rows,kernel", PAIR_ORACLE_CASES,
                          ids=["x15-GF2^9", "perm-GF2^9", "x5-GF3^6", "T1-GF11^3",
-                              "x884-GF1327"])
+                              "x884-GF1327", "random-GF2^7", "random-GF2^8",
+                              "perm-GF3^5", "perm-GF257"])
 def test_fbct_rows_equal_the_dense_scan(monkeypatch, p, n, build, rows, kernel):
     F = build(make_field(p, n))
     want = _dense_oracle(F, rows)
     ran = _count_kernel_rows(monkeypatch)
     got = spectra._fbct_block(F, list(rows))
     assert np.array_equal(got, want)
+    assert got.dtype == np.min_scalar_type(F.field.q)
+    assert np.array_equal(got[-1], level_pair_row(F, rows[-1]))
     assert ran == {"pairs": len(rows) if kernel == "pairs" else 0,
                    "dense": len(rows) if kernel == "dense" else 0}
     rng = np.random.RandomState(3)
@@ -165,14 +181,76 @@ def test_one_block_mixes_both_kernels(monkeypatch):
     a row a < 256 has the level set of 0 over the whole zero half (dense),
     a row a >= 256 has level sets of size 2 (pairs)."""
     f = make_field(2, 9)
-    perm = np.random.RandomState(4).permutation(f.q)[:256]
-    F = TableFunction(f, [int(v) for v in perm] + [0] * 256)
+    F = _half_permutation(f)
     rows = range(1, f.q)
     assert len(rows) <= spectra._BLOCK_CELLS // f.q
     want = _dense_oracle(F, rows)
     ran = _count_kernel_rows(monkeypatch)
     assert np.array_equal(spectra._fbct_block(F, list(rows)), want)
     assert ran == {"pairs": 256, "dense": 255}
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 16, 7), (3, 10, 5), (3, 11, 5)])
+def test_one_row_above_uint16_holds_its_trivial_cells(p, n, d):
+    """At q = 2^16 a trivial cell holds 65,536, one more than uint16 holds,
+    so the row is uint32 while its codes, keys and pair indices stay uint16;
+    GF(3^10) stays uint16 and GF(3^11) takes uint32 for both."""
+    f = make_field(p, n)
+    F = Monomial(f, d)
+    row = fbct_row_counts(F, 1)
+    assert row.dtype == np.min_scalar_type(f.q)
+    assert spectra._derivs(F, [1]).dtype == np.min_scalar_type(f.q - 1)
+    assert (row[spectra._trivial(f, 1)] == f.q).all()
+    assert np.array_equal(row, level_pair_row(F, 1))
+    for b in (2, 3, 255, f.q // 3, f.q - 1):
+        assert row[b] == fbct_entry(F, 1, b), b
+
+
+@pytest.mark.parametrize("times", [1, 3])
+@pytest.mark.parametrize("p,n,build", [
+    (2, 9, _half_permutation),
+    (3, 5, lambda f: _random_permutation(f, 12)),
+    (257, 1, lambda f: _random_permutation(f, 13)),
+], ids=["half-perm-GF2^9", "perm-GF3^5", "perm-GF257"])
+def test_pair_sub_blocks_of_one_and_of_three_rows(monkeypatch, p, n, build, times):
+    """_PAIR_KEYS patched to q makes each row its own sub-block (no row
+    offsets), and to 3q three rows a sub-block, the last one short; the
+    rows equal the dense scan's, also in a block that mixes both kernels."""
+    f = make_field(p, n)
+    F = build(f)
+    rows = list(range(1, f.q))
+    want = _dense_oracle(F, rows)
+    monkeypatch.setattr(spectra, "_PAIR_KEYS", times * f.q)
+    ran = _count_kernel_rows(monkeypatch)
+    assert np.array_equal(spectra._fbct_block(F, rows), want)
+    assert ran["pairs"] % 3  # the last sub-block of three rows is short
+    assert ran["dense"] == (255 if p == 2 else 0)
+
+
+def test_one_row_on_gf_2_16_is_counted_in_narrow_arrays():
+    """fbct_spectrum of x^7 on GF(2^16), its one orbit known, traces 2.9 MiB
+    at its peak; with rows, codes, sort keys and pair indices in int64 it
+    traced 5.8 MiB."""
+    F = Monomial(make_field(2, 16), 7)
+    F.field.tables()
+    F.table()
+    orbit_rows(F)
+    tracemalloc.start()
+    try:
+        fbct_spectrum(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * 2 ** 20, peak
+
+
+def test_kept_tables_are_held_in_the_row_dtype():
+    for n, dtype in [(7, np.uint8), (8, np.uint16)]:
+        F = _random_table(make_field(2, n), 3)
+        for spectrum, row in ((ddt_spectrum, ddt_row_counts), (fbct_spectrum, fbct_row_counts)):
+            table = spectrum(F, keep_table=True).table
+            assert table.dtype == dtype
+            assert table.tolist() == [row(F, a).tolist() for a in range(F.field.q)]
 
 
 def test_odd_extension_rows_between_the_two_costs_stay_dense(monkeypatch):
