@@ -162,13 +162,12 @@ def _equal_pairs(keys: np.ndarray, bound: int):
     """Yield (i, j) for offsets k = 1, 2, ... in the stable sort of ``keys``
     (each below ``bound``): the index pairs i < j of equal keys k apart in
     sorted order, ending with an empty i.  Only the positions still equal at
-    offset k can be equal at k + 1.  Keys and indices take one dtype, the
-    narrowest unsigned one that holds both."""
-    # below 2^16 the keys fit uint16, which numpy's stable sort radix-sorts
-    keys = keys.astype(np.min_scalar_type(max(bound, keys.size) - 1), copy=False)
-    order = np.argsort(keys, kind="stable").astype(keys.dtype)
+    offset k can be equal at k + 1."""
+    # narrow keys are radix-sorted below 2^16; order and its indices take keys' dtype
+    order = np.argsort(keys.astype(np.min_scalar_type(bound - 1), copy=False),
+                       kind="stable").astype(keys.dtype, copy=False)
     sk = keys[order]
-    i, k = np.flatnonzero(sk[1:] == sk[:-1]).astype(keys.dtype), 1
+    i, k = np.flatnonzero(sk[1:] == sk[:-1]).astype(keys.dtype, copy=False), 1
     yield order[i], order[i + k]
     while i.size:
         k += 1
@@ -183,9 +182,9 @@ def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
     costs s_a pairs instead of q^2 cells.
 
     Up to _PAIR_KEYS keys r*q + d_a(x), at index r*q + x, are walked at once
-    with `_equal_pairs`.  Each equal pair (x, y), x < y, adds one to
-    H(y - x); the pairs in the other order give H(x - y) (H itself in
-    characteristic 2), and x = y gives q at b = 0.  Pending differences are
+    with `_equal_pairs`, in a dtype that also holds q.  Each equal pair
+    (x, y), x < y, adds one to H(y - x); the pairs in the other order give
+    H(x - y), and x = y gives q at b = 0.  Pending differences are
     bincounted once max(_PAIR_KEYS, q) of them have piled up, so a sub-block
     holds O(max(_PAIR_KEYS, q)) memory whatever its pair count.
     """
@@ -195,19 +194,22 @@ def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
     cap = max(_PAIR_KEYS, q)
     for s in range(0, R, step):
         m = min(step, R - s)
-        keys = np.ascontiguousarray(D[:, s:s + m].T, dtype=np.min_scalar_type(m * q - 1))
-        if m > 1:  # offset row r by r*q; keys is then a copy, never D itself
-            keys += np.arange(0, m * q, q, dtype=keys.dtype)[:, None]
+        keys = np.ascontiguousarray(D[:, s:s + m].T, dtype=np.min_scalar_type(max(m * q - 1, q)))
+        keys += np.arange(0, m * q, q, dtype=keys.dtype)[:, None]  # one row: D's own, + 0
         hist = np.zeros((m, q), dtype=np.int64)
         pending, npend = [], 0
         for i, j in _equal_pairs(keys.ravel(), m * q):
-            rowq = i - i % q if m > 1 else 0  # j is in i's row
-            pending.append(rowq + f.vsub(j - rowq, i - rowq))
+            rowq = i - i % q  # j is in i's row; both are the walk's own copies
+            i -= rowq
+            j -= rowq
+            d = f.vsub(j, i)
+            d += rowq
+            pending.append(d)
             npend += i.size
             if npend >= cap or not i.size:
                 hist += np.bincount(np.concatenate(pending), minlength=m * q).reshape(m, q)
                 pending, npend = [], 0
-        counts[s:s + m] = hist + (hist if f.char2 else hist[:, f.vneg(np.arange(q))])
+        counts[s:s + m] = hist + hist[:, f.vneg(np.arange(q))]
         counts[s:s + m, 0] += q
     return counts
 

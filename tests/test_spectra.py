@@ -193,8 +193,9 @@ def test_one_block_mixes_both_kernels(monkeypatch):
 @pytest.mark.parametrize("p,n,d", [(2, 16, 7), (3, 10, 5), (3, 11, 5)])
 def test_one_row_above_uint16_holds_its_trivial_cells(p, n, d):
     """At q = 2^16 a trivial cell holds 65,536, one more than uint16 holds,
-    so the row is uint32 while its codes, keys and pair indices stay uint16;
-    GF(3^10) stays uint16 and GF(3^11) takes uint32 for both."""
+    so the row is uint32 while its codes stay uint16 (its pair keys and
+    indices, which must hold q for the row offset, are uint32); GF(3^10)
+    stays uint16 and GF(3^11) takes uint32 for both."""
     f = make_field(p, n)
     F = Monomial(f, d)
     row = fbct_row_counts(F, 1)
@@ -213,8 +214,8 @@ def test_one_row_above_uint16_holds_its_trivial_cells(p, n, d):
     (257, 1, lambda f: _random_permutation(f, 13)),
 ], ids=["half-perm-GF2^9", "perm-GF3^5", "perm-GF257"])
 def test_pair_sub_blocks_of_one_and_of_three_rows(monkeypatch, p, n, build, times):
-    """_PAIR_KEYS patched to q makes each row its own sub-block (no row
-    offsets), and to 3q three rows a sub-block, the last one short; the
+    """_PAIR_KEYS patched to q makes each row its own sub-block (row
+    offset 0), and to 3q three rows a sub-block, the last one short; the
     rows equal the dense scan's, also in a block that mixes both kernels."""
     f = make_field(p, n)
     F = build(f)
@@ -228,9 +229,10 @@ def test_pair_sub_blocks_of_one_and_of_three_rows(monkeypatch, p, n, build, time
 
 
 def test_one_row_on_gf_2_16_is_counted_in_narrow_arrays():
-    """fbct_spectrum of x^7 on GF(2^16), its one orbit known, traces 2.9 MiB
-    at its peak; with rows, codes, sort keys and pair indices in int64 it
-    traced 5.8 MiB."""
+    """fbct_spectrum of x^7 on GF(2^16), its one orbit known, traces 3.6 MiB
+    at its peak (numpy 2.4); with rows, codes, sort keys and pair indices in
+    int64 it traced 5.8 MiB.  The bound leaves 0.9 MiB for another numpy's
+    temporaries and still fails the int64 layer."""
     F = Monomial(make_field(2, 16), 7)
     F.field.tables()
     F.table()
@@ -241,7 +243,7 @@ def test_one_row_on_gf_2_16_is_counted_in_narrow_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.25 * 2 ** 20, peak
+    assert peak < 4.5 * 2 ** 20, peak
 
 
 def test_kept_tables_are_held_in_the_row_dtype():
