@@ -40,7 +40,7 @@ def _poly_values(field: Field, coeffs_desc) -> np.ndarray:
     for c in coeffs_desc:
         vals = field.vmul(vals, X)
         if c:
-            vals = field.vadd(vals, np.full(field.q, c, dtype=np.int64))
+            vals = field.vadd(vals, c)
     return vals
 
 
@@ -166,14 +166,12 @@ def quartic_quadratic_divisor_scan(a2: FieldElement, a1: FieldElement, a0: Field
     via the explicit remainder coefficients; cross-checks the root-based
     shortcut at small sizes."""
     f = a2.field
-    q = f.q
-    V = np.arange(q, dtype=np.int64)
+    V = np.arange(f.q, dtype=np.int64)
     vsq = f.vmul(V, V)
-    for u in range(q):
+    for u in range(f.q):
         ue = f.from_code(u)
         cx = (ue * ue * ue + a2 * ue + a1).code
-        c0 = f.vadd(f.vadd(vsq, f.vmul(np.full(q, (ue * ue + a2).code, dtype=np.int64), V)),
-                    np.full(q, a0.code, dtype=np.int64))
+        c0 = f.vadd(f.vadd(vsq, f.vmul((ue * ue + a2).code, V)), a0.code)
         if cx == 0 and (c0 == 0).any():
             return True
     return False

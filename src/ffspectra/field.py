@@ -112,7 +112,6 @@ class Field:
         self.char2 = p == 2
         self._mod_code = sum(c << i for i, c in enumerate(self.modulus)) if self.char2 else 0
         self._pows = tuple(p ** i for i in range(n))
-        self._pow_vec = np.array(self._pows, dtype=np.int64)
         self._lock = threading.Lock()
         self._tab = None
 
@@ -268,12 +267,12 @@ class Field:
         """Build (once) and return numpy acceleration tables.
 
         Attributes: exp, log, inv, tr, gen, frob; odd characteristic adds
-        dig (the q x n digit matrix), neg, eta.  All code-indexed.  Each
-        table comes from whole-array passes whose temporaries are a few
-        q-length vectors: exp by doubling (see _powers); log, inv and frob
-        read off exp and log; tr by linearity from its values on the n basis
-        codes (_linear_table); dig and neg one digit column at a time; eta
-        from the parity of log.
+        dig (the n x q digit rows: dig[i][x] is digit i of code x), neg,
+        eta.  All code-indexed.  Each table comes from whole-array passes
+        whose temporaries are a few q-length vectors: exp by doubling (see
+        _powers); log, inv and frob read off exp and log; tr by linearity
+        from its values on the n basis codes (_linear_table); dig and neg one
+        digit row at a time; eta from the parity of log.
         """
         t = self._tab
         if t is not None:
@@ -310,13 +309,14 @@ class Field:
         # t_i = Tr(x^i) (code p^i) is the sum of the n Frobenius images of
         # x^i.  The trace is GF(p)-linear (Lidl-Niederreiter, Thm 2.23), so
         # tr[c*p^i + r] = (c*t_i + tr[r]) mod p for r < p^i.
-        orbit = [self._pow_vec]
+        orbit = [np.array(self._pows)]
         for _ in range(n - 1):
             orbit.append(frob[orbit[-1]])
         if self.char2:
             ts = np.bitwise_xor.reduce(orbit)
         else:
-            ts = (dig[np.array(orbit)].sum(axis=0, dtype=np.int64) % p) @ self._pow_vec
+            ts = self._codes(row[np.array(orbit)].sum(axis=0, dtype=np.int64) % p
+                             for row in dig[::-1])
         if ts.max() >= p:
             raise InvariantError("trace left the prime subfield")
         tr = self._linear_table(ts)
@@ -325,7 +325,7 @@ class Field:
                              dig=None, neg=None, eta=None)
         if not self.char2:
             ns.dig = dig
-            ns.neg = self._codes(q, ((p - dig[:, i]) % p for i in reversed(range(n))))
+            ns.neg = self._codes((p - row) % p for row in dig[::-1])
             eta = np.where(log % 2 == 0, 1, -1).astype(np.int8)
             eta[0] = 0
             ns.eta = eta
@@ -335,9 +335,9 @@ class Field:
         """exp[i] = gen^i for i < q - 1, filled by doubling: exp[m:2m] is
         exp[:m] times the constant c = gen^m.  y -> c*y is GF(p)-linear.  In
         characteristic 2 it is a lookup in its table, built by _linear_table
-        from the n values c*2^i.  Otherwise it is the digit rows of exp[:m]
-        times the matrix M^m (row i: the digits of gen*p^i), taken
-        _POWER_CHUNK rows at a time."""
+        from the n values c*2^i.  Otherwise it is the matrix M^m (column i:
+        the digits of gen*p^i) times the digit rows of exp[:m], taken
+        _POWER_CHUNK codes at a time."""
         p, n, q = self.p, self.n, self.q
         exp = np.zeros(q - 1, dtype=np.int64)
         exp[0] = 1
@@ -352,12 +352,12 @@ class Field:
                 m *= 2
             return exp
         m = 1
-        step = np.array([_digits(self.mul_code(w, gen), n, p) for w in self._pows])
+        step = np.array([_digits(self.mul_code(w, gen), n, p) for w in self._pows]).T
         while m < q - 1:
             end = min(2 * m, q - 1)
             for s in range(m, end, _POWER_CHUNK):
-                src = dig[exp[s - m:min(s + _POWER_CHUNK, end) - m]].astype(np.int64)
-                exp[s:s + len(src)] = self._codes(len(src), (src @ step % p).T[::-1])
+                src = dig[:, exp[s - m:min(s + _POWER_CHUNK, end) - m]].astype(np.int64)
+                exp[s:s + src.shape[1]] = self._codes((step @ src % p)[::-1])
             step = step @ step % p
             m = end
         return exp
@@ -376,38 +376,35 @@ class Field:
                 L[w:p * w] = ((np.arange(1, p)[:, None] * b + L[:w]) % p).ravel()
         return L
 
-    def _codes(self, size: int, columns) -> np.ndarray:
-        """Codes of digit rows given as their columns, most significant first:
-        one Horner pass."""
-        code = np.zeros(size, dtype=np.int64)
-        for col in columns:
+    def _codes(self, rows) -> np.ndarray:
+        """The int64 codes whose digit rows are given, most significant
+        first: one Horner pass, the only way odd-characteristic digits
+        become codes."""
+        rows = iter(rows)
+        code = np.array(next(rows), dtype=np.int64)
+        for row in rows:
             code *= self.p
-            code += col
+            code += row
         return code
 
     def _digit_matrix(self) -> np.ndarray:
-        """Row x holds the base-p digits of code x, in the narrowest dtype
-        that holds the sum of two digits.  Seen as a (p,)*n array, digit i
-        of the code is axis n-1-i, so column i is arange(p) broadcast there."""
+        """Row i holds digit i of every code, in the narrowest dtype that
+        holds the sum of two digits.  Seen as a (p,)*n array, digit i of the
+        code is axis n-1-i, so row i is arange(p) broadcast there."""
         p, n = self.p, self.n
-        dig = np.empty((self.q, n), dtype=np.min_scalar_type(2 * (p - 1)))
-        axes = dig.reshape((p,) * n + (n,))
-        for i in range(n):
-            axes[..., i] = np.arange(p, dtype=dig.dtype).reshape((p,) + (1,) * i)
+        dig = np.empty((n, self.q), dtype=np.min_scalar_type(2 * (p - 1)))
+        for i, row in enumerate(dig):
+            row.reshape((p,) * n)[...] = np.arange(p, dtype=dig.dtype).reshape((p,) + (1,) * i)
         return dig
 
     # -- vectorized arithmetic on code arrays --------------------------------------
 
     def vadd(self, X, Y):
-        """Elementwise sum of code arrays: XOR in characteristic 2, the
-        integer sum mod p in a prime field, digit-wise addition mod p
-        otherwise."""
+        """Elementwise sum of codes or code arrays: XOR in characteristic 2,
+        otherwise the digit rows of X and Y added mod p, one row at a time."""
         if self.char2:
             return np.bitwise_xor(X, Y)
-        if self.n == 1:
-            return np.add(X, Y, dtype=np.int64) % self.p
-        dig = self.tables().dig
-        return ((dig[X] + dig[Y]) % self.p) @ self._pow_vec
+        return self._codes((row[X] + row[Y]) % self.p for row in self.tables().dig[::-1])
 
     def vneg(self, X):
         if self.char2:
@@ -415,8 +412,6 @@ class Field:
         return self.tables().neg[X]
 
     def vsub(self, X, Y):
-        if self.char2:
-            return np.bitwise_xor(X, Y)
         return self.vadd(X, self.vneg(Y))
 
     def vmul(self, X, Y):

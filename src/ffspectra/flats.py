@@ -20,6 +20,8 @@ from .field import FieldError, InvariantError
 from .functions import FunctionUnderTest
 from .spectra import _PAIR_KEYS, _equal_pairs, _nontrivial, ddt_spectrum, fbct_rows
 
+_LIST_LIMIT = 1 << 20  # blocks a listing may hold; each costs about 0.7 KiB of RSS on its way out
+
 
 def count_two_flats(n: int) -> int:
     """Number of 2-flats in GF(2^n): 2^n(2^n-1)(2^n-2)/24."""
@@ -74,7 +76,8 @@ def vanishing_flats(F: FunctionUnderTest, list_blocks: bool = False) -> FlatRepo
     """The vanishing 2-flats of F: the count from `ddt_spectrum`'s histogram
     and, with ``list_blocks``, the blocks, which must be as many.  Bucket
     (s, b) holds delta(s, b)/2 pairs {x, x+s}, and each vanishing block is
-    two pairs of one bucket in 3 ways."""
+    two pairs of one bucket in 3 ways.  A listing of more than _LIST_LIMIT
+    blocks is refused before any block is listed."""
     f = F.field
     if not f.char2:
         raise FieldError("vanishing flats are defined in characteristic 2 only")
@@ -86,6 +89,8 @@ def vanishing_flats(F: FunctionUnderTest, list_blocks: bool = False) -> FlatRepo
     count, rem = divmod(sum(c * math.comb(v // 2, 2) for v, c in hist), 3)
     if rem:
         raise InvariantError("pair-bucket total is not a multiple of 3")
+    if list_blocks and count > _LIST_LIMIT:
+        raise ValueError(f"--list needs at most {_LIST_LIMIT} vanishing blocks, got {count}")
     listing = _vanishing_listing(F) if list_blocks else None
     if listing is not None and len(listing) != count:
         raise InvariantError(f"{len(listing)} blocks listed, {count} counted")

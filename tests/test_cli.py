@@ -91,8 +91,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 
 
 #: Fields past the size limit q <= 2^20, a power past the exponent
-#: grammar's bit bound, and a Carlitz n past n <= 4096: each must be refused
-#: at once, before any modulus search or huge integer is formed.
+#: grammar's bit bound, a Carlitz n past n <= 4096, kept tables past
+#: q <= 2^12 and a flats listing past 2^23 blocks: each must be refused at
+#: once, before any modulus search, huge integer or listing is formed.
 OVERSIZED = [
     ("field", "--p", "2", "--n", "62"),
     ("field", "--p", "3", "--n", "39"),
@@ -106,6 +107,7 @@ OVERSIZED = [
     ("kloosterman", "--n", "100000000", "--method", "both"),
     ("fbct", "--p", "2", "--n", "3", "--fn", "monomial:d=2^2^2^2^2^2"),
     ("fbct", "--p", "2", "--n", "20", "--fn", "monomial:d=3", "--keep-table"),
+    ("flats", "--p", "2", "--n", "14", "--fn", "monomial:d=1", "--list"),
 ] + [(cmd, "--p", p, "--n", n, "--fn", "monomial:d=7", "--keep-table")
      for cmd in ("ddt", "fbct", "spectrum") for p, n in (("2", "13"), ("3", "8"))]
 

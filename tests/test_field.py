@@ -158,7 +158,8 @@ def test_trace_neg_and_digit_tables_are_the_scalar_routines(p, n):
         assert tb.neg is None and tb.dig is None
         return
     assert tb.neg.tolist() == [f.neg_code(x) for x in xs]
-    assert [tuple(row) for row in tb.dig.tolist()] == [f.coeffs_of(x) for x in xs]
+    # digit-major: row i holds digit i of every code
+    assert tb.dig.tolist() == [list(col) for col in zip(*(f.coeffs_of(x) for x in xs))]
 
 
 def test_trace_is_linear_and_balanced(field):
@@ -281,16 +282,27 @@ def test_vectorized_ops_match_scalars(field):
     assert all(int(v) == f.pow_code(int(x), 5) for v, x in zip(f.vpow(xs, 5), xs))
 
 
-@pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (1327, 1)])
+@pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (1327, 1), (251, 1), (11, 3)])
 def test_vectorized_add_sub_beyond_the_old_table_limit(p, n):
+    """int64, uint8 and uint16 index arrays (the row kernels pass the
+    narrowest), array + int, int + array and int + int.  At GF(251) a digit
+    sum taken in uint8 would wrap."""
     f = make_field(p, n)
     rng = np.random.RandomState(4)
     xs = rng.randint(0, f.q, 200).astype(np.int64)
     ys = rng.randint(0, f.q, 200).astype(np.int64)
-    assert [int(v) for v in f.vadd(xs, ys)] == \
-        [f.add_code(int(x), int(y)) for x, y in zip(xs, ys)]
-    assert [int(v) for v in f.vsub(xs, ys)] == \
-        [f.sub_code(int(x), int(y)) for x, y in zip(xs, ys)]
+    c, d = int(xs[0]), int(ys[-1])
+    cases = [(xs, ys), (xs, d), (c, ys), (c, d)]
+    for dtype in (np.uint8, np.uint16):
+        if f.q <= np.iinfo(dtype).max + 1:
+            cases.append((xs.astype(dtype), ys.astype(dtype)))
+            cases.append((xs.astype(dtype), d))
+    for X, Y in cases:
+        pairs = np.broadcast_arrays(np.array(X, dtype=np.int64), np.array(Y, dtype=np.int64))
+        pairs = list(zip(*(a.ravel().tolist() for a in pairs)))
+        for op, scalar in ((f.vadd, f.add_code), (f.vsub, f.sub_code)):
+            got = np.ravel(op(X, Y)).tolist()
+            assert got == [scalar(x, y) for x, y in pairs]
 
 
 def test_tables_hold_no_quadratic_array():
@@ -312,6 +324,22 @@ def test_table_build_peak_stays_near_what_the_tables_keep(p, n):
         tracemalloc.stop()
     kept = sum(v.nbytes for v in vars(tb).values() if isinstance(v, np.ndarray))
     assert peak <= 1.5 * kept, (peak, kept)
+
+
+def test_vadd_peak_is_its_result_and_a_few_digit_rows():
+    # one q-length sum on GF(3^10) holds its 0.45 MiB int64 result and a few
+    # byte-wide digit rows: 0.62 MiB on numpy 2, and room for older numpy's
+    # temporaries; a (q, n) int64 digit array alone is 4.5 MiB
+    f = make_field(3, 10)
+    f.tables()
+    X = np.arange(f.q)
+    tracemalloc.start()
+    try:
+        f.vadd(X, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_element_operators(field):

@@ -156,6 +156,27 @@ def test_listing_blocks_are_canonical():
         flats_listing_lines(vanishing_flats(F), f)
 
 
+def test_oversized_listing_is_refused_before_any_block(monkeypatch):
+    limit = flats._LIST_LIMIT
+    F = Monomial(make_field(2, 4), 14)  # 5 vanishing blocks
+    monkeypatch.setattr(flats, "_LIST_LIMIT", 5)
+    assert len(vanishing_flats(F, list_blocks=True).listing) == 5
+
+    def no_listing(F):
+        raise AssertionError("a block was listed")
+
+    monkeypatch.setattr(flats, "_vanishing_listing", no_listing)
+    monkeypatch.setattr(flats, "_LIST_LIMIT", 4)
+    with pytest.raises(ValueError, match="needs at most 4 vanishing blocks, got 5"):
+        vanishing_flats(F, list_blocks=True)
+    # every 2-flat of GF(2^9) vanishes under x: 5,559,680 blocks
+    monkeypatch.setattr(flats, "_LIST_LIMIT", limit)
+    G = Monomial(make_field(2, 9), 1)
+    with pytest.raises(ValueError, match=f"needs at most {limit} vanishing blocks, got 5559680"):
+        vanishing_flats(G, list_blocks=True)
+    assert vanishing_flats(G).vanishing_count == 5559680
+
+
 def test_mass_identity_on_samples():
     f = make_field(2, 4)
     rng = np.random.RandomState(4)
