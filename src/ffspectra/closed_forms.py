@@ -3,12 +3,13 @@ Kloosterman sums, vanishing-flat counting formulas, and the verification
 harness that checks every closed form against brute-force recomputation.
 
 Each supported claim is one :class:`Claim` record in ``CLAIMS`` (``THEOREMS``
-is its summary view) whose one ``check`` states its hypothesis.  ``predict``
-returns the claimed table value for a single cell, ``vanishing_count_formula``
-a claimed vanishing-flat count, and ``verify`` recomputes the relevant object
-from scratch (spectra, flat enumeration, kernel dimensions) and compares,
-returning a :class:`TheoremVerdict`.  Hypothesis violations are reported as a
-distinct verdict state, never as cell mismatches.
+is its summary view), which declares its hypothesis for one `_check` to
+test.  ``predict`` returns the claimed table value for a single cell,
+``vanishing_count_formula`` a claimed vanishing-flat count, and ``verify``
+recomputes the relevant object from scratch (spectra, flat enumeration,
+kernel dimensions) and compares, returning a :class:`TheoremVerdict`.
+Hypothesis violations are reported as a distinct verdict state, never as
+cell mismatches.
 """
 
 from __future__ import annotations
@@ -110,118 +111,70 @@ def _mismatch(field: Field, a: int, b: int, predicted, observed) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# hypotheses: one check per claim, shared by verify and predict
+# hypotheses: declared on each claim, tested by one check
 # ---------------------------------------------------------------------------
 
-def _n_given(kw: dict) -> None:
-    _require(kw["n"] is not None, "the field parameter n is required")
+#: The rule on p of each kind of claim, and how a violation reads.
+_P_RULES = {
+    2: (lambda p: p == 2, "is stated over GF(2^n)"),
+    3: (lambda p: p == 3, "requires p = 3"),
+    "> 3": (lambda p: p > 3, "requires p > 3"),
+    "odd": (lambda p: p % 2 == 1, "requires odd characteristic"),
+}
 
 
-def _char2(tid: str, kw: dict) -> None:
-    """Opening of most GF(2^n) claims: p = 2, then n given."""
-    _require(kw["p"] == 2, f"{tid} is stated over GF(2^n), got p={kw['p']}")
-    _require(kw["n"] is not None, f"{tid} requires n")
-
-
-_PARITY = ("even", "odd")
-
-
-def _check_inverse(tid: str, parity: int, least: int, kw: dict) -> None:
-    """L1 (n even), L2 (n odd) and T6 (n even, n >= 4)."""
-    _n_given(kw)
-    n = kw["n"]
-    _require(kw["p"] == 2, f"{tid} is stated over GF(2^n), got p={kw['p']}")
-    _require(n % 2 == parity and n >= least,
-             f"{tid} requires {_PARITY[parity]} n"
-             f"{f' >= {least}' if least else ''}, got n={n}")
+def _check(tid: str, claim: "Claim", kw: dict) -> None:
+    """The hypothesis of one claim, shared by ``verify``, ``predict`` and the
+    count formulas: p and n given, then the rule on p, then the rule on n
+    (parity, least n, and the reason printed with them), then the claim's
+    own remaining condition."""
+    if claim.p is None:
+        return
+    p, n = kw["p"], kw["n"]
+    _require(p is not None and n is not None, f"{tid} requires p and n")
+    holds, says = _P_RULES[claim.p]
+    _require(holds(p), f"{tid} {says}, got p={p}")
+    parity, least, *why = claim.n
+    _require((parity is None or n % 2 == ("even", "odd").index(parity))
+             and (least is None or n >= least),
+             f"{tid} requires {parity + ' ' if parity else ''}n"
+             f"{f' >= {least}' if least else ''}{f' ({why[0]})' if why else ''}"
+             f", got n={n}")
+    claim.check(kw)
 
 
 def _check_T1(kw: dict) -> None:
     p, n = kw["p"], kw["n"]
-    _require(p is not None and n is not None, "T1 requires p and n")
-    _require(p % 2 == 1, f"T1 requires odd characteristic, got p={p}")
-    _require(n >= 1, f"T1 requires n >= 1, got n={n}")
     q = p ** n if n < _TABLE_LIMIT.bit_length() and p ** n <= _TABLE_LIMIT else f"{p}^{n}"
     _require(pow(p, n, 3) == 2, f"T1 requires p^n ≡ 2 (mod 3), got p^n={q}")
 
 
 def _check_T2(kw: dict) -> None:
-    p, n, k = kw["p"], kw["n"], kw["k"]
-    _require(p is not None and n is not None, "T2 requires p and n")
-    _require(p > 3, f"T2 requires p > 3, got p={p}")
+    n, k = kw["n"], kw["k"]
     g = math.gcd(k, 2 * n)
     _require(g == 1, f"T2 requires gcd(k, 2n) = 1, got gcd({k}, {2 * n}) = {g}")
     _require(k >= 1, f"T2 requires k >= 1, got k={k}")
 
 
-def _check_T3(kw: dict) -> None:
-    _n_given(kw)
-    _require(kw["p"] is not None, "the field parameter p is required")
-    _require(kw["p"] > 3, f"T3 requires p > 3, got p={kw['p']}")
-    _require(kw["n"] > 1, f"T3 requires n > 1, got n={kw['n']}")
-
-
-def _check_T4(kw: dict) -> None:
-    _require(kw["n"] is not None, "T4 requires n")
-    _require(kw["p"] == 3, f"T4 requires p = 3, got p={kw['p']}")
-    _require(kw["n"] % 2 == 1, f"T4 requires odd n, got n={kw['n']}")
-
-
-def _check_THMT(kw: dict) -> None:
-    _char2("THMT", kw)
+def _t_inside(tid: str, kw: dict) -> None:
+    """THMT, and T7 at a given t: 0 < t < n."""
     n, t = kw["n"], kw["t"]
     _require(t is not None and 0 < t < n,
-             f"THMT requires 0 < t < n, got t={t}, n={n}")
+             f"{tid} requires 0 < t < n, got t={t}, n={n}")
 
 
-def _check_m(tid: str, parity: int, kw: dict) -> None:
+def _check_m(tid: str, why: str, kw: dict) -> None:
     """C_F1 (n = 2m) and C_F2 (n = 2m+1): m > 2."""
-    _char2(tid, kw)
-    n = kw["n"]
-    why = ("the m = 2 function is APN and the special b-sets degenerate",
-           "for m = 2 the value-4 set is empty and the function is APN")[parity]
-    _require(n % 2 == parity, f"{tid} requires {_PARITY[parity]} n, got n={n}")
-    _require(n // 2 > 2, f"{tid} requires m > 2 ({why}), got m={n // 2}")
-
-
-def _check_C_F3(kw: dict) -> None:
-    _char2("C_F3", kw)
-    n = kw["n"]
-    _require(n % 2 == 1 and n >= 7,
-             f"C_F3 requires odd n >= 7 (for n = 5 the value-4 sets are "
-             f"empty and the function is APN), got n={n}")
-
-
-#: (parity of n, least n) for which each vanishing-flat formula is stated.
-_VB_N = {"C_F1_VB": (0, 4), "C_F2_VB": (1, 3), "C_F3_VB": (1, 5)}
-
-
-def _require_vb_n(tid: str, n: int) -> None:
-    parity, least = _VB_N[tid]
-    _require(n % 2 == parity and n >= least,
-             f"n must be {_PARITY[parity]} and >= {least}, got {n}")
-
-
-def _check_vb(tid: str, kw: dict) -> None:
-    _char2(tid, kw)
-    _require_vb_n(tid, kw["n"])
+    _require(kw["n"] // 2 > 2, f"{tid} requires m > 2 ({why}), got m={kw['n'] // 2}")
 
 
 def _check_T7(kw: dict) -> None:
     """The admissibility of a given gamma is checked when the function is
     built, since it needs the field."""
-    _char2("T7", kw)
-    n, t = kw["n"], kw["t"]
     if kw["gamma"] is not None:
-        _require(t is not None, "a gamma value requires t as well")
-    elif t is not None:
-        _require(0 < t < n, f"T7 requires 0 < t < n, got t={t}, n={n}")
-
-
-def _check_every_function(tid: str, kw: dict) -> None:
-    """PROP_VB and APN_IFF_FBCT0: statements about all functions on GF(2^n)."""
-    _require(kw["p"] == 2, f"{tid} is stated over GF(2^n), got p={kw['p']}")
-    _require(kw["n"] is not None and kw["n"] >= 2, f"{tid} requires n >= 2")
+        _require(kw["t"] is not None, "a gamma value requires t as well")
+    elif kw["t"] is not None:
+        _t_inside("T7", kw)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +194,10 @@ def vanishing_count_formula(theorem_id: str, n: int) -> int:
     :class:`HypothesisError` since it signals parameters outside the formula's
     scope.
     """
-    if theorem_id not in _VB_N:
+    claim = CLAIMS.get(theorem_id)
+    if claim is None or claim.run is not _run_vb:
         raise ValueError(f"no vanishing-flat count formula for id {theorem_id!r}")
-    _require_vb_n(theorem_id, n)
+    _check(theorem_id, claim, _arguments(claim, n=n))
     what = f"vanishing-flat count for {theorem_id}"
     if theorem_id == "C_F1_VB":
         m = n // 2
@@ -268,7 +222,8 @@ def s6_count_formula(theorem_id: str, n: int) -> int:
     family = theorem_id.removesuffix("_VB")
     if family not in ("C_F2", "C_F3"):
         raise ValueError(f"no S_6 count formula for id {theorem_id!r}")
-    _require_vb_n(family + "_VB", n)
+    vb = family + "_VB"
+    _check(vb, CLAIMS[vb], _arguments(CLAIMS[vb], n=n))
     rich = ((n - 1) // 2) % 3 == 1 if family == "C_F2" else n % 3 == 0
     K = kloosterman(n, "direct")
     lead = 2 ** (n - 2) - 5 if rich else 2 ** (n - 2) + 1
@@ -706,11 +661,17 @@ def _run_APN_IFF_FBCT0(theorem_id: str, field: Field, setting: dict, kw: dict):
 @dataclass(frozen=True)
 class Claim:
     """Everything ``verify``, ``predict`` and ``THEOREMS`` know about one id.
-    A per-cell claim gives ``row`` and keeps the generic ``run``; any other
-    claim gives its own."""
+    Its hypothesis is ``p``, the rule on the characteristic (a number is
+    also the default p); ``n``, the parity and the least n (None: no rule;
+    a least n of 0 is not printed), and a reason printed with them; and
+    ``check``, any condition beyond both.  `_check` tests them in that
+    order.  A per-cell claim gives ``row`` and keeps the generic ``run``;
+    any other claim gives its own."""
 
     summary: str
-    check: Callable[[dict], None]      # raises HypothesisError
+    p: object = 2                      # 2, 3, "> 3" or "odd"; None: no field
+    n: tuple = (None, None)            # (parity, least n[, reason])
+    check: Callable[[dict], None] = lambda kw: None  # the remaining condition
     params: tuple = ("p", "n")         # the parameters the claim is stated in
     defaults: dict = dc_field(default_factory=dict)  # for those not given
     setting: Callable[[Field, dict], dict] = lambda field, kw: {}  # d, t, m, k
@@ -722,26 +683,24 @@ class Claim:
     values: Optional[frozenset] = None  # membership claims: values off diagonal
 
 
-_GF2 = {"p": 2}
-
 CLAIMS = {
     "L1": Claim(
         summary="x^(2^n-2) on GF(2^n), n even: nontrivial cells are 0 "
                 "except value 4 exactly at a in {b*w, b*w^2}, w a "
                 "primitive cube root of unity",
-        check=functools.partial(_check_inverse, "L1", 0, 0), defaults=_GF2,
+        n=("even", 0),
         setting=lambda f, kw: {"d": f.q - 2},
         row=_homogeneous(_inverse_row1), label=_OFF_DIAGONAL),
     "L2": Claim(
         summary="x^(2^n-2) on GF(2^n), n odd: every cell with "
                 "a,b nonzero and a != b is 0",
-        check=functools.partial(_check_inverse, "L2", 1, 0), defaults=_GF2,
+        n=("odd", 0),
         setting=lambda f, kw: {"d": f.q - 2},
         row=_homogeneous(_inverse_row1), label=_OFF_DIAGONAL),
     "T1": Claim(
         summary="x^((2q-1)/3) on GF(q), q = p^n ≡ 2 (mod 3), p odd: "
                 "every cell with ab != 0 equals 1",
-        check=_check_T1,
+        p="odd", n=(None, 1), check=_check_T1,
         setting=lambda f, kw: {"d": (2 * f.q - 1) // 3},
         row=_homogeneous(lambda f, t: np.ones(f.q, dtype=np.int64))),
     "T2": Claim(
@@ -749,7 +708,7 @@ CLAIMS = {
                 "nontrivial values lie in {0, 1, (p-3)/2} with maximum "
                 "(p-3)/2 (checked at the spectrum level)",
         params=("p", "n", "k"),
-        check=_check_T2, defaults={"k": 1},
+        p="> 3", check=_check_T2, defaults={"k": 1},
         # p^k mod 2(q-1) is odd, so halving it gives (p^k+1)/2 mod q-1
         setting=lambda f, kw: {"k": kw["k"], "d": canonical_exponent(
             f.q, (pow(f.p, kw["k"], 2 * (f.q - 1)) + 1) // 2)},
@@ -757,7 +716,7 @@ CLAIMS = {
     "T3": Claim(
         summary="x^4 on GF(p^n), p > 3, n > 1: cell value for ab != 0 is "
                 "1 + eta(-(a^2+b^2)/3)",
-        check=_check_T3,
+        p="> 3", n=(None, 2),
         setting=lambda f, kw: {"d": 4},
         row=_homogeneous(_fourth_power_row1),
         expect=_maximum("maximum over ab != 0", lambda s: 2)),
@@ -765,7 +724,7 @@ CLAIMS = {
         summary="x^((3^n-1)/2+2) on GF(3^n), n odd: cell value for "
                 "ab != 0 is 1 or 3 according to the signs of eta(ab) and "
                 "eta(a^2+b^2); maximum 3",
-        check=_check_T4, defaults={"p": 3},
+        p=3, n=("odd", None),
         setting=lambda f, kw: {"d": (f.q - 1) // 2 + 2},
         row=_homogeneous(_ternary_row1),
         expect=_maximum("maximum over ab != 0", lambda s: 3)),
@@ -775,14 +734,15 @@ CLAIMS = {
                 "kernel dimension of x^(2^t)+Bx^2+(B+1)x; other rows "
                 "follow by monomial homogeneity",
         params=("p", "n", "t"),
-        check=_check_THMT, defaults=_GF2,
+        check=functools.partial(_t_inside, "THMT"),
         setting=lambda f, kw: _mersenne(f, kw["t"]),
         row=_homogeneous(_thmt_row1), label=_BETA,
         expect=_below_differential_uniformity),
     "C_F1": Claim(
         summary="x^(2^m-1) on GF(2^(2m)), m > 2: F-boomerang uniformity "
                 "2^m-4, attained on the b with b^(2^m-1) = 1",
-        check=functools.partial(_check_m, "C_F1", 0), defaults=_GF2,
+        n=("even", None), check=functools.partial(
+            _check_m, "C_F1", "the m = 2 function is APN and the special b-sets degenerate"),
         setting=lambda f, kw: _mersenne(f, f.n // 2, with_m=True),
         row=_homogeneous(_cf1_row1), label=_BETA,
         expect=_maximum("F-boomerang uniformity", lambda s: 2 ** s["m"] - 4)),
@@ -790,13 +750,14 @@ CLAIMS = {
         summary="vanishing-flat count of x^(2^m-1) on GF(2^(2m)): "
                 "(2^(m-2)-1)(2^(m-1)-1)(2^n-1)/3, plus (2^n-1)/3 when m "
                 "is odd",
-        check=functools.partial(_check_vb, "C_F1_VB"), defaults=_GF2,
+        n=("even", 4),
         setting=lambda f, kw: _mersenne(f, f.n // 2),
         run=_run_vb),
     "C_F2": Claim(
         summary="x^(2^m-1) on GF(2^(2m+1)), m > 2: F-boomerang "
                 "uniformity 8 if m ≡ 1 (mod 3), else 4",
-        check=functools.partial(_check_m, "C_F2", 1), defaults=_GF2,
+        n=("odd", None), check=functools.partial(
+            _check_m, "C_F2", "for m = 2 the value-4 set is empty and the function is APN"),
         setting=lambda f, kw: _mersenne(f, (f.n - 1) // 2, with_m=True),
         row=_homogeneous(lambda f, m: _s6_row1(f, m, 2 ** m - 2, 8, m % 3 == 1)),
         label=_BETA,
@@ -805,13 +766,13 @@ CLAIMS = {
     "C_F2_VB": Claim(
         summary="vanishing-flat count of x^(2^m-1) on GF(2^(2m+1)) "
                 "written in terms of the Kloosterman sum K(1)",
-        check=functools.partial(_check_vb, "C_F2_VB"), defaults=_GF2,
+        n=("odd", 3),
         setting=lambda f, kw: _mersenne(f, (f.n - 1) // 2),
         run=_run_vb),
     "C_F3": Claim(
         summary="x^(2^t-1) on GF(2^n), n odd, t = (n+3)/2: F-boomerang "
                 "uniformity 4",
-        check=_check_C_F3, defaults=_GF2,
+        n=("odd", 7, "for n = 5 the value-4 sets are empty and the function is APN"),
         setting=lambda f, kw: _mersenne(f, (f.n + 3) // 2),
         row=_homogeneous(lambda f, t: _s6_row1(f, t, 2 ** t - 1, 4, f.n % 3 == 0)),
         label=_BETA,
@@ -819,14 +780,14 @@ CLAIMS = {
     "C_F3_VB": Claim(
         summary="vanishing-flat count of x^(2^t-1) on GF(2^n), n odd, "
                 "t = (n+3)/2, written in terms of K(1)",
-        check=functools.partial(_check_vb, "C_F3_VB"), defaults=_GF2,
+        n=("odd", 5),
         setting=lambda f, kw: _mersenne(f, (f.n + 3) // 2),
         run=_run_vb),
     "T6": Claim(
         summary="x^(2^n-2) + Tr(x^2/(x+1)) on GF(2^n), n even: "
                 "nontrivial values lie in {0, 4, 8}, classified by "
                 "explicit trace conditions",
-        check=functools.partial(_check_inverse, "T6", 0, 4), defaults=_GF2,
+        n=("even", 4),
         build=lambda f, setting: InversePlusTrace(f),
         row=_t6_row, label=_BETA, expect=_bound_attained),
     "T7": Claim(
@@ -834,28 +795,25 @@ CLAIMS = {
                 "(t, g) (g nonzero in the 2^(2t)-element subfield meet, "
                 "Tr(g^(2^t+1)) = 0): nontrivial values lie in {0, 4, 8}",
         params=("p", "n", "t", "gamma"),
-        check=_check_T7, defaults=_GF2,
+        check=_check_T7,
         run=_run_T7, values=_T7_VALUES),
     "TABLE1": Claim(
         summary="catalogue of power maps in odd characteristic with a "
                 "claimed second-order zero differential uniformity; each "
                 "row's maximum is recomputed on small admissible fields",
-        params=(),
-        check=lambda kw: None,
+        params=(), p=None,
         run=_run_TABLE1),
     "PROP_VB": Claim(
         summary="for every function on GF(2^n) the nontrivial "
                 "second-order spectrum sums to 24 times the "
                 "vanishing-flat count",
         params=("p", "n", "num_random_tables", "seed"),
-        check=functools.partial(_check_every_function, "PROP_VB"),
-        defaults=_GF2, run=_run_PROP_VB),
+        n=(None, 2), run=_run_PROP_VB),
     "APN_IFF_FBCT0": Claim(
         summary="a function on GF(2^n) is APN exactly when its "
                 "second-order spectrum vanishes off the trivial cells; "
                 "checked in both directions across all monomials",
-        check=functools.partial(_check_every_function, "APN_IFF_FBCT0"),
-        defaults=_GF2, run=_run_APN_IFF_FBCT0),
+        n=(None, 2), run=_run_APN_IFF_FBCT0),
 }
 
 #: Supported claim ids mapped to a hypothesis summary and accepted parameters.
@@ -873,10 +831,11 @@ def _claim(theorem_id: str) -> Claim:
 
 def _arguments(claim: Claim, **given) -> dict:
     """Every parameter a check may read, with the claim's defaults filled in
-    where none was given."""
+    where none was given: p is the one the claim is stated for, if any."""
     kw = dict.fromkeys(("p", "n", "modulus", "t", "k", "gamma"))
     kw.update(given)
-    kw.update({name: val for name, val in claim.defaults.items()
+    stated = {"p": claim.p} if isinstance(claim.p, int) else {}
+    kw.update({name: val for name, val in {**stated, **claim.defaults}.items()
                if kw[name] is None})
     return kw
 
@@ -905,7 +864,7 @@ def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
     if b.field != field:
         raise ValueError("a and b live in different fields")
     kw = _arguments(claim, p=field.p, n=field.n, t=t)
-    claim.check(kw)
+    _check(theorem_id, claim, kw)
     q = field.q
     if a.code == 0 or b.code == 0:
         return q
@@ -938,7 +897,7 @@ def verify(theorem_id: str, *, p: Optional[int] = None,
                     seed=seed)
     start = time.perf_counter()
     try:
-        claim.check(kw)
+        _check(theorem_id, claim, kw)
         field = (make_field(kw["p"], kw["n"], modulus)
                  if "n" in claim.params else None)
         setting = claim.setting(field, kw)

@@ -2,11 +2,16 @@
 id, and ``predict`` and ``verify`` agreeing on every claim's hypotheses."""
 
 import hashlib
+import importlib
+import inspect
+import itertools
 import json
 
 import pytest
 
-from ffspectra.closed_forms import THEOREMS, HypothesisError, predict, verify
+from ffspectra.closed_forms import (CLAIMS, THEOREMS, HypothesisError, _arguments,
+                                    _check, predict, s6_count_formula,
+                                    vanishing_count_formula, verify)
 from ffspectra.field import make_field
 
 #: sha256 of each verdict's fixed-time JSON (sorted keys) on a small field
@@ -171,3 +176,104 @@ def test_predict_and_verify_agree_on_hypotheses():
         except HypothesisError:
             refused = True
         assert refused == rejected, (tid, p, n, t)
+
+
+#: The hypothesis grid: every claim at every (p, n, t, k, gamma) below, then
+#: both count formulas at n = -1..13 for each C_F id (157,428 points).
+GRID = dict(p=(None, 2, 3, 5, 7, 11, 13),
+            n=(None, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12),
+            t=(None, 0, 1, 2, 3, 4, 6, 8), k=(None, -1, 0, 1, 2, 3),
+            gamma=(None, "1"))
+CF_IDS = ("C_F1", "C_F2", "C_F3", "C_F1_VB", "C_F2_VB", "C_F3_VB")
+
+#: sha256 of the sorted reprs of the accepted grid points, recorded while
+#: each claim still stated its hypothesis as its own `_check_*` function.
+ACCEPTED_SHA256 = "e33872e9ff74df76bd4ec676980a269d0434baf6441121e9529d43b38d727441"
+
+
+def test_accepted_hypothesis_grid_is_pinned():
+    accepted = []
+    for tid, claim in CLAIMS.items():
+        for point in itertools.product(*GRID.values()):
+            try:
+                _check(tid, claim, _arguments(claim, **dict(zip(GRID, point))))
+            except HypothesisError:
+                continue
+            accepted.append((tid, *point))
+    for formula in (vanishing_count_formula, s6_count_formula):
+        for tid in CF_IDS:
+            for n in range(-1, 14):
+                try:
+                    formula(tid, n)
+                except ValueError:
+                    continue
+                accepted.append((f"{formula.__name__}:{tid}", None, n, None, None, None))
+    text = "\n".join(sorted(map(repr, accepted)))
+    assert len(accepted) == 28566
+    assert hashlib.sha256(text.encode()).hexdigest() == ACCEPTED_SHA256
+
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+#: One characteristic outside each declared rule on p.
+OUTSIDE_P = {2: 3, 3: 5, "> 3": 3, "odd": 2}
+
+
+@pytest.mark.parametrize("tid", [tid for tid, c in CLAIMS.items() if c.p is not None])
+def test_declared_hypothesis_boundaries(tid):
+    """Read off each claim's declared p and n: its least admissible field
+    (t = 1 where the claim takes t) is not a hypothesis error; n = least - 1,
+    the other parity and a p outside the rule are."""
+    claim = CLAIMS[tid]
+    extra = {"t": 1} if "t" in claim.params else {}
+
+    def admissible(p, n):
+        try:
+            _check(tid, claim, _arguments(claim, p=p, n=n, **extra))
+        except HypothesisError:
+            return False
+        return True
+
+    p, n = next((p, n) for p in PRIMES for n in range(1, 16) if admissible(p, n))
+    assert verify(tid, p=p, n=n, **extra).status != "hypothesis_error", (p, n)
+    parity, least, *_ = claim.n
+    rejected = [(OUTSIDE_P[claim.p], n)]
+    if least is not None:
+        rejected.append((p, least - 1))
+    if parity is not None:
+        rejected.append((p, n + 1))
+    for p_bad, n_bad in rejected:
+        v = verify(tid, p=p_bad, n=n_bad, **extra)
+        assert v.status == "hypothesis_error", (p_bad, n_bad)
+        assert v.notes[0].startswith(f"hypothesis not satisfied: {tid} "), v.notes
+
+
+#: For each id, a test that drives its verdict to "failed" rather than to an
+#: exception: by corrupting one input that the other side of the comparison
+#: does not share, or (T2, TABLE1) on a field where the claim is false.
+CAN_FAIL = {
+    **{tid: "test_closed_forms::test_corrupted_row_one_fails_where_every_row_walk_does"
+            f"[{tid}]"
+       for tid in ("L1", "L2", "T1", "T3", "T4", "THMT", "C_F1", "C_F2", "C_F3", "T6")},
+    "T2": "test_closed_forms::test_half_power_claim_fails_on_gf11",
+    "T7": "test_closed_forms::test_t7_forced_failure_equals_every_pair_walk",
+    "TABLE1": "test_closed_forms::test_catalogue_of_odd_char_power_maps",
+    "PROP_VB": "test_flats::test_prop_identity_can_fail",
+    "C_F1_VB": "test_closed_forms::test_vb_formula_can_fail_on_a_corrupted_enumeration",
+    **{tid: "test_closed_forms::test_vb_formula_can_fail_on_a_corrupted_kloosterman_sum"
+            f"[{tid}]" for tid in ("C_F2_VB", "C_F3_VB")},
+    "APN_IFF_FBCT0":
+        "test_closed_forms::test_apn_equivalence_can_fail_on_a_corrupted_uniformity",
+}
+
+
+def test_every_claim_has_a_can_fail_test():
+    assert set(CAN_FAIL) == set(CLAIMS)
+    for tid, node in CAN_FAIL.items():
+        module, name = node.split("::")
+        name, _, param = name.partition("[")
+        test = getattr(importlib.import_module(module), name)
+        assert '"failed"' in inspect.getsource(test), node
+        if param:
+            values = [value for mark in test.pytestmark if mark.name == "parametrize"
+                      for value in mark.args[1]]
+            assert param.rstrip("]") in values, node

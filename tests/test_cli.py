@@ -286,6 +286,21 @@ def test_list_theorems(capsys):
     assert lines[0] == "id,summary" and len(lines) == 1 + len(THEOREMS)
 
 
+#: sha256 of list-theorems stdout: every claim's summary and params, as the
+#: benchmark's list-theorems job pins the JSON.
+LIST_THEOREMS_SHA256 = {
+    "json": "ef848bca13de934a1b71913535f9ff93611502d6259c916ed9d58068232634e5",
+    "csv": "9e090e8be44913e0a56f4243b0f18bfec020c00d68bbf9b645813b8b21777e81",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LIST_THEOREMS_SHA256))
+def test_list_theorems_bytes_are_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "list-theorems", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LIST_THEOREMS_SHA256[fmt], out
+
+
 def test_cli_paths_do_not_import_sympy():
     """sympy is a test dependency only: field set-up, tables and verify run
     without it."""

@@ -671,12 +671,17 @@ def test_row_one_verdict_equals_every_row_walk(tid, p, n, modulus, t):
     assert (v.first_mismatch, v.cells_checked, list(v.notes)) == walk
 
 
-@pytest.mark.parametrize("tid", sorted(ROW_ONE_FIELDS))
+#: The first field of every row-compared claim.
+FIRST_FIELDS = {tid: cases[0] for tid, cases in ROW_ONE_FIELDS.items()}
+FIRST_FIELDS["T6"] = T6_CASES[0][1:]
+
+
+@pytest.mark.parametrize("tid", sorted(FIRST_FIELDS))
 def test_corrupted_row_one_fails_where_every_row_walk_does(monkeypatch, tid):
     """One predicted row-one cell c off by one, and so cell ca of each row a:
     the verdict fails at (1, c) after c cells, as the walk over every row
-    does."""
-    p, n, modulus, t = ROW_ONE_FIELDS[tid][0]
+    does.  Row 1 is its own orbit, so T6's Frobenius walk meets it first."""
+    p, n, modulus, t = FIRST_FIELDS[tid]
     field = make_field(p, n, modulus)
     c = field.q // 2 + 1
     real = CLAIMS[tid].row
@@ -781,6 +786,47 @@ def test_apn_equivalence_verdict():
     v = verify("APN_IFF_FBCT0", n=4)
     assert v.passed
     assert any("APN among them:" in note for note in v.notes)
+
+
+@pytest.mark.parametrize("tid", ["C_F2_VB", "C_F3_VB"])
+def test_vb_formula_can_fail_on_a_corrupted_kloosterman_sum(monkeypatch, tid):
+    """K(1) feeds the formula side only: K + 8 takes 2^n - 1 off the claimed
+    count, and the verdict fails at the count, not with an exception."""
+    real = closed_forms.kloosterman
+    monkeypatch.setattr(closed_forms, "kloosterman",
+                        lambda n, method="direct": real(n, method) + 8)
+    v = verify(tid, n=7)
+    assert v.status == "failed" and v.cells_checked == 1
+    assert v.first_mismatch == {"a": "vanishing-flat count", "b": "",
+                                "predicted": 889 - 127, "observed": 889}
+
+
+def test_vb_formula_can_fail_on_a_corrupted_enumeration(monkeypatch):
+    """The enumerated count feeds the observed side only: one flat too many
+    fails C_F1_VB at the count."""
+    real = closed_forms.vanishing_flats
+
+    def one_more(F):
+        res = real(F)
+        return dataclasses.replace(res, vanishing_count=res.vanishing_count + 1)
+
+    monkeypatch.setattr(closed_forms, "vanishing_flats", one_more)
+    v = verify("C_F1_VB", n=6)
+    assert v.status == "failed" and v.cells_checked == 1
+    assert v.first_mismatch == {"a": "vanishing-flat count", "b": "",
+                                "predicted": 84, "observed": 85}
+
+
+def test_apn_equivalence_can_fail_on_a_corrupted_uniformity(monkeypatch):
+    """Differential uniformity feeds the APN side only: raised by 2, the
+    Gold map x^3 reads as non-APN while its FBCT still vanishes."""
+    real = closed_forms.differential_uniformity
+    monkeypatch.setattr(closed_forms, "differential_uniformity",
+                        lambda F: real(F) + 2)
+    v = verify("APN_IFF_FBCT0", n=4)
+    assert v.status == "failed"
+    assert v.first_mismatch == {"a": "monomial d=3", "b": "",
+                                "predicted": "nonzero somewhere", "observed": 0}
 
 
 # --- verdict serialization --------------------------------------------------
