@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, islice
 
 from . import algebra, closed_forms, flats, spectra  # lazy: each runs on first use
 from .field import Field, FieldError, make_field, omega
@@ -96,25 +97,30 @@ def _function_from(cfg: argparse.Namespace, field: Field):
     return parse_function(field, cfg.fn, k=cfg.k, t=cfg.t)
 
 
-def _emit(cfg: argparse.Namespace, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+_BATCH = 1 << 16  # pieces a write; a write per piece made big outputs 2-3x slower
+
+
+def _emit(cfg: argparse.Namespace, result) -> None:
+    r"""The one serializer: a dict as ``json.dumps(result, indent=2)`` writes
+    it, other results as their lines joined by "\n", each text then ended by
+    one "\n".  That is the rule "add a final \n when the text lacks one",
+    because no command returns zero lines or ends on an empty line.  The text
+    goes to stdout or --out in batches of _BATCH pieces, never held whole."""
+    pieces = (chain(json.JSONEncoder(indent=2).iterencode(result), ["\n"])
+              if isinstance(result, dict) else (f"{line}\n" for line in result))
+    batches = ("".join(batch) for batch in iter(lambda: list(islice(pieces, _BATCH)), []))
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(batches)
         except OSError as exc:
             raise UsageError(f"cannot write --out {cfg.out!r}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2)
+        sys.stdout.writelines(batches)
 
 
 # ---------------------------------------------------------------------------
-# command bodies; each returns (exit_code, output_text)
+# command bodies; each returns (exit_code, a JSON-ready dict or CSV lines)
 # ---------------------------------------------------------------------------
 
 def _cmd_field(cfg: argparse.Namespace):
@@ -128,21 +134,18 @@ def _cmd_field(cfg: argparse.Namespace):
            "modulus": field.modulus_text(), "generator": int(tb.gen),
            "char2": field.char2, "omega": w}
     if cfg.format == "csv":
-        lines = [f"{k},{'' if v is None else v}" for k, v in obj.items()]
-        return 0, "\n".join(lines)
-    return 0, _json_text(obj)
+        return 0, [f"{k},{'' if v is None else v}" for k, v in obj.items()]
+    return 0, obj
 
 
 def _cmd_eval(cfg: argparse.Namespace):
     field = _field_from(cfg)
     F = _function_from(cfg, field)
-    values = [int(v) for v in F.table()]
+    values = F.table().tolist()
     if cfg.format == "csv":
-        lines = ["x,F(x)"] + [f"{x},{v}" for x, v in enumerate(values)]
-        return 0, "\n".join(lines)
-    return 0, _json_text({"field": {"p": field.p, "n": field.n,
-                                    "modulus": field.modulus_text()},
-                          "function": F.text(), "values": values})
+        return 0, chain(["x,F(x)"], (f"{x},{v}" for x, v in enumerate(values)))
+    return 0, {"field": {"p": field.p, "n": field.n, "modulus": field.modulus_text()},
+               "function": F.text(), "values": values}
 
 
 def _cmd_one_spectrum(cfg: argparse.Namespace, spectrum):
@@ -151,10 +154,9 @@ def _cmd_one_spectrum(cfg: argparse.Namespace, spectrum):
     rep = spectrum(F, keep_table=cfg.keep_table)
     if cfg.format == "csv":
         if cfg.keep_table:
-            return 0, "\n".join(spectra.table_csv_lines(rep.table))
-        lines = ["value,count"] + [f"{v},{c}" for v, c in sorted(rep.histogram)]
-        return 0, "\n".join(lines)
-    return 0, _json_text(rep.to_json_obj())
+            return 0, spectra.table_csv_lines(rep.table)
+        return 0, ["value,count"] + [f"{v},{c}" for v, c in sorted(rep.histogram)]
+    return 0, rep.to_json_obj()
 
 
 def _cmd_spectrum(cfg: argparse.Namespace):
@@ -169,8 +171,8 @@ def _cmd_spectrum(cfg: argparse.Namespace):
         lines = ["kind,value,count"]
         lines += [f"ddt,{v},{c}" for v, c in sorted(ddt.histogram)]
         lines += [f"fbct,{v},{c}" for v, c in sorted(fbct.histogram)]
-        return 0, "\n".join(lines)
-    return 0, _json_text({"ddt": ddt.to_json_obj(), "fbct": fbct.to_json_obj()})
+        return 0, lines
+    return 0, {"ddt": ddt.to_json_obj(), "fbct": fbct.to_json_obj()}
 
 
 def _cmd_flats(cfg: argparse.Namespace):
@@ -182,15 +184,14 @@ def _cmd_flats(cfg: argparse.Namespace):
                  f"vanishing_count,{rep.vanishing_count}"]
         if cfg.list_items:
             lines += flats.flats_listing_lines(rep, field)
-        return 0, "\n".join(lines)
-    obj = {"field": {"p": field.p, "n": field.n,
-                     "modulus": field.modulus_text()},
+        return 0, lines
+    obj = {"field": {"p": field.p, "n": field.n, "modulus": field.modulus_text()},
            "function": F.text(),
            "total_two_flats": rep.total_two_flats,
            "vanishing_count": rep.vanishing_count}
     if cfg.list_items:
-        obj["blocks"] = [list(b) for b in rep.listing]
-    return 0, _json_text(obj)
+        obj["blocks"] = rep.listing
+    return 0, obj
 
 
 def _cmd_sumfree(cfg: argparse.Namespace):
@@ -200,15 +201,11 @@ def _cmd_sumfree(cfg: argparse.Namespace):
         raise UsageError("sumfree requires --k (flat dimension)")
     rep = flats.is_kth_sum_free(F, cfg.k)
     if cfg.format == "csv":
-        flat = ("" if rep.violating_flat is None
-                else "|".join(str(c) for c in rep.violating_flat))
-        return 0, "\n".join([f"k,{rep.k}",
-                             f"is_sum_free,{str(rep.is_sum_free).lower()}",
-                             f"violating_flat,{flat}"])
-    return 0, _json_text({"k": rep.k, "is_sum_free": rep.is_sum_free,
-                          "violating_flat":
-                          (None if rep.violating_flat is None
-                           else list(rep.violating_flat))})
+        flat = "|".join(map(str, rep.violating_flat or ()))
+        return 0, [f"k,{rep.k}", f"is_sum_free,{str(rep.is_sum_free).lower()}",
+                   f"violating_flat,{flat}"]
+    return 0, {"k": rep.k, "is_sum_free": rep.is_sum_free,
+               "violating_flat": rep.violating_flat}
 
 
 def _cmd_kloosterman(cfg: argparse.Namespace):
@@ -217,15 +214,13 @@ def _cmd_kloosterman(cfg: argparse.Namespace):
         direct = algebra.kloosterman(n, method="direct")
         carlitz = algebra.kloosterman(n, method="carlitz")
         if direct != carlitz:
-            return 1, _json_text({"n": n, "direct": direct,
-                                  "carlitz": carlitz, "equal": False})
+            return 1, {"n": n, "direct": direct, "carlitz": carlitz, "equal": False}
         obj = {"n": n, "direct": direct, "carlitz": carlitz}
     else:
         obj = {"n": n, cfg.method: algebra.kloosterman(n, method=cfg.method)}
     if cfg.format == "csv":
-        lines = [f"{k},{v}" for k, v in obj.items() if k != "n"]
-        return 0, "\n".join([f"n,{n}"] + lines)
-    return 0, _json_text(obj)
+        return 0, [f"{k},{v}" for k, v in obj.items()]
+    return 0, obj
 
 
 def _cmd_verify(cfg: argparse.Namespace):
@@ -240,15 +235,17 @@ def _cmd_verify(cfg: argparse.Namespace):
     if verdict.status == "hypothesis_error":
         sys.stderr.write((verdict.notes[0] if verdict.notes else
                           "hypothesis not satisfied") + "\n")
-        return 2, _json_text(obj)
+        return 2, obj
+    code = 0 if verdict.passed else 1
     if cfg.format == "csv":
-        lines = ["key,value"]
-        for key in ("theorem", "passed", "cells_checked", "status"):
-            val = obj[key]
-            lines.append(f"{key},{json.dumps(val) if isinstance(val, bool) else val}")
-        lines.append(f"first_mismatch,{json.dumps(obj['first_mismatch'])}")
-        return (0 if verdict.passed else 1), "\n".join(lines)
-    return (0 if verdict.passed else 1), _json_text(obj)
+        keys = ("theorem", "passed", "cells_checked", "status", "first_mismatch")
+        return code, ["key,value"] + [f"{key},{_csv_cell(obj[key])}" for key in keys]
+    return code, obj
+
+
+def _csv_cell(value) -> str:
+    """A verdict value in one CSV cell: text and counts as they are, the rest as JSON."""
+    return json.dumps(value) if value is None or isinstance(value, (bool, dict)) else str(value)
 
 
 def _cmd_list_theorems(cfg: argparse.Namespace):
@@ -256,9 +253,8 @@ def _cmd_list_theorems(cfg: argparse.Namespace):
              "params": list(meta["params"])}
             for tid, meta in closed_forms.THEOREMS.items()]
     if cfg.format == "csv":
-        lines = ["id,summary"] + [f"{r['id']},\"{r['summary']}\"" for r in rows]
-        return 0, "\n".join(lines)
-    return 0, _json_text({"theorems": rows})
+        return 0, ["id,summary"] + [f"{r['id']},\"{r['summary']}\"" for r in rows]
+    return 0, {"theorems": rows}
 
 
 _COMMANDS = {
@@ -278,8 +274,8 @@ _COMMANDS = {
 def dispatch(cfg: argparse.Namespace) -> int:
     """Run one command; returns the process exit status."""
     try:
-        code, text = _COMMANDS[cfg.command](cfg)
-        _emit(cfg, text)
+        code, result = _COMMANDS[cfg.command](cfg)
+        _emit(cfg, result)
     except ValueError as exc:  # UsageError, HypothesisError, FunctionError, FieldError
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -125,13 +125,14 @@ _P_RULES = {
 
 def _check(tid: str, claim: "Claim", kw: dict) -> None:
     """The hypothesis of one claim, shared by ``verify``, ``predict`` and the
-    count formulas: p and n given, then the rule on p, then the rule on n
-    (parity, least n, and the reason printed with them), then the claim's
-    own remaining condition."""
+    count formulas: p and n given, n >= 1, then the rule on p, then the rule
+    on n (parity, least n, and the reason printed with them), then the
+    claim's own remaining condition."""
     if claim.p is None:
         return
     p, n = kw["p"], kw["n"]
     _require(p is not None and n is not None, f"{tid} requires p and n")
+    _require(n >= 1, f"{tid} requires n >= 1, got n={n}")
     holds, says = _P_RULES[claim.p]
     _require(holds(p), f"{tid} {says}, got p={p}")
     parity, least, *why = claim.n

@@ -20,7 +20,7 @@ from .field import FieldError, InvariantError
 from .functions import FunctionUnderTest
 from .spectra import _PAIR_KEYS, _equal_pairs, _nontrivial, ddt_spectrum, fbct_rows
 
-_LIST_LIMIT = 1 << 20  # blocks a listing may hold; each costs about 0.7 KiB of RSS on its way out
+_LIST_LIMIT = 1 << 20  # blocks a listing may hold; each costs about 0.25 KiB of RSS on its way out
 
 
 def count_two_flats(n: int) -> int:
@@ -200,4 +200,5 @@ def flats_listing_lines(report: FlatReport, field) -> list:
     """One block per line, four element encodings joined by '|'."""
     if report.listing is None:
         raise ValueError("report has no listing; enumerate with list_blocks=True")
-    return ["|".join(field.from_code(c).text for c in block) for block in report.listing]
+    text = [field.from_code(c).text for c in range(field.q)]
+    return [f"{text[a]}|{text[b]}|{text[c]}|{text[d]}" for a, b, c, d in report.listing]

@@ -17,7 +17,7 @@ characteristic 2, where the max is also called beta_F).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -429,9 +429,8 @@ def classify(F: FunctionUnderTest) -> Classification:
 # emission
 # ---------------------------------------------------------------------------
 
-def table_csv_lines(table: np.ndarray) -> list:
+def table_csv_lines(table: np.ndarray) -> Iterator[str]:
     """Full q x q table as "a,b,value" rows, a-major, codes as integers."""
-    lines = ["a,b,value"]
+    yield "a,b,value"
     for a, row in enumerate(table):
-        lines.extend(f"{a},{b},{v}" for b, v in enumerate(row.tolist()))
-    return lines
+        yield from (f"{a},{b},{v}" for b, v in enumerate(row.tolist()))

@@ -1,14 +1,17 @@
 """Command-line interface: output schemas, exit codes, byte determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
+from ffspectra import cli
 from ffspectra.cli import main
 from ffspectra.closed_forms import THEOREMS
 from ffspectra.field import make_field
@@ -66,6 +69,13 @@ def test_verify_hypothesis_error_exit_code(capsys):
                          "--n", "1", "--workers", "1")
     assert code == 2
     assert "hypothesis not satisfied" in err
+    assert json.loads(out)["status"] == "hypothesis_error"
+
+
+def test_verify_at_n_0_is_a_hypothesis_error(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "L1", "--n", "0")
+    assert code == 2
+    assert err == "hypothesis not satisfied: L1 requires n >= 1, got n=0\n"
     assert json.loads(out)["status"] == "hypothesis_error"
 
 
@@ -320,3 +330,81 @@ def test_cli_paths_do_not_import_sympy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "False"
+
+
+#: Every command at a small size, with --keep-table and --list, run in both
+#: formats; verify's hypothesis_error (T1 at p = 7) prints JSON under csv too.
+WRITER_CASES = [
+    "field --p 2 --n 4", "field --p 3 --n 2", "eval --p 2 --n 3 --fn monomial:d=3",
+    *(f"{cmd} --p 2 --n 3 --fn monomial:d=3{keep}"
+      for cmd in ("ddt", "fbct", "spectrum") for keep in ("", " --keep-table")),
+    "flats --p 2 --n 4 --fn monomial:d=14", "flats --p 2 --n 4 --fn monomial:d=14 --list",
+    "sumfree --p 2 --n 6 --fn monomial:d=7 --k 2", "sumfree --p 2 --n 5 --fn monomial:d=3 --k 2",
+    "kloosterman --n 4", "kloosterman --n 5 --method carlitz",
+    "verify --theorem L2 --p 2 --n 3", "verify --theorem T2 --p 11 --n 1",
+    "verify --theorem T1 --p 7 --n 1", "list-theorems",
+]
+
+
+def _whole_text(result) -> str:
+    """What a command printed while each one built its whole text."""
+    text = json.dumps(result, indent=2) if isinstance(result, dict) else "\n".join(result)
+    return text if text.endswith("\n") else text + "\n"
+
+
+@pytest.mark.parametrize("batch", [None, 1, 2])
+def test_streamed_output_is_the_whole_text(monkeypatch, capsys, tmp_path, batch):
+    """stdout and --out carry the bytes of json.dumps(indent=2) or the joined
+    lines, plus a final newline, whatever the batch size."""
+    if batch is not None:
+        monkeypatch.setattr(cli, "_BATCH", batch)
+    path = tmp_path / "out"
+    for case in WRITER_CASES:
+        for fmt in ("json", "csv"):
+            argv = [*case.split(), "--format", fmt]
+            if argv[0] == "spectrum" and "--keep-table" in argv and fmt == "csv":
+                continue  # a usage error
+            code, result = cli._COMMANDS[argv[0]](cli._config_from_args(argv))
+            expected = _whole_text(result)
+            capsys.readouterr()
+            assert main(argv) == code, argv
+            assert capsys.readouterr().out == expected, argv
+            assert main([*argv, "--out", str(path)]) == code, argv
+            assert path.read_bytes() == expected.encode(), argv
+    monkeypatch.setattr(cli.algebra, "kloosterman", lambda n, method: len(method))
+    code, result = cli._COMMANDS["kloosterman"](cli._config_from_args(
+        ["kloosterman", "--n", "4", "--format", "csv"]))
+    assert code == 1 and result["equal"] is False  # a mismatch prints JSON under csv
+    capsys.readouterr()
+    assert main(["kloosterman", "--n", "4", "--format", "csv"]) == 1
+    assert capsys.readouterr().out == _whole_text(result)
+
+
+def test_a_stdout_error_is_not_an_out_error(monkeypatch):
+    class Broken(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError("stdout closed")
+
+    monkeypatch.setattr(sys, "stdout", Broken())
+    with pytest.raises(BrokenPipeError):
+        main(["kloosterman", "--n", "4"])
+
+
+@pytest.mark.parametrize("argv", [
+    "ddt --p 2 --n 10 --fn monomial:d=7 --keep-table",
+    "fbct --p 2 --n 10 --fn monomial:d=7 --keep-table --format csv",
+])
+def test_kept_table_is_streamed_not_held_as_text(monkeypatch, argv):
+    """A 2^10 x 2^10 table is written without its whole text in memory: the
+    traced peak stays under 30 MiB (85.6 and 78.1 MiB when each command
+    built its text first)."""
+    make_field(2, 10).tables()
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            assert main(argv.split()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 30 * 2 ** 20, peak / 2 ** 20

@@ -243,6 +243,15 @@ def test_hypothesis_errors(tid, kwargs):
     assert v.notes and v.notes[0].startswith("hypothesis not satisfied:")
 
 
+@pytest.mark.parametrize("tid,kwargs", [
+    ("L1", dict(n=0)), ("T2", dict(p=5, n=0)), ("T4", dict(n=-1)), ("T7", dict(n=0))])
+def test_n_below_one_is_a_hypothesis_verdict_not_a_field_error(tid, kwargs):
+    v = verify(tid, **kwargs)
+    assert v.status == "hypothesis_error"
+    assert list(v.notes) == [f"hypothesis not satisfied: {tid} requires n >= 1, "
+                             f"got n={kwargs['n']}"]
+
+
 def test_t1_congruence_at_huge_n_is_a_prompt_hypothesis_verdict():
     start = time.perf_counter()
     v = verify("T1", p=5, n=10 ** 7)

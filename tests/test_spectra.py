@@ -548,7 +548,7 @@ def test_classify_flags():
 def test_table_csv_lines_shape():
     f = make_field(2, 2)
     rep = fbct_spectrum(Monomial(f, 3), keep_table=True)
-    lines = table_csv_lines(rep.table)
+    lines = list(table_csv_lines(rep.table))
     assert lines[0] == "a,b,value"
     assert len(lines) == 1 + 16
     assert lines[1] == "0,0,4"
