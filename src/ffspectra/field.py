@@ -5,7 +5,10 @@ Elements are stored as integer codes 0..q-1; the code of an element with
 coefficient vector (c0, c1, ..., c_{n-1}) relative to the polynomial basis is
 sum(c_i * p**i).  The dense coefficient form is primary; log/antilog and other
 acceleration tables are built lazily and are observationally identical to the
-coefficient-level routines.  Every field has q <= 2**20.
+coefficient-level routines.  Every field has q <= 2**20.  Tables are narrow,
+results int64: each table is held in the narrowest dtype of its values, the
+v* routines widen where their arithmetic could overflow and return int64
+codes, and the scalar *_code routines also take numpy integers.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def _canonical_modulus(p: int, n: int) -> tuple[int, ...]:
 
 
 _TABLE_LIMIT = 1 << 20       # the largest q make_field accepts
-_POWER_CHUNK = 1 << 12       # rows a block of the odd-characteristic exp table multiplies at once
+_CHUNK = 1 << 12             # codes one step of a table build handles at once
 
 
 class Field:
@@ -177,12 +180,14 @@ class Field:
     # -- coefficient-level scalar arithmetic (primary form) ----------------------
 
     def add_code(self, x: int, y: int) -> int:
+        x, y = int(x), int(y)
         if self.char2:
             return x ^ y
         return sum(((xd + yd) % self.p) * w
                    for xd, yd, w in zip(self.coeffs_of(x), self.coeffs_of(y), self._pows))
 
     def neg_code(self, x: int) -> int:
+        x = int(x)
         if self.char2:
             return x
         return sum(((-d) % self.p) * w for d, w in zip(self.coeffs_of(x), self._pows))
@@ -192,6 +197,7 @@ class Field:
 
     def mul_code(self, x: int, y: int) -> int:
         """Polynomial-basis product; independent of the acceleration tables."""
+        x, y = int(x), int(y)  # a numpy code would overflow at x <<= 1
         if self.char2:
             r = 0
             hi = 1 << self.n
@@ -214,6 +220,7 @@ class Field:
         return sum(c * w for c, w in zip(rem, self._pows))
 
     def pow_code(self, x: int, e: int) -> int:
+        x, e = int(x), int(e)
         if e == 0:
             return 1 % self.q
         if x == 0:
@@ -239,8 +246,7 @@ class Field:
         return self.pow_code(x, self.q - 2)
 
     def trace_code(self, x: int) -> int:
-        acc = x
-        cur = x
+        acc = cur = int(x)
         for _ in range(self.n - 1):
             cur = self.pow_code(cur, self.p)
             acc = self.add_code(acc, cur)
@@ -268,11 +274,14 @@ class Field:
 
         Attributes: exp, log, inv, tr, gen, frob; odd characteristic adds
         dig (the n x q digit rows: dig[i][x] is digit i of code x), neg,
-        eta.  All code-indexed.  Each table comes from whole-array passes
-        whose temporaries are a few q-length vectors: exp by doubling (see
-        _powers); log, inv and frob read off exp and log; tr by linearity
-        from its values on the n basis codes (_linear_table); dig and neg one
-        digit row at a time; eta from the parity of log.
+        eta.  All code-indexed, each built in the narrowest dtype of its
+        values: exp, inv, frob, neg in np.min_scalar_type(q - 1), tr in that
+        of p - 1, dig of 2(p - 1), eta int8, log int32 with log[0] = -1.  The
+        temporaries are a few narrow q-length vectors: exp by doubling (see
+        _powers); log and inv scattered through exp; frob through exp, with
+        the exponent i*p in int64, _CHUNK at a time; tr by linearity from its
+        values on the n basis codes (_linear_table); dig and neg one digit
+        row at a time; eta from the parity of log.
         """
         t = self._tab
         if t is not None:
@@ -294,17 +303,21 @@ class Field:
 
     def _build_tables(self) -> SimpleNamespace:
         p, n, q = self.p, self.n, self.q
+        code = np.min_scalar_type(q - 1)
         gen = self._find_generator()
         dig = None if self.char2 else self._digit_matrix()
-        exp = self._powers(gen, dig)
-        if self.mul_code(int(exp[-1]), gen) != 1:
+        exp = self._powers(gen, dig, code)
+        if self.mul_code(exp[-1], gen) != 1:
             raise InvariantError("generator order mismatch")
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1, dtype=np.int64)
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[-log[1:] % (q - 1)]
-        frob = np.zeros(q, dtype=np.int64)
-        frob[1:] = exp[log[1:] * p % (q - 1)]
+        log = np.full(q, -1, dtype=np.int32)
+        log[exp] = np.arange(q - 1, dtype=np.int32)
+        inv = np.zeros(q, dtype=code)
+        inv[1] = 1
+        inv[exp[1:]] = exp[:0:-1]  # (g^i)^-1 = g^(q-1-i)
+        frob = np.zeros(q, dtype=code)
+        for s in range(0, q - 1, _CHUNK):
+            i = np.arange(s, min(s + _CHUNK, q - 1), dtype=np.int64)
+            frob[exp[i]] = exp[i * p % (q - 1)]
 
         # t_i = Tr(x^i) (code p^i) is the sum of the n Frobenius images of
         # x^i.  The trace is GF(p)-linear (Lidl-Niederreiter, Thm 2.23), so
@@ -319,33 +332,33 @@ class Field:
                              for row in dig[::-1])
         if ts.max() >= p:
             raise InvariantError("trace left the prime subfield")
-        tr = self._linear_table(ts)
+        tr = self._linear_table(ts, np.min_scalar_type(p - 1))
 
         ns = SimpleNamespace(gen=gen, exp=exp, log=log, inv=inv, frob=frob, tr=tr,
                              dig=None, neg=None, eta=None)
         if not self.char2:
             ns.dig = dig
-            ns.neg = self._codes((p - row) % p for row in dig[::-1])
-            eta = np.where(log % 2 == 0, 1, -1).astype(np.int8)
+            ns.neg = self._codes(((p - row) % p for row in dig[::-1]), code)
+            eta = np.where(log % 2 == 0, np.int8(1), np.int8(-1))
             eta[0] = 0
             ns.eta = eta
         return ns
 
-    def _powers(self, gen: int, dig) -> np.ndarray:
-        """exp[i] = gen^i for i < q - 1, filled by doubling: exp[m:2m] is
-        exp[:m] times the constant c = gen^m.  y -> c*y is GF(p)-linear.  In
-        characteristic 2 it is a lookup in its table, built by _linear_table
-        from the n values c*2^i.  Otherwise it is the matrix M^m (column i:
-        the digits of gen*p^i) times the digit rows of exp[:m], taken
-        _POWER_CHUNK codes at a time."""
+    def _powers(self, gen: int, dig, dtype) -> np.ndarray:
+        """exp[i] = gen^i for i < q - 1, in ``dtype``, filled by doubling:
+        exp[m:2m] is exp[:m] times the constant c = gen^m.  y -> c*y is
+        GF(p)-linear.  In characteristic 2 it is a lookup in its table, built
+        by _linear_table from the n values c*2^i.  Otherwise it is the matrix
+        M^m (column i: the digits of gen*p^i) times the digit rows of
+        exp[:m], taken _CHUNK codes at a time."""
         p, n, q = self.p, self.n, self.q
-        exp = np.zeros(q - 1, dtype=np.int64)
+        exp = np.zeros(q - 1, dtype=dtype)
         exp[0] = 1
         if self.char2:
             images = [self.mul_code(gen, w) for w in self._pows]
             m = 1
             while m < q - 1:
-                times_c = self._linear_table(images)
+                times_c = self._linear_table(images, dtype)
                 k = min(m, q - 1 - m)
                 exp[m:m + k] = times_c[exp[:k]]
                 images = times_c[images]        # c^2 * 2^i = c * (c * 2^i)
@@ -355,33 +368,34 @@ class Field:
         step = np.array([_digits(self.mul_code(w, gen), n, p) for w in self._pows]).T
         while m < q - 1:
             end = min(2 * m, q - 1)
-            for s in range(m, end, _POWER_CHUNK):
-                src = dig[:, exp[s - m:min(s + _POWER_CHUNK, end) - m]].astype(np.int64)
+            for s in range(m, end, _CHUNK):
+                src = dig[:, exp[s - m:min(s + _CHUNK, end) - m]].astype(np.int64)
                 exp[s:s + src.shape[1]] = self._codes((step @ src % p)[::-1])
             step = step @ step % p
             m = end
         return exp
 
-    def _linear_table(self, images) -> np.ndarray:
-        """The GF(p)-linear map sending code p^i to images[i], at every code:
-        L[c*p^i + r] = c*images[i] + L[r] for r < p^i.  The images are codes
-        in characteristic 2 (the sum is XOR) or of the prime subfield (the
-        sum is mod p)."""
+    def _linear_table(self, images, dtype) -> np.ndarray:
+        """The GF(p)-linear map sending code p^i to images[i], at every code,
+        in ``dtype``: L[c*p^i + r] = c*images[i] + L[r] for r < p^i.  The
+        images are codes in characteristic 2 (the sum is XOR) or of the prime
+        subfield (the sum is mod p, taken in the digit rows' dtype)."""
         p = self.p
-        L = np.zeros(self.q, dtype=np.int64)
+        L = np.zeros(self.q, dtype=dtype)
         for w, b in zip(self._pows, images):
             if self.char2:
-                np.bitwise_xor(L[:w], b, out=L[w:2 * w])
+                np.bitwise_xor(L[:w], int(b), out=L[w:2 * w])
             else:
-                L[w:p * w] = ((np.arange(1, p)[:, None] * b + L[:w]) % p).ravel()
+                cb = (np.arange(1, p) * int(b) % p).astype(np.min_scalar_type(2 * (p - 1)))
+                L[w:p * w] = ((cb[:, None] + L[:w]) % p).ravel()
         return L
 
-    def _codes(self, rows) -> np.ndarray:
-        """The int64 codes whose digit rows are given, most significant
-        first: one Horner pass, the only way odd-characteristic digits
-        become codes."""
+    def _codes(self, rows, dtype=np.int64) -> np.ndarray:
+        """The codes, in ``dtype``, whose digit rows are given, most
+        significant first: one Horner pass, the only way odd-characteristic
+        digits become codes."""
         rows = iter(rows)
-        code = np.array(next(rows), dtype=np.int64)
+        code = np.array(next(rows), dtype=dtype)
         for row in rows:
             code *= self.p
             code += row
@@ -409,27 +423,27 @@ class Field:
     def vneg(self, X):
         if self.char2:
             return X
-        return self.tables().neg[X]
+        return self.tables().neg[X].astype(np.int64)
 
     def vsub(self, X, Y):
         return self.vadd(X, self.vneg(Y))
 
     def vmul(self, X, Y):
         t = self.tables()
-        X = np.asarray(X, dtype=np.int64)
-        Y = np.asarray(Y, dtype=np.int64)
-        out = t.exp[(t.log[X] + t.log[Y]) % (self.q - 1)]
+        out = t.exp[(t.log[X] + t.log[Y]) % (self.q - 1)].astype(np.int64)  # int32 holds 2q
         return np.where((X == 0) | (Y == 0), 0, out)
 
     def vinv(self, X):
-        return self.tables().inv[X]
+        return self.tables().inv[X].astype(np.int64)
 
     def vpow(self, X, e: int):
         t = self.tables()
         X = np.asarray(X, dtype=np.int64)
         if e == 0:
             return np.ones_like(X)
-        out = t.exp[(t.log[X] * (e % (self.q - 1))) % (self.q - 1)]
+        L = np.multiply(t.log[X], e % (self.q - 1), dtype=np.int64)  # up to 2^40
+        L %= self.q - 1
+        out = t.exp[L].astype(np.int64)
         return np.where(X == 0, 0, out)
 
 

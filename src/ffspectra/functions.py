@@ -91,10 +91,9 @@ class InversePlusTrace(FunctionUnderTest):
 
     def _build_table(self) -> np.ndarray:
         f = self.field
-        t = f.tables()
         X = np.arange(f.q, dtype=np.int64)
-        arg = f.vmul(f.vmul(X, X), t.inv[X ^ 1])
-        return t.inv[X] ^ t.tr[arg]
+        arg = f.vmul(f.vmul(X, X), f.vinv(X ^ 1))
+        return f.vinv(X) ^ f.tables().tr[arg]
 
     def text(self) -> str:
         return "inv-plus-trace"
@@ -132,11 +131,10 @@ class GammaTraceInverse(FunctionUnderTest):
 
     def _build_table(self) -> np.ndarray:
         f = self.field
-        t = f.tables()
         X = np.arange(f.q, dtype=np.int64)
-        trv = t.tr[f.vpow(X, 2 ** self.t + 1)]
+        trv = f.tables().tr[f.vpow(X, 2 ** self.t + 1)]
         den = X ^ np.where(trv == 1, self.gamma.code, 0)
-        return t.inv[den]
+        return f.vinv(den)
 
     def text(self) -> str:
         return f"gamma-trace-inverse:t={self.t},gamma={self.gamma.text}"

@@ -312,12 +312,12 @@ def _trivial(f: Field, a: int) -> list:
     return [0, a] if f.char2 else [0]
 
 
-def _nontrivial(f: Field, a: int, row: np.ndarray) -> np.ndarray:
-    """FBCT row a without its trivial cells, after checking that they hold q."""
+def _checked_trivial(f: Field, a: int, row: np.ndarray) -> list:
+    """The trivial cells of FBCT row a, after checking that they hold q."""
     trivial = _trivial(f, a)
     if (row[trivial] != f.q).any():
         raise InvariantError(f"a trivial cell of FBCT row a={a} does not hold q")
-    return np.delete(row, trivial)
+    return trivial
 
 
 def _check_keep_table(f: Field, keep_table: bool) -> None:
@@ -371,7 +371,10 @@ def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumRep
     rows = zip(reps, table[reps]) if keep_table else fbct_rows(F, reps)
     hist = np.zeros(q + 1, dtype=np.int64)
     for (a, row), (_, w) in zip(rows, orbits):
-        hist += w * np.bincount(_nontrivial(f, a, row), minlength=q + 1)
+        # the whole row, with no copy, less its trivial cells, which hold q
+        counts = np.bincount(row, minlength=q + 1)
+        counts[q] -= len(_checked_trivial(f, a, row))
+        hist += w * counts
     nz = np.nonzero(hist)[0]
     uniformity = int(nz.max()) if nz.size else 0
     trivial_cells = 3 * q - 2 if f.char2 else 2 * q - 1

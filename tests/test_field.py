@@ -342,6 +342,59 @@ def test_vadd_peak_is_its_result_and_a_few_digit_rows():
     assert peak < 2 << 20, peak
 
 
+@pytest.mark.parametrize("p,n", [(2, 20), (3, 12), (1048573, 1)])
+def test_narrow_tables_are_exact_at_the_largest_fields(p, n):
+    """Each table in the narrowest dtype of its values, checked against the
+    scalar routines on 2,000 seeded codes plus 0, 1 and q - 1.  On GF(1048573)
+    the Frobenius exponent log * p reaches 2^40, past int32."""
+    f = make_field(p, n)
+    q = f.q
+    tb = f.tables()
+    code = np.min_scalar_type(q - 1)
+    want = {"exp": code, "log": np.int32, "inv": code, "frob": code,
+            "tr": np.min_scalar_type(p - 1)}
+    if not f.char2:
+        want.update(neg=code, dig=np.min_scalar_type(2 * (p - 1)), eta=np.int8)
+    assert {k: v.dtype for k, v in vars(tb).items() if isinstance(v, np.ndarray)} == \
+        {k: np.dtype(v) for k, v in want.items()}
+    assert tb.log[0] == -1
+    assert np.array_equal(np.sort(tb.log[1:]), np.arange(q - 1))
+    xs = [0, 1, q - 1] + np.random.default_rng(7).integers(0, q, 2000).tolist()
+    for x in xs:
+        if x:
+            assert tb.exp[tb.log[x]] == x
+            assert f.mul_code(x, tb.inv[x]) == 1
+        assert tb.frob[x] == f.pow_code(x, p)
+        assert tb.tr[x] == f.trace_code(x)
+        if not f.char2:
+            assert tb.neg[x] == f.neg_code(x)
+    # tables narrow, results int64; log * (q - 2) passes 2^31
+    X = np.array(xs)
+    results = (f.vadd(X, X), f.vneg(X), f.vmul(X, X), f.vinv(X), f.vpow(X, q - 2))
+    assert all(r.dtype == np.int64 for r in results)
+    assert np.array_equal(results[-1], results[-2])
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (2, 16), (2, 20), (3, 5)])
+def test_scalar_routines_take_numpy_codes(p, n):
+    """Table reads are numpy scalars of the table's dtype; the scalar routines
+    give the same int for them as for Python ints (a uint8 x <<= 1 would
+    overflow in mul_code at q = 256)."""
+    f = make_field(p, n)
+    rng = np.random.default_rng(11)
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        top = min(f.q, int(np.iinfo(dtype).max) + 1)
+        xs = [0, 1, top - 1] + rng.integers(0, top, 20).tolist()
+        for x, y in zip(xs, xs[::-1]):
+            nx, ny = dtype(x), dtype(y)
+            for got, ref in ((f.mul_code(nx, ny), f.mul_code(x, y)),
+                             (f.add_code(nx, ny), f.add_code(x, y)),
+                             (f.pow_code(nx, dtype(7)), f.pow_code(x, 7)),
+                             (f.inv_code(nx), f.inv_code(x)),
+                             (f.trace_code(nx), f.trace_code(x))):
+                assert type(got) is int and got == ref
+
+
 def test_element_operators(field):
     f = field
     a = f.from_code(1 % f.q)
