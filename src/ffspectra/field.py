@@ -437,14 +437,19 @@ class Field:
         return self.tables().inv[X].astype(np.int64)
 
     def vpow(self, X, e: int):
+        """X^e for codes X (0^0 = 1), or for every code when X is None, whose
+        logs of 1..q-1 are then read as a view.  log * e mod (q - 1) is taken
+        in place in the one int64 result, and exp is gathered back into it."""
         t = self.tables()
-        X = np.asarray(X, dtype=np.int64)
-        if e == 0:
-            return np.ones_like(X)
-        L = np.multiply(t.log[X], e % (self.q - 1), dtype=np.int64)  # up to 2^40
-        L %= self.q - 1
-        out = t.exp[L].astype(np.int64)
-        return np.where(X == 0, 0, out)
+        every = X is None
+        out = np.empty(self.q if every else np.shape(X), dtype=np.int64)
+        body = out[1:] if every else out
+        np.multiply(t.log[1:] if every else t.log[X], e % (self.q - 1), out=body,
+                    dtype=np.int64)  # up to 2^40
+        body %= self.q - 1
+        body[...] = t.exp[body]
+        out[0 if every else np.asarray(X) == 0] = e == 0
+        return out
 
 
 class FieldElement:

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .field import Field, InvariantError, _prime_factors
+from .field import _CHUNK, Field, InvariantError, _prime_factors
 from .functions import FunctionUnderTest, Monomial
 
 _BLOCK_CELLS = 1 << 20
@@ -52,21 +52,28 @@ def ddt_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
 # symmetry orbits of the rows
 # ---------------------------------------------------------------------------
 
-def _scaling_index(f: Field, G: np.ndarray) -> int:
+def _scaling_index(f: Field, FT: np.ndarray) -> int:
     """The index m of H = {c != 0 : G(cx) = lambda_c * G(x) for every x} in
-    GF(q)*, so H = <g^m> for the generator g.  With L[i] the log of G(g^i)
-    (-1 at a zero), c = g^k scales G iff L rolled by k is L shifted by one
-    log lambda, read at the first i with L[i] >= 0 (G = 0 is scaled by every c)."""
+    GF(q)*, G = FT - FT[0], so H = <g^m> for the generator g.  With L[i] the
+    int32 log of G(g^i) (-1 at a zero), c = g^k scales G iff L rolled by k is
+    L shifted by one log lambda, read at the first i with L[i] >= 0 (G = 0 is
+    scaled by every c); each probe fills one int32 target in place."""
     t = f.tables()
-    L = t.log[G[t.exp]]
-    nz = np.flatnonzero(L >= 0)
-    if not nz.size:
+    q1 = f.q - 1
+    L = np.empty(q1, dtype=t.log.dtype)
+    for s in range(0, q1, _CHUNK):  # G in int64 a chunk at a time
+        L[s:s + _CHUNK] = t.log[f.vsub(FT[t.exp[s:s + _CHUNK]], FT[0])]
+    i0 = int(np.argmax(L >= 0))
+    if L[i0] < 0:
         return 1
-    i0, q1 = int(nz[0]), f.q - 1
+    target = np.empty_like(L)
 
     def scales(k: int) -> bool:
-        lam = (L[(i0 + k) % q1] - L[i0]) % q1
-        return np.array_equal(np.roll(L, -k), np.where(L < 0, L, (L + lam) % q1))
+        np.add(L, (L[(i0 + k) % q1] - L[i0]) % q1, out=target)
+        np.remainder(target, q1, out=target)
+        target[L < 0] = -1
+        # L rolled by k, L[(i + k) % q1], against target[i], as two slices
+        return np.array_equal(L[k:], target[:q1 - k]) and np.array_equal(L[:k], target[q1 - k:])
 
     if scales(1):
         return 1
@@ -100,18 +107,20 @@ def orbit_rows(F: FunctionUnderTest) -> list:
     f = F.field
     q = f.q
     t, FT = f.tables(), F.table()
-    m = _scaling_index(f, f.vsub(FT, FT[0]))
+    m = _scaling_index(f, FT)
     key = low = t.exp.reshape(-1, m).min(axis=0)  # smallest code of each coset
-    sigma = np.arange(q, dtype=np.int64)
+    sigma = t.frob  # x -> x^(p^e), in the code dtype
     for e in range(1, f.n // 2 + 1):
-        sigma = t.frob[sigma]
-        if f.n % e == 0 and np.array_equal(FT[sigma], sigma[FT]):
+        if f.n % e == 0 and all(np.array_equal(FT[sigma[s:s + _CHUNK]], sigma[FT[s:s + _CHUNK]])
+                                for s in range(0, q, _CHUNK)):
             i = np.arange(m)
             for _ in range(f.n // e - 1):
                 i = i * pow(f.p, e, m) % m
                 key = np.minimum(key, low[i])
             break
-    size = np.bincount(key, minlength=q) * ((q - 1) // m)
+        sigma = t.frob[sigma]
+    size = np.bincount(key)
+    size *= (q - 1) // m
     rows = list(zip(np.flatnonzero(size).tolist(), size[size > 0].tolist()))
     if sum(w for _, w in rows) != q - 1:
         raise InvariantError(f"row orbit sizes do not sum to q - 1 = {q - 1}")
@@ -120,33 +129,33 @@ def orbit_rows(F: FunctionUnderTest) -> list:
 
 
 def _derivs(F: FunctionUnderTest, codes) -> np.ndarray:
-    """The (q, R) array of codes whose column r is d_a for a = codes[r]."""
-    D = np.empty((F.field.q, len(codes)), dtype=np.min_scalar_type(F.field.q - 1))
-    for r, c in enumerate(codes):
-        D[:, r] = deriv_row(F, c)
+    """The (R, q) array of codes whose row r is d_a for a = codes[r]."""
+    D = np.empty((len(codes), F.field.q), dtype=np.min_scalar_type(F.field.q - 1))
+    for d, c in zip(D, codes):
+        d[:] = deriv_row(F, c)
     return D
 
 
 def _level_mass(D: np.ndarray) -> np.ndarray:
-    """s_a = sum_v delta(a, v)^2 for each column d_a of D: the number of
+    """s_a = sum_v delta(a, v)^2 for each row d_a of D: the number of
     ordered pairs (x, y) with d_a(x) = d_a(y), which is also sum_b nabla(a, b)."""
-    return np.array([np.square(np.bincount(d)).sum() for d in D.T], dtype=np.int64)
+    return np.array([np.square(np.bincount(d)).sum() for d in D], dtype=np.int64)
 
 
 def _fbct_dense(f: Field, D: np.ndarray) -> np.ndarray:
-    """FBCT rows of the columns of D by the dense scan: for each b, one gather
-    E[x + b] and one comparison with E for all columns at once; q^2 cells a row.
+    """FBCT rows of the rows of D by the dense scan: for each b, one gather
+    E[x + b] and one comparison with E for all rows at once; q^2 cells a row.
 
-    E is D with each value replaced by its rank among the values present, in
-    the narrowest unsigned dtype (one byte for up to 256 values), which keeps
-    every equality.  The comparison goes into one reused mask whose rows
-    form equal runs of at most 255 (padded with zero rows): a uint8 column
-    sum over a run cannot wrap, and one sum over the runs gives the count."""
-    q, R = D.shape
+    E is D transposed to (q, R), each value replaced by its rank among the
+    values present, in the narrowest unsigned dtype (one byte for up to 256
+    values), which keeps every equality.  The comparison goes into one reused
+    mask whose rows form equal runs of at most 255 (padded with zero rows): a
+    uint8 column sum over a run cannot wrap, and one sum over the runs counts."""
+    R, q = D.shape
     used = np.zeros(q, dtype=bool)
     used[D] = True
     rank = np.cumsum(used) - 1
-    E = rank.astype(np.min_scalar_type(rank[-1]))[D]
+    E = np.ascontiguousarray(rank.astype(np.min_scalar_type(rank[-1]))[D].T)
     X = np.arange(q, dtype=D.dtype)
     n_runs = -(-q // 255)
     eq = np.zeros((-(-q // n_runs) * n_runs, R), dtype=bool)
@@ -177,26 +186,26 @@ def _equal_pairs(keys: np.ndarray, bound: int):
 
 
 def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
-    """FBCT rows of the columns of D from level-set pairs: nabla(a, b) counts
+    """FBCT rows of the rows of D from level-set pairs: nabla(a, b) counts
     the ordered pairs (x, y) with d_a(x) = d_a(y) and y - x = b, so a row
     costs s_a pairs instead of q^2 cells.
 
     Up to _PAIR_KEYS keys r*q + d_a(x), at index r*q + x, are walked at once
     with `_equal_pairs`, in a dtype that also holds q.  Each equal pair
-    (x, y), x < y, adds one to H(y - x); the pairs in the other order give
-    H(x - y), and x = y gives q at b = 0.  Pending differences are
-    bincounted once max(_PAIR_KEYS, q) of them have piled up, so a sub-block
-    holds O(max(_PAIR_KEYS, q)) memory whatever its pair count.
+    (x, y), x < y, adds one at y - x to its own output row, in the row dtype,
+    once max(_PAIR_KEYS, q) differences are pending, so a sub-block holds
+    O(max(_PAIR_KEYS, q)) memory whatever its pair count.  The pairs in the
+    other order add the row at -b, and x = y adds q at b = 0 (a cell <= q).
     """
-    q, R = D.shape
-    counts = np.empty((R, q), dtype=np.min_scalar_type(q))
+    R, q = D.shape
+    counts = np.zeros((R, q), dtype=np.min_scalar_type(q))
     step = max(1, _PAIR_KEYS // q)
     cap = max(_PAIR_KEYS, q)
     for s in range(0, R, step):
         m = min(step, R - s)
-        keys = np.ascontiguousarray(D[:, s:s + m].T, dtype=np.min_scalar_type(max(m * q - 1, q)))
+        rows = counts[s:s + m]
+        keys = D[s:s + m].astype(np.min_scalar_type(max(m * q - 1, q)))  # a copy, never D
         keys += np.arange(0, m * q, q, dtype=keys.dtype)[:, None]  # one row: D's own, + 0
-        hist = np.zeros((m, q), dtype=np.int64)
         pending, npend = [], 0
         for i, j in _equal_pairs(keys.ravel(), m * q):
             rowq = i - i % q  # j is in i's row; both are the walk's own copies
@@ -207,17 +216,18 @@ def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
             pending.append(d)
             npend += i.size
             if npend >= cap or not i.size:
-                hist += np.bincount(np.concatenate(pending), minlength=m * q).reshape(m, q)
+                rows += np.bincount(np.concatenate(pending),
+                                    minlength=m * q).reshape(m, q).astype(rows.dtype)
                 pending, npend = [], 0
-        counts[s:s + m] = hist + hist[:, f.vneg(np.arange(q))]
-        counts[s:s + m, 0] += q
+        rows += rows if f.char2 else rows[:, f.vneg(np.arange(q))]
+        rows[:, 0] += q
     return counts
 
 
 def _fbct_block(F: FunctionUnderTest, codes: list) -> np.ndarray:
     """The (len, q) block of FBCT rows of the int codes, at most
-    _BLOCK_CELLS / q of them, whose derivatives are held as the columns of
-    one (q, R) array D.  A row takes the pair kernel when K * s_a <= q^2 and
+    _BLOCK_CELLS / q of them, whose derivatives are held as the rows of
+    one (R, q) array D.  A row takes the pair kernel when K * s_a <= q^2 and
     the dense scan otherwise, and must sum to s_a; K is the lowest measured
     cost of a pair over that of a one-byte dense cell, _PAIR_COST_ODD on odd
     extension fields and _PAIR_COST on the others (README, "FBCT row
@@ -236,8 +246,8 @@ def _fbct_block(F: FunctionUnderTest, codes: list) -> np.ndarray:
         counts = _fbct_dense(f, D)
     else:
         counts = np.empty((len(codes), q), dtype=np.min_scalar_type(q))
-        counts[by_pairs] = _fbct_pairs(f, D[:, by_pairs])
-        counts[~by_pairs] = _fbct_dense(f, D[:, ~by_pairs])
+        counts[by_pairs] = _fbct_pairs(f, D[by_pairs])
+        counts[~by_pairs] = _fbct_dense(f, D[~by_pairs])
     bad = np.nonzero(counts.sum(axis=1, dtype=np.int64) != mass)[0]
     if bad.size:
         r = bad[0]

@@ -9,6 +9,7 @@ import pytest
 from ffspectra import field as field_module
 from ffspectra.field import (Field, FieldError, _gf2_solve, _prime_factors, make_field, omega,
                              quadratic_character, solve_quadratic, trace)
+from ffspectra.functions import Monomial
 
 FIELDS = [(2, 1), (2, 4), (2, 5), (3, 1), (3, 3), (5, 2), (7, 1), (11, 1)]
 
@@ -324,6 +325,36 @@ def test_table_build_peak_stays_near_what_the_tables_keep(p, n):
         tracemalloc.stop()
     kept = sum(v.nbytes for v in vars(tb).values() if isinstance(v, np.ndarray))
     assert peak <= 1.5 * kept, (peak, kept)
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (7, 1)])
+def test_vpow_of_every_code(p, n):
+    """X = None stands for every code: 0^0 = 1, 0^e = 0 otherwise."""
+    f = make_field(p, n)
+    X = np.arange(f.q)
+    for e in (0, 1, 2, 5, f.q - 2, f.q - 1, f.q, -1):
+        want = [f.pow_code(x, e) for x in range(f.q)]
+        for got in (f.vpow(None, e), f.vpow(X, e)):
+            assert got.dtype == np.int64 and got.tolist() == want, e
+        assert int(f.vpow(0, e)) == want[0] and int(f.vpow(np.uint8(2), e)) == want[2]
+
+
+def test_power_table_peak_is_its_result_and_one_narrow_gather():
+    """x^7 on GF(2^16) as a value table: the 0.5 MiB int64 result, which
+    takes log * e mod (q - 1) in place, and one uint16 gather of exp, 0.63
+    MiB in all (numpy 2.4).  An int64 input arange, an int64 log * e and an
+    int64 copy of the gather beside the result traced 2.06 MiB."""
+    f = make_field(2, 16)
+    f.tables()
+    F = Monomial(f, 7)
+    tracemalloc.start()
+    try:
+        FT = F.table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * FT.nbytes, peak
+    assert np.array_equal(FT[[0, 1, 2, 3, f.q - 1]], [f.pow_code(x, 7) for x in (0, 1, 2, 3, f.q - 1)])
 
 
 def test_vadd_peak_is_its_result_and_a_few_digit_rows():

@@ -73,7 +73,7 @@ def _count_kernel_rows(monkeypatch):
         real = getattr(spectra, f"_fbct_{kind}")
 
         def counted(f, D, real=real, kind=kind):
-            rows[kind] += D.shape[1]
+            rows[kind] += D.shape[0]
             return real(f, D)
 
         monkeypatch.setattr(spectra, f"_fbct_{kind}", counted)
@@ -226,6 +226,52 @@ def test_pair_sub_blocks_of_one_and_of_three_rows(monkeypatch, p, n, build, time
     assert np.array_equal(spectra._fbct_block(F, rows), want)
     assert ran["pairs"] % 3  # the last sub-block of three rows is short
     assert ran["dense"] == (255 if p == 2 else 0)
+
+
+def test_derivs_hold_one_row_per_a():
+    f = make_field(3, 4)
+    F = Monomial(f, 5)
+    codes = [1, 7, 80, 2]
+    D = spectra._derivs(F, codes)
+    assert D.shape == (len(codes), f.q) and D.flags.c_contiguous
+    for d, a in zip(D, codes):
+        assert np.array_equal(d, spectra.deriv_row(F, a)), a
+
+
+def test_pair_rows_of_a_permutation_are_counted_in_place():
+    """fbct_spectrum of a random permutation of GF(2^9), its orbits known
+    (511 rows, all by pairs), traces 2.67 MiB at its peak (numpy 2.4): each
+    sub-block is counted into its own output rows.  With derivatives held
+    as columns and an int64 histogram per sub-block it traced 3.17 MiB."""
+    F = _random_permutation(make_field(2, 9), 12)
+    F.field.tables()
+    F.table()
+    orbit_rows(F)
+    tracemalloc.start()
+    try:
+        fbct_spectrum(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.9 * 2 ** 20, peak
+
+
+def test_orbit_rows_hold_few_q_vectors():
+    """For x^7 on GF(2^16), proving the orbits traces 0.63 MiB above what
+    it keeps (numpy 2.4, 1.0 on a process's first call): int32 L and one
+    int32 target for every scaling probe, with G and the Frobenius check
+    in int64 chunks.  With an int64 G kept through the probes, a rolled copy
+    per probe and an int64 Frobenius arange it traced 2.06 MiB."""
+    F = Monomial(make_field(2, 16), 7)
+    F.field.tables()
+    F.table()
+    tracemalloc.start()
+    try:
+        assert orbit_rows(F) == [(1, F.field.q - 1)]
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < 1.5 * 2 ** 20, (peak, kept)
 
 
 def test_one_row_on_gf_2_16_is_counted_in_narrow_arrays():
