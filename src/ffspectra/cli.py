@@ -1,17 +1,5 @@
-"""Command-line front end.
-
-Commands
---------
-field           print a field summary (p, n, q, modulus, generator)
-eval            print the full value table of a function
-ddt             differential spectrum of a function
-fbct            second-order zero differential spectrum of a function
-spectrum        both of the above in one report
-flats           vanishing two-dimensional flats of a function (char 2)
-sumfree         k-th-order sum-freedom check (char 2)
-kloosterman     binary Kloosterman sum K(n) at the point 1
-verify          run one closed-form checker against brute force
-list-theorems   catalog of checkable statements with hypothesis summaries
+"""Command-line front end; `--help` and README "Command-line interface" list
+the commands.
 
 Exit status: 0 on success, 1 when a verification found a mismatch,
 2 on usage errors or when a statement's hypotheses are not met.
@@ -24,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from itertools import chain, islice
+from itertools import chain
 
 from . import algebra, closed_forms, flats, spectra  # lazy: each runs on first use
 from .field import Field, FieldError, make_field, omega
@@ -97,7 +86,21 @@ def _function_from(cfg: argparse.Namespace, field: Field):
     return parse_function(field, cfg.fn, k=cfg.k, t=cfg.t)
 
 
-_BATCH = 1 << 16  # pieces a write; a write per piece made big outputs 2-3x slower
+_BATCH = 1 << 20  # characters a write; a write per piece made big outputs 2-3x slower
+
+
+def _json_pieces(result: dict):
+    """json.dumps(result, indent=2) in pieces, a 2-D array a row a piece: json
+    writes ``default``'s [None] as "[", the row indent and "null", then closes it."""
+    held = []
+    for piece in json.JSONEncoder(indent=2, default=lambda a: held.append(a) or [None]
+                                  if len(a) else []).iterencode(result):
+        if not held:
+            yield piece
+            continue
+        a, row = held.pop(), piece[1:-4]
+        fmt = row + "[" + ",".join([row + "  %d"] * a.shape[1]) + row + "]"
+        yield from (("," if k else "[") + fmt % tuple(r.tolist()) for k, r in enumerate(a))
 
 
 def _emit(cfg: argparse.Namespace, result) -> None:
@@ -105,18 +108,27 @@ def _emit(cfg: argparse.Namespace, result) -> None:
     it, other results as their lines joined by "\n", each text then ended by
     one "\n".  That is the rule "add a final \n when the text lacks one",
     because no command returns zero lines or ends on an empty line.  The text
-    goes to stdout or --out in batches of _BATCH pieces, never held whole."""
-    pieces = (chain(json.JSONEncoder(indent=2).iterencode(result), ["\n"])
-              if isinstance(result, dict) else (f"{line}\n" for line in result))
-    batches = ("".join(batch) for batch in iter(lambda: list(islice(pieces, _BATCH)), []))
+    goes to stdout or --out in batches of _BATCH characters, never held whole."""
+    pieces = (chain(_json_pieces(result), ["\n"]) if isinstance(result, dict)
+              else (f"{line}\n" for line in result))
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.writelines(batches)
+                fh.writelines(_batches(pieces))
         except OSError as exc:
             raise UsageError(f"cannot write --out {cfg.out!r}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.writelines(batches)
+        sys.stdout.writelines(_batches(pieces))
+
+
+def _batches(pieces):
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        if (size := size + len(piece)) >= _BATCH:
+            yield "".join(batch)
+            batch, size = [], 0
+    yield "".join(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +194,7 @@ def _cmd_flats(cfg: argparse.Namespace):
     if cfg.format == "csv":
         lines = [f"total_two_flats,{rep.total_two_flats}",
                  f"vanishing_count,{rep.vanishing_count}"]
-        if cfg.list_items:
-            lines += flats.flats_listing_lines(rep, field)
-        return 0, lines
+        return 0, chain(lines, flats.flats_listing_lines(rep, field) if cfg.list_items else ())
     obj = {"field": {"p": field.p, "n": field.n, "modulus": field.modulus_text()},
            "function": F.text(),
            "total_two_flats": rep.total_two_flats,
@@ -288,4 +298,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:  # the Python docs' idiom for a reader that leaves early, as `| head` does
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

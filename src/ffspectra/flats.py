@@ -12,15 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .field import FieldError, InvariantError
+from .field import _CHUNK, FieldError, InvariantError
 from .functions import FunctionUnderTest
 from .spectra import _PAIR_KEYS, _checked_trivial, _equal_pairs, ddt_spectrum, fbct_rows
 
-_LIST_LIMIT = 1 << 20  # blocks a listing may hold; each costs about 0.25 KiB of RSS on its way out
+_LIST_LIMIT = 1 << 20  # blocks a listing may hold, each 4 codes and an int64 sort index
 
 
 def count_two_flats(n: int) -> int:
@@ -39,18 +39,22 @@ class FlatReport:
     n: int
     total_two_flats: int
     vanishing_count: int
-    listing: Optional[list] = None  # list of 4-tuples of element codes
+    listing: Optional[np.ndarray] = None  # (N, 4) codes in the code dtype, a block a row
 
 
 def _bucket_blocks(FT: np.ndarray, S: np.ndarray):
     """Yield (x, y, i, j) for the pairs (x, y = x+s), x < y, s in S, walked by
     bucket: the vanishing blocks (lo, lo+s, hi, hi+s), lo the smallest code,
-    are (x[i], y[i], x[j], y[j]), kept in the one pairing with lo+s < hi."""
-    q = FT.size
-    X = np.arange(q, dtype=np.int64)
-    r, x = np.nonzero((X ^ S[:, None]) > X)
-    y = x ^ S[r]
-    for i, j in _equal_pairs(r * q + (FT[x] ^ FT[y]), S.size * q):
+    are (x[i], y[i], x[j], y[j]), kept in the one pairing with lo+s < hi.
+    All in the code dtype of FT and S, keys (F(x) + F(y))*m + r for s = S[r]."""
+    q, m = FT.size, S.size
+    X = np.arange(q, dtype=FT.dtype)
+    Y = X ^ S[:, None]
+    y = Y[Y > X]  # q/2 of each row, x ascending
+    x = y ^ np.repeat(S, q // 2)  # not np.broadcast_to(X): its nditer costs 0.15 MB of RSS
+    kt = np.min_scalar_type(m * q - 1)
+    keys = (FT[x] ^ FT[y]).astype(kt).reshape(m, -1) * m + np.arange(m, dtype=kt)[:, None]
+    for i, j in _equal_pairs(keys.ravel(), m * q):
         keep = y[i] < x[j]
         yield x, y, i[keep], j[keep]
 
@@ -59,17 +63,17 @@ def _blocks(F: FunctionUnderTest):
     """The vanishing blocks as `_bucket_blocks` yields them, from whole s
     values of up to max(_PAIR_KEYS, q/2) pairs at a time."""
     q = F.field.q
+    FT = F.table().astype(np.min_scalar_type(q - 1))
     step = max(1, _PAIR_KEYS // (q // 2))
     for s in range(1, q, step):
-        yield from _bucket_blocks(F.table(), np.arange(s, min(s + step, q)))
+        yield from _bucket_blocks(FT, np.arange(s, min(s + step, q), dtype=FT.dtype))
 
 
-def _vanishing_listing(F: FunctionUnderTest) -> list:
-    """The vanishing blocks as sorted code tuples in lexicographic order."""
+def _vanishing_listing(F: FunctionUnderTest) -> np.ndarray:
+    """The vanishing blocks, ascending codes a row, rows in lexicographic order."""
     B = np.concatenate([np.stack([x[i], y[i], x[j], y[j]], axis=1)
                         for x, y, i, j in _blocks(F)])
-    B = B[np.lexsort((B[:, 2], B[:, 1], B[:, 0]))]
-    return list(zip(*B.T.tolist()))
+    return B[np.lexsort((B[:, 2], B[:, 1], B[:, 0]))]
 
 
 def vanishing_flats(F: FunctionUnderTest, list_blocks: bool = False) -> FlatReport:
@@ -196,9 +200,10 @@ def is_kth_sum_free(F: FunctionUnderTest, k: int) -> SumFreeReport:
     return SumFreeReport(k=k, is_sum_free=True, violating_flat=None)
 
 
-def flats_listing_lines(report: FlatReport, field) -> list:
-    """One block per line, four element encodings joined by '|'."""
+def flats_listing_lines(report: FlatReport, field) -> Iterator[str]:
+    """One block per line, four element encodings joined by '|', _CHUNK to a text."""
     if report.listing is None:
         raise ValueError("report has no listing; enumerate with list_blocks=True")
-    text = [field.from_code(c).text for c in range(field.q)]
-    return [f"{text[a]}|{text[b]}|{text[c]}|{text[d]}" for a, b, c, d in report.listing]
+    text = np.array([field.from_code(c).text for c in range(field.q)], dtype=object)
+    return ("\n".join(map("|".join, text[report.listing[s:s + _CHUNK]].tolist()))
+            for s in range(0, len(report.listing), _CHUNK))

@@ -308,7 +308,7 @@ class SpectrumReport:
             "trivial_cells": int(self.trivial_cells),
         }
         if self.table is not None:
-            obj["full_table"] = self.table.tolist()
+            obj["full_table"] = self.table
         return obj
 
 
@@ -354,9 +354,10 @@ def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumRepo
     orbits = orbit_rows(F)
     reps = [a for a, _ in orbits]
     rows = table[reps] if keep_table else (ddt_row_counts(F, a) for a in reps)
-    hist = np.zeros(q + 1, dtype=np.int64)
+    hist = 0  # made from the first row's counts, not held while rows are counted
     for (_, w), row in zip(orbits, rows):
-        hist += w * np.bincount(row, minlength=q + 1)
+        counts = np.bincount(row, minlength=q + 1)
+        hist = np.add(np.multiply(counts, w, out=counts), hist, out=counts)
     uniformity = int(np.nonzero(hist)[0].max())
     return SpectrumReport(
         kind="ddt", p=f.p, n=f.n, modulus=f.modulus_text(), function=F.text(),
@@ -379,12 +380,12 @@ def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumRep
     orbits = orbit_rows(F)
     reps = [a for a, _ in orbits]
     rows = zip(reps, table[reps]) if keep_table else fbct_rows(F, reps)
-    hist = np.zeros(q + 1, dtype=np.int64)
+    hist = 0  # as in ddt_spectrum
     for (a, row), (_, w) in zip(rows, orbits):
         # the whole row, with no copy, less its trivial cells, which hold q
         counts = np.bincount(row, minlength=q + 1)
         counts[q] -= len(_checked_trivial(f, a, row))
-        hist += w * counts
+        hist = np.add(np.multiply(counts, w, out=counts), hist, out=counts)
     nz = np.nonzero(hist)[0]
     uniformity = int(nz.max()) if nz.size else 0
     trivial_cells = 3 * q - 2 if f.char2 else 2 * q - 1
@@ -443,7 +444,8 @@ def classify(F: FunctionUnderTest) -> Classification:
 # ---------------------------------------------------------------------------
 
 def table_csv_lines(table: np.ndarray) -> Iterator[str]:
-    """Full q x q table as "a,b,value" rows, a-major, codes as integers."""
+    """Full q x q table as "a,b,value" rows, a-major, codes as integers, a text a row."""
     yield "a,b,value"
+    lines = "\n".join(f"\0{b},%d" for b in range(table.shape[1]))  # \0 stands for "a,"
     for a, row in enumerate(table):
-        yield from (f"{a},{b},{v}" for b, v in enumerate(row.tolist()))
+        yield lines.replace("\0", f"{a},") % tuple(row.tolist())

@@ -43,8 +43,13 @@ def test_counts_match_brute_force():
         want = brute_vanishing(F)
         rep = vanishing_flats(F, list_blocks=True)
         assert rep.vanishing_count == len(want)
-        assert sorted(rep.listing) == want
+        assert sorted(_rows(rep.listing)) == want
         assert vanishing_flats(F).vanishing_count == len(want)
+
+
+def _rows(listing):
+    """A listing's blocks as code tuples, the oracles' form."""
+    return list(map(tuple, listing.tolist()))
 
 
 def triple_scan_listing(F):
@@ -91,8 +96,10 @@ def test_listing_matches_triple_scan(n, monkeypatch):
         want = triple_scan_listing(F)
         for keys in (1, 2 * half, 5 * half, flats._PAIR_KEYS):
             monkeypatch.setattr(flats, "_PAIR_KEYS", keys)
-            assert flats._vanishing_listing(F) == want, (F.text(), keys)
-        assert vanishing_flats(F, list_blocks=True).listing == want
+            assert _rows(flats._vanishing_listing(F)) == want, (F.text(), keys)
+        listing = vanishing_flats(F, list_blocks=True).listing
+        assert listing.dtype == np.min_scalar_type(f.q - 1) and listing.shape == (len(want), 4)
+        assert _rows(listing) == want
     assert 1 in widths and max(widths) > 1, widths
 
 
@@ -142,7 +149,7 @@ def test_apn_functions_have_no_vanishing_flats():
         assert vanishing_flats(F).vanishing_count == 0
 
 
-def test_listing_blocks_are_canonical():
+def test_listing_blocks_are_canonical(monkeypatch):
     f = make_field(2, 4)
     F = Monomial(f, 14)
     rep = vanishing_flats(F, list_blocks=True)
@@ -150,8 +157,11 @@ def test_listing_blocks_are_canonical():
     for x1, x2, x3, x4 in rep.listing:
         assert x1 < x2 < x3 < x4
         assert x1 ^ x2 ^ x3 ^ x4 == 0
-    lines = flats_listing_lines(rep, f)
+    lines = "\n".join(flats_listing_lines(rep, f)).split("\n")
     assert len(lines) == 5 and all(line.count("|") == 3 for line in lines)
+    assert lines == ["|".join(f.from_code(c).text for c in block) for block in _rows(rep.listing)]
+    monkeypatch.setattr(flats, "_CHUNK", 2)  # lines come _CHUNK to a text
+    assert list(flats_listing_lines(rep, f)) == ["\n".join(lines[s:s + 2]) for s in (0, 2, 4)]
     with pytest.raises(ValueError):
         flats_listing_lines(vanishing_flats(F), f)
 

@@ -392,7 +392,9 @@ def test_odd_characteristic_uniformity_includes_diagonal():
 def test_spectrum_json_schema():
     f = make_field(2, 3)
     F = Monomial(f, 3)
-    obj = fbct_spectrum(F, keep_table=True).to_json_obj()
+    rep = fbct_spectrum(F, keep_table=True)
+    obj = rep.to_json_obj()
+    assert obj["full_table"] is rep.table  # written a row at a time by cli._emit
     assert set(obj) == {"field", "function", "kind", "histogram", "uniformity",
                         "beta", "trivial_histogram", "nontrivial_cells",
                         "trivial_cells", "full_table"}
@@ -591,10 +593,31 @@ def test_classify_flags():
     assert lin.differential_uniformity == 16
 
 
+def test_spectra_hold_no_histogram_while_a_row_is_counted():
+    """x^7 on GF(2^16) is one orbit, so each spectrum traces what counting
+    its one row traces: the histogram is made from that row's counts, not
+    held beside them from the start (0.5 MiB more each when it was)."""
+    F = Monomial(make_field(2, 16), 7)
+    F.table()
+    orbit_rows(F)
+    peaks = []
+    for count in (lambda: spectra._fbct_block(F, [1]), lambda: fbct_spectrum(F),
+                  lambda: ddt_row_counts(F, 1), lambda: ddt_spectrum(F)):
+        tracemalloc.start()
+        try:
+            count()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    slack = 1 << 16  # the histogram is 8 * (q + 1) bytes, 2^19
+    assert peaks[1] <= peaks[0] + slack and peaks[3] <= peaks[2] + slack, peaks
+
+
 def test_table_csv_lines_shape():
     f = make_field(2, 2)
     rep = fbct_spectrum(Monomial(f, 3), keep_table=True)
-    lines = list(table_csv_lines(rep.table))
+    lines = "\n".join(table_csv_lines(rep.table)).split("\n")
+    assert len(list(table_csv_lines(rep.table))) == 1 + 4  # the header, then a text a row
     assert lines[0] == "a,b,value"
     assert len(lines) == 1 + 16
     assert lines[1] == "0,0,4"
