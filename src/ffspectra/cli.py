@@ -293,15 +293,18 @@ def dispatch(cfg: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    cfg = _config_from_args(sys.argv[1:] if argv is None else argv)
-    return dispatch(cfg)
+    return dispatch(_config_from_args(sys.argv[1:] if argv is None else argv))
 
 
-if __name__ == "__main__":
+def run() -> int:  # the `ffspectra` console script and `python -m ffspectra.cli`
     try:  # the Python docs' idiom for a reader that leaves early, as `| head` does
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    sys.exit(code)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(run())

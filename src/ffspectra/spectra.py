@@ -23,11 +23,13 @@ import numpy as np
 
 from .field import _CHUNK, Field, InvariantError, _prime_factors
 from .functions import FunctionUnderTest, Monomial
+from .walsh import fbct_walsh as _fbct_walsh
 
 _BLOCK_CELLS = 1 << 20
 _PAIR_KEYS = 1 << 16
-_PAIR_COST = 32        # characteristic 2 and prime fields
+_PAIR_COST = 39        # prime fields: a pair against a dense cell
 _PAIR_COST_ODD = 108   # GF(p^n), p odd, n >= 2: each pair's y - x is a digit-wise vsub
+_PAIR_COST_WHT = 16    # characteristic 2: a pair against a butterfly cell
 _KEEP_TABLE_LIMIT = 1 << 12  # a kept table is q^2 cells of 2 bytes: 32 MiB at the limit
 
 
@@ -137,9 +139,11 @@ def _derivs(F: FunctionUnderTest, codes) -> np.ndarray:
 
 
 def _level_mass(D: np.ndarray) -> np.ndarray:
-    """s_a = sum_v delta(a, v)^2 for each row d_a of D: the number of
-    ordered pairs (x, y) with d_a(x) = d_a(y), which is also sum_b nabla(a, b)."""
-    return np.array([np.square(np.bincount(d)).sum() for d in D], dtype=np.int64)
+    """Two int64 rows, s and L, from one bincount of each row d_a of D:
+    s_a = sum_v delta(a, v)^2, the number of ordered pairs (x, y) with
+    d_a(x) = d_a(y), which is also sum_b nabla(a, b); L_a, the number of
+    values v that d_a takes."""
+    return np.array([(np.square(c).sum(), np.count_nonzero(c)) for c in map(np.bincount, D)]).T
 
 
 def _fbct_dense(f: Field, D: np.ndarray) -> np.ndarray:
@@ -225,29 +229,32 @@ def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
 
 
 def _fbct_block(F: FunctionUnderTest, codes: list) -> np.ndarray:
-    """The (len, q) block of FBCT rows of the int codes, at most
-    _BLOCK_CELLS / q of them, whose derivatives are held as the rows of
-    one (R, q) array D.  A row takes the pair kernel when K * s_a <= q^2 and
-    the dense scan otherwise, and must sum to s_a; K is the lowest measured
-    cost of a pair over that of a one-byte dense cell, _PAIR_COST_ODD on odd
-    extension fields and _PAIR_COST on the others (README, "FBCT row
-    kernels").  A block counted by one kernel is that kernel's own array,
-    not a copy.  Rows are np.min_scalar_type(q), which holds the trivial q.
+    """The (len, q) block of FBCT rows of the int codes, whose derivatives
+    are held as the rows of one (R, q) array D.  Each row must sum to s_a
+    and takes the pair kernel when that costs less than the other kernel:
+    in characteristic 2 when K * s_a <= (L_a + 1) q log2(q), the transform's
+    butterflies, K = _PAIR_COST_WHT (always up to q = 2^5, where a row has
+    at most 2^10 pairs); elsewhere when K * s_a <= q^2, the dense scan's
+    cells, K = _PAIR_COST_ODD on odd extension fields and _PAIR_COST on
+    prime fields (README, "FBCT row kernels").  A block counted by one
+    kernel is that kernel's own array, not a copy.  Rows are
+    np.min_scalar_type(q), which holds the trivial q.
     """
     f = F.field
     q = f.q
     D = _derivs(F, codes)
-    mass = _level_mass(D)
-    K = _PAIR_COST if f.char2 or f.n == 1 else _PAIR_COST_ODD
-    by_pairs = K * mass <= q * q
+    mass, levels = _level_mass(D)
+    K, cost, other = ((_PAIR_COST_WHT * (q > 32), (levels + 1) * q * f.n, _fbct_walsh) if f.char2
+                      else (_PAIR_COST if f.n == 1 else _PAIR_COST_ODD, q * q, _fbct_dense))
+    by_pairs = K * mass <= cost
     if by_pairs.all():
         counts = _fbct_pairs(f, D)
     elif not by_pairs.any():
-        counts = _fbct_dense(f, D)
+        counts = other(f, D)
     else:
         counts = np.empty((len(codes), q), dtype=np.min_scalar_type(q))
         counts[by_pairs] = _fbct_pairs(f, D[by_pairs])
-        counts[~by_pairs] = _fbct_dense(f, D[~by_pairs])
+        counts[~by_pairs] = other(f, D[~by_pairs])
     bad = np.nonzero(counts.sum(axis=1, dtype=np.int64) != mass)[0]
     if bad.size:
         r = bad[0]
@@ -263,10 +270,13 @@ def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
 
 def fbct_rows(F: FunctionUnderTest, codes=None):
     """Yield (a, nabla_F(a, .)) for each a of ``codes`` (default 1..q-1), one
-    kernel block at a time; the only path that counts many rows."""
+    kernel block at a time; the only path that counts many rows.  A block
+    holds at most _BLOCK_CELLS cells, where the dense scan runs faster over
+    many rows at once, and in characteristic 2, which has no dense scan, at
+    most _PAIR_KEYS cells or 64 rows, whichever holds more."""
     q = F.field.q
     codes = [F.field.element(c).code for c in (range(1, q) if codes is None else codes)]
-    step = max(1, _BLOCK_CELLS // q)
+    step = max(1, min(_BLOCK_CELLS // q, max(_PAIR_KEYS // q, 64) if F.field.char2 else _BLOCK_CELLS))
     for s in range(0, len(codes), step):
         block = codes[s:s + step]
         yield from zip(block, _fbct_block(F, block))

@@ -1,9 +1,11 @@
 """Command-line interface: output schemas, exit codes, byte determinism."""
 
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -396,19 +398,35 @@ def test_a_stdout_error_is_not_an_out_error(monkeypatch):
         main(["kloosterman", "--n", "4"])
 
 
-def test_a_closed_pipe_ends_without_a_traceback():
-    """A reader that leaves early, as `| head -c 120` does, ends the run with
-    exit status 1 and nothing on stderr."""
+def _read_120_bytes_and_close(*command):
+    """Run ``command`` with the arguments of a 9.2 MB JSON table and leave
+    after 120 bytes, as `| head -c 120` does: exit status 1, empty stderr."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = "ddt --p 2 --n 10 --fn monomial:d=7 --keep-table".split()  # 9.2 MB of JSON
-    proc = subprocess.Popen([sys.executable, "-m", "ffspectra.cli", *argv], env=env,
+    argv = "ddt --p 2 --n 10 --fn monomial:d=7 --keep-table".split()
+    proc = subprocess.Popen([sys.executable, *command, *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.read(120).startswith(b"{")
     proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == "", err  # no BrokenPipeError traceback
+
+
+def test_a_closed_pipe_ends_without_a_traceback():
+    _read_120_bytes_and_close("-m", "ffspectra.cli")
+
+
+def test_the_console_script_ends_a_closed_pipe_without_a_traceback():
+    """pyproject's `ffspectra` script, run as its installed wrapper runs it:
+    import the function it names and exit with what it returns."""
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as fh:
+        target = re.search(r'^ffspectra = "([\w.]+:\w+)"$', fh.read(), re.M).group(1)
+    installed = importlib.metadata.entry_points(group="console_scripts", name="ffspectra")
+    assert all(ep.value == target for ep in installed), list(installed)
+    module, func = target.split(":")
+    _read_120_bytes_and_close("-c", f"import sys; from {module} import {func}; sys.exit({func}())")
 
 
 #: argv and its bound on the traced peak in MiB

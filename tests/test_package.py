@@ -50,6 +50,7 @@ print(" ".join(sorted(name[len("ffspectra."):] for name, mod in sys.modules.item
 """
 
 BASE = {"cli", "field", "functions"}
+SPECTRA = {"spectra", "walsh"}  # spectra imports its transform kernel's module
 F2 = ("--p", "2", "--n", "4", "--fn", "monomial:d=3")
 
 #: (argv, the ffspectra modules that run): `import ffspectra.cli` alone runs
@@ -58,14 +59,14 @@ COMMANDS = [
     ((), BASE),
     (("field", "--p", "3", "--n", "2"), BASE),
     (("eval",) + F2, BASE),
-    (("ddt",) + F2, BASE | {"spectra"}),
-    (("fbct",) + F2, BASE | {"spectra"}),
-    (("spectrum",) + F2, BASE | {"spectra"}),
-    (("flats",) + F2, BASE | {"spectra", "flats"}),
-    (("sumfree",) + F2 + ("--k", "2"), BASE | {"spectra", "flats"}),
+    (("ddt",) + F2, BASE | SPECTRA),
+    (("fbct",) + F2, BASE | SPECTRA),
+    (("spectrum",) + F2, BASE | SPECTRA),
+    (("flats",) + F2, BASE | SPECTRA | {"flats"}),
+    (("sumfree",) + F2 + ("--k", "2"), BASE | SPECTRA | {"flats"}),
     (("kloosterman", "--n", "4"), BASE | {"algebra"}),
-    (("verify", "--theorem", "L2", "--p", "2", "--n", "5"), BASE | set(LAZY)),
-    (("list-theorems",), BASE | set(LAZY)),
+    (("verify", "--theorem", "L2", "--p", "2", "--n", "5"), BASE | set(LAZY) | SPECTRA),
+    (("list-theorems",), BASE | set(LAZY) | SPECTRA),
 ]
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffspectra import flats, spectra
+from ffspectra import flats, spectra, walsh
 from ffspectra.field import make_field
 from ffspectra.functions import (FunctionError, GammaTraceInverse,
                                  InversePlusTrace, Monomial, TableFunction,
@@ -67,8 +67,8 @@ def test_random_table_function_rows_match_definition():
 
 
 def _count_kernel_rows(monkeypatch):
-    """Patch the private dense and pair kernels to count the rows each gets."""
-    rows = {"pairs": 0, "dense": 0}
+    """Patch the private pair, dense and transform kernels to count the rows each gets."""
+    rows = {"pairs": 0, "dense": 0, "walsh": 0}
     for kind in rows:
         real = getattr(spectra, f"_fbct_{kind}")
 
@@ -130,8 +130,7 @@ def test_fbct_rows_equal_the_dense_scan(monkeypatch, p, n, build, rows, kernel):
     assert np.array_equal(got, want)
     assert got.dtype == np.min_scalar_type(F.field.q)
     assert np.array_equal(got[-1], level_pair_row(F, rows[-1]))
-    assert ran == {"pairs": len(rows) if kernel == "pairs" else 0,
-                   "dense": len(rows) if kernel == "dense" else 0}
+    assert ran == {k: len(rows) if k == kernel else 0 for k in ran}
     rng = np.random.RandomState(3)
     for r, b in zip(rng.randint(0, len(rows), 6), rng.randint(0, F.field.q, 6)):
         assert got[r, b] == brute_fbct(F, rows[r], b), (rows[r], b)
@@ -164,6 +163,86 @@ def test_dense_scan_matches_definition(p, n, build, every, wide):
         assert got[r, b] == brute_fbct(F, rows[r], b), (rows[r], b)
 
 
+def _valued_table(f, k, seed=0):
+    return TableFunction(f, [int(v) for v in np.random.RandomState(seed).randint(0, min(k, f.q), f.q)])
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut-by-levels"])
+@pytest.mark.parametrize("n", range(1, 12))
+def test_transform_rows_equal_the_dense_scan_and_the_definition(monkeypatch, n, cut):
+    """4-, 8- and 64-value tables on GF(2)..GF(2^11); with _ONE_HOT_CELLS
+    patched to 3q every row is cut into arrays of at most three levels."""
+    f = make_field(2, n)
+    if cut:
+        monkeypatch.setattr(walsh, "_ONE_HOT_CELLS", 3 * f.q)
+    rng = np.random.RandomState(n)
+    for k in (4, 8, 64):
+        F = _valued_table(f, k, seed=k)
+        rows = sorted(set(rng.randint(1, f.q, 24).tolist())) if f.q > 2 else [1]
+        D = spectra._derivs(F, rows)
+        got = spectra._fbct_walsh(f, D)
+        assert got.dtype == np.min_scalar_type(f.q)
+        assert np.array_equal(got, spectra._fbct_dense(f, D)), k
+        for r, b in zip(rng.randint(0, len(rows), 3), rng.randint(0, f.q, 3)):
+            assert got[r, b] == brute_fbct(F, rows[r], b), (k, rows[r], b)
+
+
+@pytest.mark.parametrize("n,first", [(14, np.int16), (15, np.int32), (16, np.int32)])
+def test_linear_map_transform_holds_q_in_its_first_dtype(monkeypatch, n, first):
+    """x is linear, so d_a is the constant a: one level set, whose first
+    transform is q at 0 (and 0 elsewhere) and every cell of the row is q.
+    int16 holds W(0) = q = 2^14 and not 2^15 or 2^16, which take int32."""
+    f = make_field(2, n)
+    F = parse_function(f, "monomial:d=1")
+    dtypes = []
+    real = walsh.wht
+
+    def wht(M):
+        dtypes.append(M.dtype)
+        real(M)
+
+    monkeypatch.setattr(walsh, "wht", wht)
+    ran = _count_kernel_rows(monkeypatch)
+    row = fbct_row_counts(F, 3)
+    assert ran == {"pairs": 0, "dense": 0, "walsh": 1}
+    assert dtypes == [first, np.int64]
+    assert row.dtype == np.min_scalar_type(f.q) and (row == f.q).all()
+    assert all(row[b] == fbct_entry(F, 3, b) for b in (0, 1, f.q - 1))
+
+
+@pytest.mark.parametrize("n,fn,band,kernel", [
+    (9, lambda f: _valued_table(f, 20), (0.5, 1), "walsh"),
+    (9, lambda f: _valued_table(f, 40), (1, 4), "pairs"),
+    (6, lambda f: Monomial(f, 1), (0, 0.05), "walsh"),
+    (5, lambda f: Monomial(f, 1), (0, 0.05), "pairs"),  # q <= 2^5: pairs, whatever the costs
+], ids=["20-values-GF2^9", "40-values-GF2^9", "x-GF2^6", "x-GF2^5"])
+def test_characteristic_2_rows_route_by_pairs_against_butterflies(monkeypatch, n, fn, band, kernel):
+    """A row takes pairs when K * s_a <= (L_a + 1) q n, K = _PAIR_COST_WHT,
+    that is when (L_a + 1) q n / (K s_a), which lies in ``band``, is >= 1."""
+    f = make_field(2, n)
+    F = fn(f)
+    rows = range(1, min(41, f.q))
+    s, L = spectra._level_mass(spectra._derivs(F, rows))
+    ratio = (L + 1) * f.q * n / (spectra._PAIR_COST_WHT * s)
+    assert ((ratio > band[0]) & (ratio < band[1])).all()
+    want = _dense_oracle(F, rows)
+    ran = _count_kernel_rows(monkeypatch)
+    assert np.array_equal(spectra._fbct_block(F, list(rows)), want)
+    assert ran == {k: len(rows) if k == kernel else 0 for k in ran}
+
+
+def test_constant_function_rows_hold_q():
+    """d_a = 0 for a constant on GF(2^5): every cell of every row is q.  A
+    transform applied to a copy of its array (a reshape of a non-contiguous
+    array copies) gave rows of zeros here."""
+    f = make_field(2, 5)
+    F = TableFunction(f, [7] * f.q)
+    D = spectra._derivs(F, range(1, f.q))
+    assert (spectra._fbct_walsh(f, D) == f.q).all()
+    assert (spectra._fbct_walsh(f, np.asfortranarray(D)) == f.q).all()
+    assert all((row == f.q).all() for _, row in fbct_rows(F))
+
+
 def test_equal_pairs_yields_every_equal_pair_once():
     """The walk shared by FBCT rows and the vanishing-flat listing: unsorted
     keys in, every index pair i < j of equal keys out once, ending empty."""
@@ -178,16 +257,15 @@ def test_equal_pairs_yields_every_equal_pair_once():
 
 def test_one_block_mixes_both_kernels(monkeypatch):
     """A permutation on the half x < 256 of GF(2^9), zero on the other half:
-    a row a < 256 has the level set of 0 over the whole zero half (dense),
-    a row a >= 256 has level sets of size 2 (pairs)."""
+    a row a < 256 has the level set of 0 over the whole zero half (the
+    transform), a row a >= 256 has level sets of size 2 (pairs)."""
     f = make_field(2, 9)
     F = _half_permutation(f)
     rows = range(1, f.q)
-    assert len(rows) <= spectra._BLOCK_CELLS // f.q
     want = _dense_oracle(F, rows)
     ran = _count_kernel_rows(monkeypatch)
     assert np.array_equal(spectra._fbct_block(F, list(rows)), want)
-    assert ran == {"pairs": 256, "dense": 255}
+    assert ran == {"pairs": 256, "dense": 0, "walsh": 255}
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 16, 7), (3, 10, 5), (3, 11, 5)])
@@ -225,7 +303,7 @@ def test_pair_sub_blocks_of_one_and_of_three_rows(monkeypatch, p, n, build, time
     ran = _count_kernel_rows(monkeypatch)
     assert np.array_equal(spectra._fbct_block(F, rows), want)
     assert ran["pairs"] % 3  # the last sub-block of three rows is short
-    assert ran["dense"] == (255 if p == 2 else 0)
+    assert ran["walsh"] == (255 if p == 2 else 0) and ran["dense"] == 0
 
 
 def test_derivs_hold_one_row_per_a():
@@ -301,22 +379,36 @@ def test_kept_tables_are_held_in_the_row_dtype():
             assert table.tolist() == [row(F, a).tolist() for a in range(F.field.q)]
 
 
-def test_odd_extension_rows_between_the_two_costs_stay_dense(monkeypatch):
-    """On GF(3^6) a pair costs about 116 dense cells, not 32: a row with
-    q^2 / s_a between 32 and 108 takes the dense scan there."""
-    f = make_field(3, 6)
-    F = TableFunction(f, [int(v) for v in np.random.RandomState(5).randint(0, 50, f.q)])
+def _rows_in_band_stay_dense(monkeypatch, F, band, cells):
+    """Rows 1..40 of F have q^2 / s_a inside ``band`` and take the dense scan."""
+    f = F.field
     rows = range(1, 41)
-    D = spectra._derivs(F, rows)
-    band = f.q ** 2 / spectra._level_mass(D)
-    assert ((band > spectra._PAIR_COST) & (band < spectra._PAIR_COST_ODD)).all()
+    ratio = f.q ** 2 / spectra._level_mass(spectra._derivs(F, rows))[0]
+    assert ((ratio > band[0]) & (ratio < band[1])).all()
     want = _dense_oracle(F, rows)
     ran = _count_kernel_rows(monkeypatch)
     got = spectra._fbct_block(F, list(rows))
-    assert ran == {"pairs": 0, "dense": len(rows)}
+    assert ran == {"pairs": 0, "dense": len(rows), "walsh": 0}
     assert np.array_equal(got, want)
-    for r, b in zip(range(0, 40, 7), (0, 1, 5, 300, 728, 404)):
+    for r, b in zip(range(0, 40, 7), cells):
         assert got[r, b] == brute_fbct(F, rows[r], b), (rows[r], b)
+
+
+def test_odd_extension_rows_between_the_two_costs_stay_dense(monkeypatch):
+    """On GF(3^6) a pair costs about 116 dense cells, not 41: a row with
+    q^2 / s_a between 41 and 108 takes the dense scan there."""
+    f = make_field(3, 6)
+    F = TableFunction(f, [int(v) for v in np.random.RandomState(5).randint(0, 50, f.q)])
+    _rows_in_band_stay_dense(monkeypatch, F, (spectra._PAIR_COST, spectra._PAIR_COST_ODD),
+                             (0, 1, 5, 300, 728, 404))
+
+
+def test_prime_field_rows_between_the_old_and_new_costs_stay_dense(monkeypatch):
+    """On GF(257) a pair costs 41-43 dense cells, not the 32 once used: a
+    row with q^2 / s_a between 32 and 41 takes the dense scan."""
+    f = make_field(257, 1)
+    F = TableFunction(f, [int(v) for v in np.random.RandomState(2).randint(0, 28, f.q)])
+    _rows_in_band_stay_dense(monkeypatch, F, (32, spectra._PAIR_COST), (0, 1, 5, 100, 256, 204))
 
 
 def test_fbct_row_beyond_the_old_addition_table_limit(monkeypatch):
@@ -326,7 +418,7 @@ def test_fbct_row_beyond_the_old_addition_table_limit(monkeypatch):
     a = 1234
     ran = _count_kernel_rows(monkeypatch)
     row = fbct_row_counts(F, a)
-    assert ran == {"pairs": 1, "dense": 0}
+    assert ran == {"pairs": 1, "dense": 0, "walsh": 0}
     assert all(row[b] == fbct_entry(F, a, b) for b in range(f.q))
     # definition-level counts over values from scalar evaluation
     values = TableFunction(f, [F.eval_code(x) for x in range(f.q)])
@@ -433,6 +525,18 @@ def test_power_map_rows_are_row_one_at_b_over_a():
             row = fbct_row_counts(F, a)
             assert (row1[f.vmul(X, f.vinv(a))] == row).all(), a
             assert (table[a] == row).all(), a
+
+
+@pytest.mark.parametrize("p,n,rows", [(2, 9, 128), (2, 14, 64), (2, 16, 16), (3, 7, 479)])
+def test_block_rows_per_characteristic(monkeypatch, p, n, rows):
+    """fbct_rows cuts blocks of 2^16 cells or 64 rows, whichever holds more,
+    at most 2^20 cells, in characteristic 2, and of 2^20 cells elsewhere."""
+    f = make_field(p, n)
+    seen = []
+    monkeypatch.setattr(spectra, "_fbct_block", lambda F, codes: seen.append(len(codes)) or
+                        np.zeros((len(codes), f.q), dtype=np.uint8))
+    assert len(list(fbct_rows(Monomial(f, 3), range(1, 2 * rows + 2)))) == 2 * rows + 1
+    assert seen == [rows, rows, 1]
 
 
 @pytest.mark.parametrize("cells", [1, 48])
@@ -639,11 +743,12 @@ def test_kept_table_above_q_4096_is_refused_before_any_row(monkeypatch, p, n):
 
 def test_invariant_checks_survive_python_O():
     """Under ``python -O`` a corrupted trivial FBCT cell (entrywise and
-    monomial paths), an odd characteristic-2 DDT entry, and an FBCT row from
-    either kernel that breaks the row mass still raise."""
+    monomial paths), an odd characteristic-2 DDT entry, an FBCT row from any
+    kernel that breaks the row mass, and a second Walsh-Hadamard transform
+    with a cell not divisible by q still raise."""
     script = textwrap.dedent("""
         import sys
-        from ffspectra import flats, spectra
+        from ffspectra import flats, spectra, walsh
         from ffspectra.field import InvariantError, make_field
         from ffspectra.functions import Monomial, TableFunction
 
@@ -672,7 +777,8 @@ def test_invariant_checks_survive_python_O():
             report(run)
 
         # each kernel gains one pair at b = 1, so its row no longer sums to
-        # sum_v delta(a, v)^2; x^3 on GF(2^6) takes pairs, a constant the dense scan
+        # sum_v delta(a, v)^2; x^3 on GF(2^6) takes pairs, a constant on
+        # GF(3^3) the dense scan and a constant on GF(2^6) the transform
         def gain_one(real):
             def kernel(f, D):
                 rows = real(f, D)
@@ -680,12 +786,21 @@ def test_invariant_checks_survive_python_O():
                 return rows
             return kernel
 
-        spectra._fbct_pairs = gain_one(spectra._fbct_pairs)
-        spectra._fbct_dense = gain_one(spectra._fbct_dense)
+        for kind in ("pairs", "dense", "walsh"):
+            setattr(spectra, f"_fbct_{kind}", gain_one(getattr(spectra, f"_fbct_{kind}")))
         f6 = make_field(2, 6)
         for run in (lambda: real_block(Monomial(f6, 3), [1]),
+                    lambda: real_block(TableFunction(make_field(3, 3), [5] * 27), [1]),
                     lambda: real_block(TableFunction(f6, [5] * 64), [1])):
             report(run)
+
+        # the second transform, the only one in int64, gains one at its first cell
+        real_wht = walsh.wht
+        def off_by_one(M):
+            real_wht(M)
+            M[0] += M.dtype == "int64"
+        walsh.wht = off_by_one
+        report(lambda: real_block(TableFunction(f6, [5] * 64), [1]))
     """)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -693,6 +808,7 @@ def test_invariant_checks_survive_python_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 5 and all(line.startswith("InvariantError") for line in lines), lines
+    assert len(lines) == 7 and all(line.startswith("InvariantError") for line in lines), lines
     assert "trivial cell" in lines[0] and "trivial cell" in lines[1], lines
-    assert all("not to sum_v delta(a, v)^2" in line for line in lines[3:]), lines
+    assert all("not to sum_v delta(a, v)^2" in line for line in lines[3:6]), lines
+    assert "not divisible by q" in lines[6], lines
