@@ -17,7 +17,7 @@ import sys
 from itertools import chain
 
 from . import algebra, closed_forms, flats, spectra  # lazy: each runs on first use
-from .field import Field, FieldError, make_field, omega
+from .field import _CHUNK, Field, FieldError, make_field, omega
 from .functions import parse_function
 
 
@@ -90,8 +90,9 @@ _BATCH = 1 << 20  # characters a write; a write per piece made big outputs 2-3x 
 
 
 def _json_pieces(result: dict):
-    """json.dumps(result, indent=2) in pieces, a 2-D array a row a piece: json
-    writes ``default``'s [None] as "[", the row indent and "null", then closes it."""
+    """json.dumps(result, indent=2) in pieces, a 2-D array a row a piece, a 1-D
+    one _CHUNK values a piece: json writes ``default``'s [None] as "[", the row
+    indent and "null", then closes it."""
     held = []
     for piece in json.JSONEncoder(indent=2, default=lambda a: held.append(a) or [None]
                                   if len(a) else []).iterencode(result):
@@ -99,8 +100,17 @@ def _json_pieces(result: dict):
             yield piece
             continue
         a, row = held.pop(), piece[1:-4]
+        if a.ndim == 1:
+            yield from (("," if s else "[") + ",".join([row + "%d"] * c.size) % tuple(c.tolist())
+                        for s, c in _chunks(a))
+            continue
         fmt = row + "[" + ",".join([row + "  %d"] * a.shape[1]) + row + "]"
         yield from (("," if k else "[") + fmt % tuple(r.tolist()) for k, r in enumerate(a))
+
+
+def _chunks(a):
+    """(s, a[s:s + _CHUNK]) for each s."""
+    return ((s, a[s:s + _CHUNK]) for s in range(0, a.size, _CHUNK))
 
 
 def _emit(cfg: argparse.Namespace, result) -> None:
@@ -153,11 +163,11 @@ def _cmd_field(cfg: argparse.Namespace):
 def _cmd_eval(cfg: argparse.Namespace):
     field = _field_from(cfg)
     F = _function_from(cfg, field)
-    values = F.table().tolist()
     if cfg.format == "csv":
-        return 0, chain(["x,F(x)"], (f"{x},{v}" for x, v in enumerate(values)))
+        return 0, chain(["x,F(x)"], ("\n".join(f"{x},{v}" for x, v in enumerate(c.tolist(), s))
+                                     for s, c in _chunks(F.table())))
     return 0, {"field": {"p": field.p, "n": field.n, "modulus": field.modulus_text()},
-               "function": F.text(), "values": values}
+               "function": F.text(), "values": F.table()}
 
 
 def _cmd_one_spectrum(cfg: argparse.Namespace, spectrum):

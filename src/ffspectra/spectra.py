@@ -26,7 +26,7 @@ from .functions import FunctionUnderTest, Monomial
 from .walsh import fbct_walsh as _fbct_walsh
 
 _BLOCK_CELLS = 1 << 20
-_PAIR_KEYS = 1 << 16
+_PAIR_KEYS = 1 << 13
 _PAIR_COST = 39        # prime fields: a pair against a dense cell
 _PAIR_COST_ODD = 108   # GF(p^n), p odd, n >= 2: each pair's y - x is a digit-wise vsub
 _PAIR_COST_WHT = 16    # characteristic 2: a pair against a butterfly cell
@@ -194,35 +194,25 @@ def _fbct_pairs(f: Field, D: np.ndarray) -> np.ndarray:
     the ordered pairs (x, y) with d_a(x) = d_a(y) and y - x = b, so a row
     costs s_a pairs instead of q^2 cells.
 
-    Up to _PAIR_KEYS keys r*q + d_a(x), at index r*q + x, are walked at once
-    with `_equal_pairs`, in a dtype that also holds q.  Each equal pair
-    (x, y), x < y, adds one at y - x to its own output row, in the row dtype,
-    once max(_PAIR_KEYS, q) differences are pending, so a sub-block holds
-    O(max(_PAIR_KEYS, q)) memory whatever its pair count.  The pairs in the
-    other order add the row at -b, and x = y adds q at b = 0 (a cell <= q).
+    A window of whole rows, up to _PAIR_KEYS keys r*q + d_a(x) at index r*q + x,
+    or one row when q is larger, is walked at once with `_equal_pairs`, in a
+    dtype that also holds q.  Each offset's equal pairs (x, y), x < y, add one at
+    r*q + y - x of the window's output rows by `np.add.at`, which counts a
+    repeated index each time, with a one of the row dtype (numpy's fast path; a
+    Python 1 is about 35 times slower).  The pairs in the other order add the
+    row at -b, and x = y adds q at b = 0 (a cell <= q).
     """
     R, q = D.shape
     counts = np.zeros((R, q), dtype=np.min_scalar_type(q))
     step = max(1, _PAIR_KEYS // q)
-    cap = max(_PAIR_KEYS, q)
     for s in range(0, R, step):
         m = min(step, R - s)
         rows = counts[s:s + m]
         keys = D[s:s + m].astype(np.min_scalar_type(max(m * q - 1, q)))  # a copy, never D
         keys += np.arange(0, m * q, q, dtype=keys.dtype)[:, None]  # one row: D's own, + 0
-        pending, npend = [], 0
         for i, j in _equal_pairs(keys.ravel(), m * q):
-            rowq = i - i % q  # j is in i's row; both are the walk's own copies
-            i -= rowq
-            j -= rowq
-            d = f.vsub(j, i)
-            d += rowq
-            pending.append(d)
-            npend += i.size
-            if npend >= cap or not i.size:
-                rows += np.bincount(np.concatenate(pending),
-                                    minlength=m * q).reshape(m, q).astype(rows.dtype)
-                pending, npend = [], 0
+            rowq = i - i % q  # j is in i's row
+            np.add.at(rows.reshape(-1), f.vsub(j - rowq, i - rowq) + rowq, counts.dtype.type(1))
         rows += rows if f.char2 else rows[:, f.vneg(np.arange(q))]
         rows[:, 0] += q
     return counts
@@ -271,9 +261,9 @@ def fbct_row_counts(F: FunctionUnderTest, a) -> np.ndarray:
 def fbct_rows(F: FunctionUnderTest, codes=None):
     """Yield (a, nabla_F(a, .)) for each a of ``codes`` (default 1..q-1), one
     kernel block at a time; the only path that counts many rows.  A block
-    holds at most _BLOCK_CELLS cells, where the dense scan runs faster over
-    many rows at once, and in characteristic 2, which has no dense scan, at
-    most _PAIR_KEYS cells or 64 rows, whichever holds more."""
+    holds at most _BLOCK_CELLS cells, where the dense scan runs faster over many
+    rows at once, and in characteristic 2, which has no dense scan, at most
+    _PAIR_KEYS cells or 64 rows, whichever holds more (64 from q = 2^7 to 2^14)."""
     q = F.field.q
     codes = [F.field.element(c).code for c in (range(1, q) if codes is None else codes)]
     step = max(1, min(_BLOCK_CELLS // q, max(_PAIR_KEYS // q, 64) if F.field.char2 else _BLOCK_CELLS))

@@ -234,6 +234,22 @@ def test_eval_with_table_file(tmp_path, capsys):
     assert out.splitlines()[:3] == ["x,F(x)", "0,7", "1,6"]
 
 
+@pytest.mark.parametrize("chunk", [5, 16, 1 << 12])
+def test_eval_writes_its_values_a_chunk_a_piece(monkeypatch, capsys, chunk):
+    """eval hands its value table to the writer as one array, _CHUNK values
+    a piece, a short last chunk included, and prints the bytes that
+    json.dumps(indent=2) and one "x,F(x)" line a value give."""
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    values = [0, 1, 8, 15, 12, 10, 1, 1, 10, 15, 15, 12, 8, 10, 8, 12]  # x^3 on GF(2^4)
+    argv = ["eval", "--p", "2", "--n", "4", "--fn", "monomial:d=3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"field": {"p": 2, "n": 4, "modulus": "1,1,0,0,1"}, "function": "monomial:d=3",
+         "values": values}, indent=2) + "\n"
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "x,F(x)\n" + "".join(f"{x},{v}\n" for x, v in enumerate(values))
+
+
 def test_flats_and_sumfree_commands(capsys):
     code, out, _ = run(capsys, "flats", "--p", "2", "--n", "4",
                        "--fn", "monomial:d=14", "--list")

@@ -318,9 +318,11 @@ def test_derivs_hold_one_row_per_a():
 
 def test_pair_rows_of_a_permutation_are_counted_in_place():
     """fbct_spectrum of a random permutation of GF(2^9), its orbits known
-    (511 rows, all by pairs), traces 2.67 MiB at its peak (numpy 2.4): each
-    sub-block is counted into its own output rows.  With derivatives held
-    as columns and an int64 histogram per sub-block it traced 3.17 MiB."""
+    (511 rows, all by pairs), traces 0.36 MiB at its peak (numpy 2.4): each
+    window of 2^13 keys adds its pairs' differences straight into its own
+    output rows.  Windows of 2^16 keys, flushed through an int64 bincount
+    of m * q slots, traced 2.05 MiB, and derivatives held as columns with
+    an int64 histogram per sub-block 3.17 MiB."""
     F = _random_permutation(make_field(2, 9), 12)
     F.field.tables()
     F.table()
@@ -331,7 +333,26 @@ def test_pair_rows_of_a_permutation_are_counted_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.9 * 2 ** 20, peak
+    assert peak < 0.75 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (257, 1)])
+@pytest.mark.parametrize("build", [lambda f: TableFunction(f, [1] * f.q), lambda f: Monomial(f, 1)],
+                         ids=["constant", "identity"])
+def test_pair_kernel_counts_each_repeat_of_a_difference(p, n, build):
+    """d_a of a constant map or of the identity is constant, so its one level
+    set of q points gives the same difference y - x at many pairs of one
+    offset, and `np.add.at` must count each of them (a buffered
+    ``flat[d] += 1`` counts one).  Rows 1 and q - 1 from `_fbct_pairs` equal
+    brute_fbct at every b, on GF(257) at b < 16 and b = q - 1, where a
+    brute row takes seconds."""
+    f = make_field(p, n)
+    F = build(f)
+    rows = [1, f.q - 1]
+    got = spectra._fbct_pairs(f, spectra._derivs(F, rows))
+    cells = range(f.q) if f.q < 100 else [*range(16), f.q - 1]
+    for a, row in zip(rows, got):
+        assert [int(row[b]) for b in cells] == [brute_fbct(F, a, b) for b in cells], a
 
 
 def test_orbit_rows_hold_few_q_vectors():
@@ -527,10 +548,11 @@ def test_power_map_rows_are_row_one_at_b_over_a():
             assert (table[a] == row).all(), a
 
 
-@pytest.mark.parametrize("p,n,rows", [(2, 9, 128), (2, 14, 64), (2, 16, 16), (3, 7, 479)])
+@pytest.mark.parametrize("p,n,rows", [(2, 9, 64), (2, 14, 64), (2, 16, 16), (3, 7, 479)])
 def test_block_rows_per_characteristic(monkeypatch, p, n, rows):
-    """fbct_rows cuts blocks of 2^16 cells or 64 rows, whichever holds more,
-    at most 2^20 cells, in characteristic 2, and of 2^20 cells elsewhere."""
+    """fbct_rows cuts blocks of _PAIR_KEYS = 2^13 cells or 64 rows, whichever
+    holds more, at most 2^20 cells, in characteristic 2, and of 2^20 cells
+    elsewhere."""
     f = make_field(p, n)
     seen = []
     monkeypatch.setattr(spectra, "_fbct_block", lambda F, codes: seen.append(len(codes)) or
