@@ -164,8 +164,9 @@ def _cmd_eval(cfg: argparse.Namespace):
     field = _field_from(cfg)
     F = _function_from(cfg, field)
     if cfg.format == "csv":
-        return 0, chain(["x,F(x)"], ("\n".join(f"{x},{v}" for x, v in enumerate(c.tolist(), s))
-                                     for s, c in _chunks(F.table())))
+        return 0, chain(["x,F(x)"], ("\n".join(["%d,%d"] * len(c)) % tuple(
+            chain.from_iterable(zip(range(s, s + len(c)), c.tolist())))
+            for s, c in _chunks(F.table())))
     return 0, {"field": {"p": field.p, "n": field.n, "modulus": field.modulus_text()},
                "function": F.text(), "values": F.table()}
 

@@ -32,6 +32,7 @@ from .functions import (
     Monomial,
     TableFunction,
     canonical_exponent,
+    gamma_conditions,
 )
 from .spectra import (_checked_trivial, _trivial, differential_uniformity, fbct_rows,
                       fbct_spectrum, orbit_rows)
@@ -515,12 +516,10 @@ def _run_vb(theorem_id: str, field: Field, setting: dict, kw: dict):
 
 
 def _admissible_gammas(field: Field, t: int) -> list:
-    """Codes g != 0 with g in the 2^(2t)-power fixed subfield and
-    Tr(g^(2^t+1)) = 0."""
+    """The nonzero codes that meet both `gamma_conditions` at t."""
     gs = np.arange(1, field.q, dtype=np.int64)
-    ok = ((field.vpow(gs, 2 ** (2 * t)) == gs)
-          & (field.tables().tr[field.vpow(gs, 2 ** t + 1)] == 0))
-    return gs[ok].tolist()
+    fixed, traceless = gamma_conditions(field, t, gs)
+    return gs[fixed & traceless].tolist()
 
 
 _T7_VALUES = frozenset({0, 4, 8})

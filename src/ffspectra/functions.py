@@ -27,30 +27,32 @@ def canonical_exponent(q: int, d: int) -> int:
     return (d - 1) % (q - 1) + 1
 
 
+def gamma_conditions(field: Field, t: int, gamma):
+    """The two conditions on gamma of GammaTraceInverse, for a code or an
+    array of codes: (gamma^(2^(2t)) = gamma, Tr(gamma^(2^t+1)) = 0)."""
+    return (field.vpow(gamma, 2 ** (2 * t)) == gamma,
+            field.tables().tr[field.vpow(gamma, 2 ** t + 1)] == 0)
+
+
 class FunctionUnderTest:
-    """A fixed function F: GF(p^n) -> GF(p^n); immutable after validation."""
+    """A fixed function F: GF(p^n) -> GF(p^n), defined by its value table."""
 
     field: Field
 
     def eval(self, x: FieldElement) -> FieldElement:
-        return self.field.from_code(self.eval_code(x.code))
+        """F(x), read off the value table (the first call builds it)."""
+        return self.field.from_code(int(self.table()[x.code]))
 
     def __call__(self, x: FieldElement) -> FieldElement:
         return self.eval(x)
 
-    def eval_code(self, x: int) -> int:
-        raise NotImplementedError
-
     def table(self) -> np.ndarray:
-        """Value table FT with FT[x] = code of F(x); built once, then cached."""
+        """Value table FT with FT[x] = code of F(x); built once by `_build_table`, then cached."""
         ft = getattr(self, "_ft", None)
         if ft is None:
             ft = self._build_table()
             self._ft = ft
         return ft
-
-    def _build_table(self) -> np.ndarray:
-        return np.array([self.eval_code(x) for x in range(self.field.q)], dtype=np.int64)
 
     def text(self) -> str:
         raise NotImplementedError
@@ -65,9 +67,6 @@ class Monomial(FunctionUnderTest):
     def __init__(self, field: Field, d: int):
         self.field = field
         self.d = canonical_exponent(field.q, int(d))
-
-    def eval_code(self, x: int) -> int:
-        return self.field.pow_code(x, self.d)
 
     def _build_table(self) -> np.ndarray:
         return self.field.vpow(None, self.d)
@@ -84,11 +83,6 @@ class InversePlusTrace(FunctionUnderTest):
             raise FunctionError("inv-plus-trace requires characteristic 2")
         self.field = field
 
-    def eval_code(self, x: int) -> int:
-        f = self.field
-        arg = f.mul_code(f.mul_code(x, x), f.inv_code(x ^ 1))
-        return f.inv_code(x) ^ f.trace_code(arg)
-
     def _build_table(self) -> np.ndarray:
         f = self.field
         X = np.arange(f.q, dtype=np.int64)
@@ -102,8 +96,8 @@ class InversePlusTrace(FunctionUnderTest):
 class GammaTraceInverse(FunctionUnderTest):
     """F(X) = 1 / (X + gamma * Tr(X^(2^t+1))) over GF(2^n).
 
-    Requires 0 < t < n, gamma != 0 with gamma^(2^(2t)) = gamma and
-    Tr(gamma^(2^t+1)) = 0; all checked at construction.
+    Requires 0 < t < n and gamma != 0 meeting both `gamma_conditions`, all
+    checked at construction.
     """
 
     def __init__(self, field: Field, t: int, gamma: FieldElement):
@@ -114,20 +108,14 @@ class GammaTraceInverse(FunctionUnderTest):
         gamma = field.element(gamma)
         if gamma.code == 0:
             raise FunctionError("gamma must be nonzero")
-        g = gamma.code
-        if field.pow_code(g, 2 ** (2 * t)) != g:
+        fixed, traceless = gamma_conditions(field, t, gamma.code)
+        if not fixed:
             raise FunctionError("gamma must satisfy gamma^(2^(2t)) = gamma")
-        if field.trace_code(field.pow_code(g, 2 ** t + 1)) != 0:
+        if not traceless:
             raise FunctionError("gamma must satisfy trace(gamma^(2^t+1)) = 0")
         self.field = field
         self.t = t
         self.gamma = gamma
-
-    def eval_code(self, x: int) -> int:
-        f = self.field
-        tr = f.trace_code(f.pow_code(x, 2 ** self.t + 1))
-        den = x ^ (self.gamma.code if tr else 0)
-        return f.inv_code(den)
 
     def _build_table(self) -> np.ndarray:
         f = self.field
@@ -141,26 +129,22 @@ class GammaTraceInverse(FunctionUnderTest):
 
 
 class TableFunction(FunctionUnderTest):
-    """Explicit value table: entry i is F(element with code i)."""
+    """Explicit value table: entry i is F(element with code i).  The integer
+    codes, a sequence or an array, are checked in one pass and held in a copy."""
 
     def __init__(self, field: Field, values):
-        try:
-            vals = [field.element(v).code for v in values]
-        except FieldError as e:
-            raise FunctionError(f"bad table entry: {e}") from e
-        if len(vals) != field.q:
-            raise FunctionError(f"table needs exactly q={field.q} entries, got {len(vals)}")
+        ft = np.array(values)  # a copy: later edits to ``values`` leave F as it is
+        if ft.shape != (field.q,):
+            raise FunctionError(f"table needs exactly q={field.q} entries, got {ft.size}")
+        # a code of 2^64 or more gives an object array, and 1.5 or a negative
+        # code beside one of 2^63 a float array: both refused before the int64 cast
+        if ft.dtype.kind not in "iu" or ft.min() < 0 or ft.max() >= field.q:
+            raise FunctionError(f"table entries must be integer codes in [0, {field.q})")
         self.field = field
-        self._codes = tuple(vals)
-
-    def eval_code(self, x: int) -> int:
-        return self._codes[x]
-
-    def _build_table(self) -> np.ndarray:
-        return np.array(self._codes, dtype=np.int64)
+        self._ft = ft.astype(np.int64, copy=False)
 
     def text(self) -> str:
-        return "table:" + ",".join(str(c) for c in self._codes)
+        return "table:" + ",".join(map(str, self._ft.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +254,10 @@ def parse_function(field: Field, text: str, k: int | None = None,
                     body = fh.read()
             except OSError as e:
                 raise FunctionError(f"cannot read table file {path!r}: {e}") from e
-        entries = [tok for tok in re.split(r"[,\s]+", body) if tok]
         try:
-            codes = [int(tok) for tok in entries]
+            codes = [int(tok) for tok in body.replace(",", " ").split()]
         except ValueError as e:
-            raise FunctionError(
-                f"table entries must be integer element codes: {e}") from e
+            raise FunctionError(f"table entries must be integer element codes: {e}") from e
         return TableFunction(field, codes)
     raise FunctionError(f"unparseable function text {text!r}")
 

@@ -312,11 +312,6 @@ class SpectrumReport:
         return obj
 
 
-def _hist_pairs(counts: np.ndarray) -> list:
-    nz = np.nonzero(counts)[0]
-    return [(int(v), int(counts[v])) for v in nz]
-
-
 def _trivial(f: Field, a: int) -> list:
     """The trivial cells b of FBCT row a: b = 0, and b = a in characteristic 2."""
     return [0, a] if f.char2 else [0]
@@ -337,33 +332,43 @@ def _check_keep_table(f: Field, keep_table: bool) -> None:
                          f"q <= {_KEEP_TABLE_LIMIT}, got q={f.q}")
 
 
-def _kept_table(q: int, rows) -> np.ndarray:
-    """The q x q table of the (a, row a) pairs, in the narrowest dtype that holds q."""
-    table = np.empty((q, q), dtype=np.min_scalar_type(q))
-    for a, row in rows:
-        table[a] = row
-    return table
-
-
-def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumReport:
-    """Histogram over `orbit_rows`; a kept table gives the representatives' rows."""
+def _spectrum(F: FunctionUnderTest, kind: str, rows, off, keep_table: bool,
+              **cells) -> SpectrumReport:
+    """The report whose histogram counts the cells of each value in rows
+    1..q-1: each orbit of `orbit_rows` read off its representative a and
+    weighted by its size, less off(a, row) trivial cells of value q;
+    ``rows(codes)`` yields (a, row a).  A kept table holds every row in the
+    narrowest dtype that holds q and gives the representatives' rows."""
     f = F.field
     q = f.q
     _check_keep_table(f, keep_table)
-    table = _kept_table(q, ((a, ddt_row_counts(F, a)) for a in range(q))) if keep_table else None
+    table = None
+    if keep_table:
+        table = np.empty((q, q), dtype=np.min_scalar_type(q))
+        for a, row in rows(range(q)):
+            table[a] = row
     orbits = orbit_rows(F)
     reps = [a for a, _ in orbits]
-    rows = table[reps] if keep_table else (ddt_row_counts(F, a) for a in reps)
     hist = 0  # made from the first row's counts, not held while rows are counted
-    for (_, w), row in zip(orbits, rows):
-        counts = np.bincount(row, minlength=q + 1)
+    for (a, row), (_, w) in zip(rows(reps) if table is None else zip(reps, table[reps]), orbits):
+        counts = np.bincount(row, minlength=q + 1)  # the whole row, with no copy
+        counts[q] -= off(a, row)
         hist = np.add(np.multiply(counts, w, out=counts), hist, out=counts)
-    uniformity = int(np.nonzero(hist)[0].max())
+    nz = np.nonzero(hist)[0]
+    uniformity = int(nz.max()) if nz.size else 0
     return SpectrumReport(
-        kind="ddt", p=f.p, n=f.n, modulus=f.modulus_text(), function=F.text(),
-        histogram=_hist_pairs(hist), uniformity=uniformity, beta=None,
-        trivial_histogram=[(0, q - 1), (q, 1)] if q > 1 else [(q, 1)],
-        nontrivial_cells=(q - 1) * q, trivial_cells=q, table=table)
+        kind=kind, p=f.p, n=f.n, modulus=f.modulus_text(), function=F.text(),
+        histogram=[(v, int(hist[v])) for v in nz.tolist()], uniformity=uniformity,
+        beta=uniformity if kind == "fbct" and f.char2 else None, table=table, **cells)
+
+
+def ddt_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumReport:
+    """The DDT `_spectrum`; row a = 0 holds the q trivial cells."""
+    q = F.field.q
+    return _spectrum(F, "ddt", lambda codes: ((a, ddt_row_counts(F, a)) for a in codes),
+                     lambda a, row: 0, keep_table,
+                     trivial_histogram=[(0, q - 1), (q, 1)] if q > 1 else [(q, 1)],
+                     nontrivial_cells=(q - 1) * q, trivial_cells=q)
 
 
 def differential_uniformity(F: FunctionUnderTest) -> int:
@@ -372,30 +377,14 @@ def differential_uniformity(F: FunctionUnderTest) -> int:
 
 
 def fbct_spectrum(F: FunctionUnderTest, keep_table: bool = False) -> SpectrumReport:
-    """Histogram over `orbit_rows`; a kept table gives the representatives' rows."""
+    """The FBCT `_spectrum`, each row less its checked trivial cells, which hold q."""
     f = F.field
     q = f.q
-    _check_keep_table(f, keep_table)
-    table = _kept_table(q, fbct_rows(F, range(q))) if keep_table else None
-    orbits = orbit_rows(F)
-    reps = [a for a, _ in orbits]
-    rows = zip(reps, table[reps]) if keep_table else fbct_rows(F, reps)
-    hist = 0  # as in ddt_spectrum
-    for (a, row), (_, w) in zip(rows, orbits):
-        # the whole row, with no copy, less its trivial cells, which hold q
-        counts = np.bincount(row, minlength=q + 1)
-        counts[q] -= len(_checked_trivial(f, a, row))
-        hist = np.add(np.multiply(counts, w, out=counts), hist, out=counts)
-    nz = np.nonzero(hist)[0]
-    uniformity = int(nz.max()) if nz.size else 0
     trivial_cells = 3 * q - 2 if f.char2 else 2 * q - 1
-    nontrivial = (q - 1) * (q - 2) if f.char2 else (q - 1) * (q - 1)
-    return SpectrumReport(
-        kind="fbct", p=f.p, n=f.n, modulus=f.modulus_text(), function=F.text(),
-        histogram=_hist_pairs(hist), uniformity=uniformity,
-        beta=uniformity if f.char2 else None,
-        trivial_histogram=[(q, trivial_cells)],
-        nontrivial_cells=nontrivial, trivial_cells=trivial_cells, table=table)
+    return _spectrum(F, "fbct", lambda codes: fbct_rows(F, codes),
+                     lambda a, row: len(_checked_trivial(f, a, row)), keep_table,
+                     trivial_histogram=[(q, trivial_cells)], trivial_cells=trivial_cells,
+                     nontrivial_cells=(q - 1) * (q - 2) if f.char2 else (q - 1) * (q - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,29 @@ element at a time, with no row kernel, orbit or closed form in between.
 import numpy as np
 
 from ffspectra.field import FieldElement
-from ffspectra.functions import FunctionUnderTest
+from ffspectra.functions import (FunctionUnderTest, GammaTraceInverse, InversePlusTrace,
+                                 Monomial, TableFunction)
 from ffspectra.spectra import deriv_row
+
+
+def value(F: FunctionUnderTest, x: int) -> int:
+    """The code of F(x), from F's formula by the field's scalar routines,
+    which use no table; a TableFunction's formula is the table it holds."""
+    f, x = F.field, int(x)
+    if isinstance(F, Monomial):
+        return f.pow_code(x, F.d)
+    if isinstance(F, InversePlusTrace):
+        return f.inv_code(x) ^ f.trace_code(f.mul_code(f.mul_code(x, x), f.inv_code(x ^ 1)))
+    if isinstance(F, GammaTraceInverse):
+        tr = f.trace_code(f.pow_code(x, 2 ** F.t + 1))
+        return f.inv_code(x ^ (F.gamma.code if tr else 0))
+    if isinstance(F, TableFunction):
+        return int(F.table()[x])
+    raise TypeError(f"no oracle for {F!r}")
+
+
+def _at(F: FunctionUnderTest, x: FieldElement) -> FieldElement:
+    return F.field.from_code(value(F, x.code))
 
 
 def ddt_entry(F: FunctionUnderTest, a, b) -> int:
@@ -43,10 +64,10 @@ def brute_fbct(F, a, b):
     f = F.field
     hits = 0
     for x in range(f.q):
-        xab = F.eval_code(f.add_code(f.add_code(x, a), b))
-        xb = F.eval_code(f.add_code(x, b))
-        xa = F.eval_code(f.add_code(x, a))
-        val = f.add_code(f.sub_code(f.sub_code(xab, xb), xa), F.eval_code(x))
+        xab = value(F, f.add_code(f.add_code(x, a), b))
+        xb = value(F, f.add_code(x, b))
+        xa = value(F, f.add_code(x, a))
+        val = f.add_code(f.sub_code(f.sub_code(xab, xb), xa), value(F, x))
         hits += val == 0
     return hits
 
@@ -54,7 +75,7 @@ def brute_fbct(F, a, b):
 def second_order_diff(F: FunctionUnderTest, a: FieldElement, b: FieldElement,
                       x: FieldElement) -> FieldElement:
     """F(x+a+b) - F(x+b) - F(x+a) + F(x)."""
-    return F.eval(x + a + b) - F.eval(x + b) - F.eval(x + a) + F.eval(x)
+    return _at(F, x + a + b) - _at(F, x + b) - _at(F, x + a) + _at(F, x)
 
 
 def gapn_derivative(F: FunctionUnderTest, a: FieldElement, x: FieldElement) -> FieldElement:
@@ -62,5 +83,5 @@ def gapn_derivative(F: FunctionUnderTest, a: FieldElement, x: FieldElement) -> F
     f = F.field
     acc = f.zero
     for i in range(f.p):
-        acc = acc + F.eval(x + a * f.from_code(i))
+        acc = acc + _at(F, x + a * f.from_code(i))
     return acc

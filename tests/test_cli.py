@@ -136,6 +136,18 @@ def test_oversized_inputs_exit_2_promptly(argv):
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
 
 
+def test_a_table_code_above_2_64_exits_2_without_a_traceback():
+    """The code 10^26 fits no numpy integer; the table check refuses it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-m", "ffspectra.cli", "eval", "--p", "2", "--n", "2",
+                          "--fn", "table:0,1,2,99999999999999999999999999"],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2 and out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
 def test_identical_configs_are_byte_identical(tmp_path, capsys):
     argv = ["spectrum", "--p", "2", "--n", "5", "--fn", "monomial:d=30"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

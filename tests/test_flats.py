@@ -18,6 +18,7 @@ from ffspectra.flats import (check_prop_identity, count_two_flats,
                              vanishing_flats)
 from ffspectra.functions import Monomial, TableFunction
 from ffspectra.spectra import fbct_row_counts
+from oracles import value
 
 
 def brute_vanishing(F):
@@ -26,7 +27,7 @@ def brute_vanishing(F):
     for quad in itertools.combinations(range(f.q), 4):
         x1, x2, x3, x4 = quad
         if x1 ^ x2 ^ x3 ^ x4 == 0:
-            if F.eval_code(x1) ^ F.eval_code(x2) ^ F.eval_code(x3) ^ F.eval_code(x4) == 0:
+            if value(F, x1) ^ value(F, x2) ^ value(F, x3) ^ value(F, x4) == 0:
                 blocks.append(quad)
     return blocks
 
@@ -273,7 +274,7 @@ def brute_sum_free(F, k):
             flat = frozenset(x ^ u for x in span)
             total = 0
             for x in flat:
-                total ^= F.eval_code(x)
+                total ^= value(F, x)
             if total == 0:
                 bad.append(tuple(sorted(flat)))
     return sorted(set(bad))

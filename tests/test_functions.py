@@ -1,12 +1,43 @@
 """Function constructors, the text grammar, and difference operators."""
 
+import numpy as np
 import pytest
 
+from ffspectra.closed_forms import _admissible_gammas
 from ffspectra.field import make_field, trace
 from ffspectra.functions import (FunctionError, GammaTraceInverse,
                                  InversePlusTrace, Monomial, TableFunction,
-                                 canonical_exponent, parse_function)
-from oracles import gapn_derivative, second_order_diff
+                                 canonical_exponent, gamma_conditions, parse_function)
+from oracles import gapn_derivative, second_order_diff, value
+
+#: Each class on every field it admits among GF(2^4), GF(2^8), GF(3^5),
+#: GF(5^2) and GF(257).
+ONE_DEFINITION = [
+    (kind, p, n, build)
+    for p, n in [(2, 4), (2, 8), (3, 5), (5, 2), (257, 1)]
+    for kind, build in [
+        ("x^3", lambda f: Monomial(f, 3)),
+        ("x^(q-2)", lambda f: Monomial(f, f.q - 2)),
+        ("inv-plus-trace", InversePlusTrace),
+        ("gamma-trace-inverse", lambda f: GammaTraceInverse(
+            f, 2, f.from_code(_admissible_gammas(f, 2)[-1]))),
+        ("table", lambda f: TableFunction(f, np.random.default_rng(f.q).integers(0, f.q, f.q))),
+    ]
+    if p == 2 or kind not in ("inv-plus-trace", "gamma-trace-inverse")]
+
+
+@pytest.mark.parametrize("kind, p, n, build", ONE_DEFINITION,
+                         ids=[f"{kind}-GF({p}^{n})" for kind, p, n, _ in ONE_DEFINITION])
+def test_value_table_eval_and_scalar_oracle_agree(kind, p, n, build):
+    """F.eval reads the value table, building it on first use, and the
+    table is the scalar formula of the test oracle at every code."""
+    f = make_field(p, n)
+    F = build(f)
+    evals = [F.eval(f.from_code(x)).code for x in range(f.q)]
+    FT = F.table()
+    assert FT.dtype == np.int64 and FT.shape == (f.q,)
+    assert evals == FT.tolist() == [value(F, x) for x in range(f.q)]
+    assert all(F(f.from_code(x)).code == evals[x] for x in range(f.q))
 
 
 def test_monomial_matches_pow():
@@ -15,7 +46,7 @@ def test_monomial_matches_pow():
         for d in (1, 2, 3, f.q - 2, f.q - 1):
             F = Monomial(f, d)
             for x in range(f.q):
-                assert F.eval_code(x) == f.pow_code(x, d)
+                assert F.eval(f.from_code(x)).code == value(F, x) == f.pow_code(x, d)
 
 
 def test_canonical_exponent_preserves_the_function():
@@ -50,12 +81,12 @@ def test_inverse_plus_trace_values():
         xe = f.from_code(x)
         tr_arg = f.mul_code(f.mul_code(x, x),
                             f.inv_code(f.add_code(x, one)))
-        expect = inv.eval_code(x) ^ (trace(f.from_code(tr_arg)) and one)
+        expect = value(inv, x) ^ (trace(f.from_code(tr_arg)) and one)
         # the trace term adds 0 or 1 in the field
-        expect = f.add_code(inv.eval_code(x),
+        expect = f.add_code(value(inv, x),
                             trace(f.from_code(tr_arg)) % 2)
-        assert F.eval_code(x) == expect, x
-    assert list(F.table()) == [F.eval_code(x) for x in range(f.q)]
+        assert value(F, x) == expect == F.table()[x], x
+    assert list(F.table()) == [value(F, x) for x in range(f.q)]
 
 
 def test_gamma_trace_inverse_validation():
@@ -66,7 +97,7 @@ def test_gamma_trace_inverse_validation():
     for x in range(f.q):
         s = f.pow_code(x, 2 ** 2 + 1)
         arg = f.add_code(x, f.scalar_mul_code(f.trace_code(s), one.code))
-        assert F.eval_code(x) == f.inv_code(arg)
+        assert value(F, x) == f.inv_code(arg) == F.table()[x]
     with pytest.raises(FunctionError):
         GammaTraceInverse(f, 0, one)               # t out of range
     with pytest.raises(FunctionError):
@@ -76,18 +107,61 @@ def test_gamma_trace_inverse_validation():
     # gamma outside the subfield fixed by the 2t-th Frobenius power
     bad = f.from_code(2)
     assert f.pow_code(2, 2 ** 4) == 2  # x^(2^n) fixes everything: pick t=1
-    with pytest.raises(FunctionError):
+    with pytest.raises(FunctionError, match=r"gamma\^\(2\^\(2t\)\) = gamma"):
         GammaTraceInverse(f, 1, bad)   # 2^(2*1): gamma^4 != gamma for code 2
+    # Tr(1) = 1 on GF(2^3), where 1 is the only gamma fixed by x -> x^4
+    with pytest.raises(FunctionError, match=r"trace\(gamma\^\(2\^t\+1\)\) = 0"):
+        GammaTraceInverse(make_field(2, 3), 1, make_field(2, 3).one)
+
+
+def test_gamma_conditions_report_the_fixed_field_first():
+    """A gamma that breaks both conditions gets the fixed-field message, and
+    the vectorized conditions agree with the scalar ones code by code."""
+    for n, t in [(3, 1), (5, 1), (5, 2), (6, 2), (8, 3)]:
+        f = make_field(2, n)
+        gs = np.arange(1, f.q)
+        fixed, traceless = gamma_conditions(f, t, gs)
+        for g in gs.tolist():
+            assert fixed[g - 1] == (f.pow_code(g, 2 ** (2 * t)) == g)
+            assert traceless[g - 1] == (f.trace_code(f.pow_code(g, 2 ** t + 1)) == 0)
+        both = gs[~fixed & ~traceless]
+        if both.size:
+            with pytest.raises(FunctionError, match=r"gamma\^\(2\^\(2t\)\)"):
+                GammaTraceInverse(f, t, f.from_code(int(both[0])))
 
 
 def test_table_function_validation():
     f = make_field(2, 2)
     F = TableFunction(f, [0, 1, 2, 3])
-    assert [F.eval_code(x) for x in range(4)] == [0, 1, 2, 3]
+    assert [value(F, x) for x in range(4)] == [0, 1, 2, 3]
     with pytest.raises(FunctionError):
         TableFunction(f, [0, 1, 2])        # wrong length
     with pytest.raises(FunctionError):
         TableFunction(f, [0, 1, 2, 4])     # out-of-range code
+
+
+def test_table_function_holds_a_copy_of_its_integer_codes():
+    f = make_field(2, 2)
+    for codes in ([3, 2, 1, 0], range(3, -1, -1), np.array([3, 2, 1, 0]),
+                  np.array([3, 2, 1, 0], dtype=np.uint8), np.array([3, 2, 1, 0], dtype=np.uint64)):
+        F = TableFunction(f, codes)
+        assert F.table().dtype == np.int64 and F.table().tolist() == [3, 2, 1, 0]
+        assert F.text() == "table:3,2,1,0"
+    codes = np.array([3, 2, 1, 0])
+    F = TableFunction(f, codes)
+    codes[0] = 0
+    assert F.table().tolist() == [3, 2, 1, 0] and F.table() is not codes
+
+
+@pytest.mark.parametrize("codes", [
+    [0, 1, 2, -1], [0, 1, 2, 4], [0, 1, 2, 10 ** 26], [0, 1, 2, 1.5],
+    [0, 1, 2, 2 ** 64 - 1], [-1, 2 ** 63, 0, 1],  # one above 2^63 turns -1 into a float
+    [0, 1, 2], [0, 1, 2, 3, 0], [[0, 1], [2, 3]], [0, 1, 2, "3"],
+    np.array([0, 1, 2, -1]), np.array([0, 1, 2, 1.5]), np.array([0, 1, 2, 10 ** 26])],
+    ids=repr)
+def test_table_function_refuses_what_is_not_q_codes(codes):
+    with pytest.raises(FunctionError):
+        TableFunction(make_field(2, 2), codes)
 
 
 def test_parse_monomial_plain_and_formula():
@@ -128,11 +202,11 @@ def test_parse_named_and_gamma_functions():
 def test_parse_table_inline_and_file(tmp_path):
     f = make_field(2, 2)
     F = parse_function(f, "table:3,2,1,0")
-    assert [F.eval_code(x) for x in range(4)] == [3, 2, 1, 0]
+    assert [value(F, x) for x in range(4)] == [3, 2, 1, 0]
     path = tmp_path / "tab.txt"
     path.write_text("3, 2,\n1, 0\n", encoding="utf-8")
     G = parse_function(f, f"table:@{path}")
-    assert [G.eval_code(x) for x in range(4)] == [3, 2, 1, 0]
+    assert [value(G, x) for x in range(4)] == [3, 2, 1, 0]
     with pytest.raises(FunctionError):
         parse_function(f, "table:@/nonexistent/file")
     with pytest.raises(FunctionError):

@@ -17,13 +17,13 @@ from ffspectra.functions import (FunctionError, GammaTraceInverse,
 from ffspectra.spectra import (classify, ddt_row_counts, ddt_spectrum,
                                differential_uniformity, fbct_row_counts,
                                fbct_rows, fbct_spectrum, orbit_rows, table_csv_lines)
-from oracles import brute_fbct, ddt_entry, fbct_entry, level_pair_row
+from oracles import brute_fbct, ddt_entry, fbct_entry, level_pair_row, value
 
 
 def brute_ddt(F, a, b):
     f = F.field
     return sum(1 for x in range(f.q)
-               if f.sub_code(F.eval_code(f.add_code(x, a)), F.eval_code(x)) == b)
+               if f.sub_code(value(F, f.add_code(x, a)), value(F, x)) == b)
 
 
 CASES = [
@@ -442,7 +442,7 @@ def test_fbct_row_beyond_the_old_addition_table_limit(monkeypatch):
     assert ran == {"pairs": 1, "dense": 0, "walsh": 0}
     assert all(row[b] == fbct_entry(F, a, b) for b in range(f.q))
     # definition-level counts over values from scalar evaluation
-    values = TableFunction(f, [F.eval_code(x) for x in range(f.q)])
+    values = TableFunction(f, [value(F, x) for x in range(f.q)])
     for b in (0, 1, 4321):
         assert row[b] == brute_fbct(values, a, b), b
 
