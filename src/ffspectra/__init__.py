@@ -16,8 +16,8 @@ _EXPORTS = {
                   "InversePlusTrace", "Monomial", "TableFunction", "canonical_exponent",
                   "parse_function"),
     "algebra": ("kloosterman",),
-    "closed_forms": ("THEOREMS", "HypothesisError", "TheoremVerdict", "predict",
-                     "s6_count_formula", "vanishing_count_formula", "verify"),
+    "closed_forms": ("THEOREMS", "HypothesisError", "TheoremVerdict", "predict", "verify"),
+    "count_claims": ("s6_count_formula", "vanishing_count_formula"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 
@@ -37,6 +37,9 @@ spectra = _lazy("spectra")
 flats = _lazy("flats")
 algebra = _lazy("algebra")
 closed_forms = _lazy("closed_forms")
+cell_claims = _lazy("cell_claims")
+count_claims = _lazy("count_claims")
+spectrum_claims = _lazy("spectrum_claims")
 
 
 def __getattr__(name: str):

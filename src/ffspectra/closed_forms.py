@@ -1,13 +1,10 @@
-"""Closed-form predictors for second-order zero differential spectra,
-Kloosterman sums, vanishing-flat counting formulas, and the verification
-harness that checks every closed form against brute-force recomputation.
+"""The claim registry: what each of the eighteen closed-form claims states,
+and ``verify`` and ``predict``, which check it against brute force.
 
-Each supported claim is one :class:`Claim` record in ``CLAIMS`` (``THEOREMS``
-is its summary view), which declares its hypothesis for one `_check` to
-test.  ``predict`` returns the claimed table value for a single cell,
-``vanishing_count_formula`` a claimed vanishing-flat count, and ``verify``
-recomputes the relevant object from scratch (spectra, flat enumeration,
-kernel dimensions) and compares, returning a :class:`TheoremVerdict`.
+Each claim is one :class:`Claim` record in ``CLAIMS`` (``THEOREMS`` is its
+summary view): its hypothesis, tested by one `_check`, and the family module
+that holds its code, `cell_claims`, `count_claims` or `spectrum_claims`,
+which runs only when one of its claims is verified or predicted.
 Hypothesis violations are reported as a distinct verdict state, never as
 cell mismatches.
 """
@@ -16,39 +13,15 @@ from __future__ import annotations
 
 import functools
 import math
-import random
+import sys
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
+from .field import _TABLE_LIMIT, Field, FieldElement, make_field
+from .functions import canonical_exponent
 
-from .field import _TABLE_LIMIT, Field, FieldElement, InvariantError, make_field, omega
-from .functions import (
-    FunctionError,
-    GammaTraceInverse,
-    InversePlusTrace,
-    Monomial,
-    TableFunction,
-    canonical_exponent,
-    gamma_conditions,
-)
-from .spectra import (_checked_trivial, _trivial, differential_uniformity, fbct_rows,
-                      fbct_spectrum, orbit_rows)
-from .flats import check_prop_identity, vanishing_flats
-from .algebra import kloosterman
-
-__all__ = [
-    "HypothesisError",
-    "TheoremVerdict",
-    "THEOREMS",
-    "kloosterman",
-    "predict",
-    "s6_count_formula",
-    "vanishing_count_formula",
-    "verify",
-]
+__all__ = ["HypothesisError", "TheoremVerdict", "THEOREMS", "predict", "verify"]
 
 
 class HypothesisError(ValueError):
@@ -109,6 +82,22 @@ def _mismatch(field: Field, a: int, b: int, predicted, observed) -> dict:
         "predicted": predicted,
         "observed": observed,
     }
+
+
+#: Note label of the observed maximum over the nontrivial cells.
+_NONTRIVIAL = "observed nontrivial maximum"
+
+
+def _maximum(what: str, claimed: Callable[[dict], int]):
+    """Expected-maximum check: a mismatch when the observed maximum is not
+    the claimed one."""
+    def expect(F, setting, observed, first, notes):
+        want = claimed(setting)
+        if first is None and observed != want:
+            first = {"a": what, "b": "", "predicted": want,
+                     "observed": observed}
+        return first
+    return expect
 
 
 # ---------------------------------------------------------------------------
@@ -179,479 +168,10 @@ def _check_T7(kw: dict) -> None:
         _t_inside("T7", kw)
 
 
-# ---------------------------------------------------------------------------
-# vanishing-flat count formulas
-# ---------------------------------------------------------------------------
-
-def _exact_int(val: Fraction, what: str) -> int:
-    if val.denominator != 1:
-        raise HypothesisError(f"inexact division in {what}: {val}")
-    return int(val)
-
-
-def vanishing_count_formula(theorem_id: str, n: int) -> int:
-    """Claimed number of vanishing flats for the family named by the id.
-
-    All divisions are performed exactly; an inexact division raises
-    :class:`HypothesisError` since it signals parameters outside the formula's
-    scope.
-    """
-    claim = CLAIMS.get(theorem_id)
-    if claim is None or claim.run is not _run_vb:
-        raise ValueError(f"no vanishing-flat count formula for id {theorem_id!r}")
-    _check(theorem_id, claim, _arguments(claim, n=n))
-    what = f"vanishing-flat count for {theorem_id}"
-    if theorem_id == "C_F1_VB":
-        m = n // 2
-        base = (2 ** (m - 2) - 1) * (2 ** (m - 1) - 1)
-        if m % 2 == 1:
-            base += 1
-        return _exact_int(Fraction(base * (2 ** n - 1), 3), what)
-    K = kloosterman(n, "direct")
-    if theorem_id == "C_F2_VB":
-        shift = 7 if ((n - 1) // 2) % 3 == 1 else 1
-        val = (Fraction(2 ** (n - 2) + shift, 6) - Fraction(K, 8)) * (2 ** n - 1)
-        return _exact_int(val, what)
-    val = (2 ** n - 1) * (Fraction(2 ** (n - 2) + 1, 6) - Fraction(K, 8))
-    return _exact_int(val, what)
-
-
-def s6_count_formula(theorem_id: str, n: int) -> int:
-    """Claimed size of the value-4 support set S_6 (the b outside the named
-    special sets whose row-one differential count at B equals 6) for the
-    C_F2 / C_F3 families, expressed through K(1).  Its range of n is that of
-    the family's vanishing-flat formula."""
-    family = theorem_id.removesuffix("_VB")
-    if family not in ("C_F2", "C_F3"):
-        raise ValueError(f"no S_6 count formula for id {theorem_id!r}")
-    vb = family + "_VB"
-    _check(vb, CLAIMS[vb], _arguments(CLAIMS[vb], n=n))
-    rich = ((n - 1) // 2) % 3 == 1 if family == "C_F2" else n % 3 == 0
-    K = kloosterman(n, "direct")
-    lead = 2 ** (n - 2) - 5 if rich else 2 ** (n - 2) + 1
-    val = 6 * (Fraction(lead, 6) - Fraction(K, 8))
-    return _exact_int(val, f"S_6 count for {theorem_id}")
-
-
-# ---------------------------------------------------------------------------
-# per-cell predictors
-# ---------------------------------------------------------------------------
-
-@functools.cache
-def _omega_codes(field: Field) -> tuple:
-    """Codes of the two primitive cube roots of unity (n even, char 2)."""
-    w = omega(field).code
-    return w, field.mul_code(w, w)
-
-
-def _b_map(field: Field, t: int) -> tuple:
-    """(B, count): B(c) = (c^(2^t) + c) / (c(c+1)) for every code c, 0 at
-    c in {0, 1} since inv(0) = 0, and count[v] = #{c outside {0, 1} : B(c) = v}.
-    Off {0, 1}, B(c) is the row-one derivative (c+1)^(2^t-1) + c^(2^t-1),
-    which is 1 at c in {0, 1}; so delta(1, v) of x^(2^t-1) is count[v] for v > 1."""
-    cs = np.arange(field.q, dtype=np.int64)
-    B = field.vmul(field.vpow(cs, 2 ** t) ^ cs, field.vinv(field.vmul(cs, cs ^ 1)))
-    return B, np.bincount(B[2:], minlength=field.q)
-
-
-@functools.cache
-def _s6_mask(field: Field, t: int) -> np.ndarray:
-    """Boolean mask over codes b: B(b) outside {0,1} (so b is too), and the
-    row-one differential count of x^(2^t-1) at B(b) equals 6."""
-    B, count = _b_map(field, t)
-    mask = (B > 1) & (count[B] == 6)
-    mask.flags.writeable = False  # one array serves every caller of the cache
-    return mask
-
-
-# Row-one predictors of power maps: entry c is the claimed value at (1, c),
-# and `_homogeneous` reads row a off it.  `_predicted_row` sets the trivial
-# cells, so their entries here are arbitrary.
-
-def _homogeneous(row1: Callable) -> Callable:
-    """A power map's predictor of row a: row one read at b/a, since
-    nabla(ca, cb) = nabla(a, b) for x^d (monomial homogeneity)."""
-    return lambda field, t, a: row1(field, t)[
-        field.vmul(np.arange(field.q, dtype=np.int64), field.vinv(a))]
-
-
-def _inverse_row1(field: Field, t) -> np.ndarray:
-    """x^(q-2): 0 off the trivial cells, except 4 at the primitive cube
-    roots of unity, which exist exactly when n is even."""
-    row = np.zeros(field.q, dtype=np.int64)
-    if field.n % 2 == 0:
-        row[list(_omega_codes(field))] = 4
-    return row
-
-
-def _fourth_power_row1(field: Field, t) -> np.ndarray:
-    """x^4: 1 + eta(-(1 + c^2)/3)."""
-    cs = np.arange(field.q, dtype=np.int64)
-    inv3 = field.inv_code(field.scalar_mul_code(3, 1))
-    s = field.vneg(field.vadd(1, field.vmul(cs, cs)))
-    return 1 + field.tables().eta[field.vmul(s, inv3)].astype(np.int64)
-
-
-def _ternary_row1(field: Field, t) -> np.ndarray:
-    """x^((3^n-1)/2+2): 1 where 1 + c^2 is a square, 3 where it is not."""
-    cs = np.arange(field.q, dtype=np.int64)
-    e = field.tables().eta[field.vadd(1, field.vmul(cs, cs))]
-    return 2 - e.astype(np.int64)
-
-
-def _thmt_row1(field: Field, t: int) -> np.ndarray:
-    """x^(2^t-1) through B(c) and |ker L_B|, L_B(x) = x^(2^t) + x + B(x^2 + x):
-    0 and 1 are roots, and x outside {0, 1} is one iff B(x) = B."""
-    n = field.n
-    B, count = _b_map(field, t)
-    ker = 2 + count
-    row = np.maximum(ker[B] - 4, 0)
-    row[B == 0] = 2 ** math.gcd(t, n) - 4
-    row[B == 1] = 2 ** math.gcd(t - 1, n)
-    return row
-
-
-def _cf1_row1(field: Field, m: int) -> np.ndarray:
-    cs = np.arange(field.q, dtype=np.int64)
-    row = np.where(field.vpow(cs, 2 ** m - 1) == 1, 2 ** m - 4, 0)
-    if m % 2 == 1:
-        row[field.vpow(cs, 2 ** m - 2) == 1] = 4
-    return row.astype(np.int64)
-
-
-def _s6_row1(field: Field, t: int, power: int, value: int,
-             when: bool) -> np.ndarray:
-    """C_F2 and C_F3: 4 on S_6; when ``when`` holds, ``value`` on the c
-    with c^power = 1."""
-    row = np.where(_s6_mask(field, t), 4, 0).astype(np.int64)
-    if when:
-        cs = np.arange(field.q, dtype=np.int64)
-        row[field.vpow(cs, power) == 1] = value
-    return row
-
-
-def _t6_row(field: Field, t, a: int) -> np.ndarray:
-    """Row a of x^(2^n-2) + Tr(x^2/(x+1)): explicit trace conditions on a and
-    b; on the coset b in {aw, aw^2} the value depends on b alone."""
-    tr = field.tables().tr
-    vmul, vinv = field.vmul, field.vinv
-    bs = np.arange(field.q, dtype=np.int64)
-    ab = vmul(bs, a)
-    apb = bs ^ a
-    s = field.mul_code(a, a) ^ ab ^ vmul(bs, bs)
-    w1 = vmul(vinv(vmul(bs, apb)), a)
-    w2v = vmul(bs, vinv(vmul(apb, a)))
-    w3 = vmul(apb, vinv(ab))
-    extra = vmul(vmul(ab, apb), vinv(s ^ 1))
-    row = np.where((tr[w1] == 0) & (tr[w2v] == 0) & (tr[w3] == 0)
-                   & (tr[extra] == 1), 4, 0).astype(np.int64)
-    w, w2 = _omega_codes(field)
-    coset = vmul(np.array([w, w2], dtype=np.int64), a)
-    b3 = field.vpow(coset, 3)
-    binv = vinv(coset)
-    c1 = tr[vmul(b3, vinv(b3 ^ 1))] == 0
-    c2 = ((tr[binv] == 0) & (tr[vmul(binv, w)] == 0)
-          & (tr[vmul(binv, w2)] == 0) & (tr[b3] == 1))
-    row[coset] = 4 * c1 + 4 * c2
-    return row
-
-
-# ---------------------------------------------------------------------------
-# generic row comparison
-# ---------------------------------------------------------------------------
-
-#: Note labels of the row-compared claims' observed maximum over the
-#: nontrivial cells; the label is text only, `_trivial` picks the cells.
-_OFF_DIAGONAL = "observed off-diagonal maximum"
-_NONTRIVIAL = "observed nontrivial maximum"
-_BETA = "observed F-boomerang uniformity"
-
-
-def _predicted_row(theorem_id: str, field: Field, t, a: int) -> np.ndarray:
-    """Predicted row a of a per-cell claim, its trivial cells set to q."""
-    row = CLAIMS[theorem_id].row(field, t, a)
-    row[_trivial(field, a)] = field.q
-    return row
-
-
-def _compare_rows(theorem_id: str, field: Field, setting: dict, kw: dict):
-    """The run of every per-cell claim: compare brute-force rows with the
-    prediction over the grid a, b != 0 (the a = b diagonal included) up to
-    the first mismatching cell, note the nontrivial maximum under the
-    claim's label, then apply its expected-maximum check.  Only the
-    `orbit_rows(F)` representatives are walked, in ascending order.  The
-    predicted rows share the symmetry it proves on the observed ones (power
-    maps by `_homogeneous`, T6 by Frobenius), so an orbit's rows match or
-    fail together: the first offending row is the smallest of its orbit, the
-    representative, and the first mismatch, `cells_checked` and the observed
-    maximum are those of a walk over every row."""
-    claim = CLAIMS[theorem_id]
-    q = field.q
-    F = claim.build(field, setting)
-    observed, cells, first = 0, (q - 1) * (q - 1), None
-    for a, obs in fbct_rows(F, [a for a, _ in orbit_rows(F)]):
-        pred = _predicted_row(theorem_id, field, setting.get("t"), a)
-        bad = np.nonzero(obs[1:] != pred[1:])[0]
-        if bad.size:
-            b = int(bad[0]) + 1
-            cells = (a - 1) * (q - 1) + b
-            first = _mismatch(field, a, b, int(pred[b]), int(obs[b]))
-            break
-        off = np.delete(obs, _checked_trivial(field, a, obs))
-        observed = max(observed, int(off.max(initial=0)))
-    notes = [f"{claim.label} {observed}"]
-    if claim.expect is not None:
-        first = claim.expect(F, setting, observed, first, notes)
-    return setting, cells, first, notes
-
-
-def _maximum(what: str, claimed: Callable[[dict], int]):
-    """Expected-maximum check: a mismatch when the observed maximum is not
-    the claimed one."""
-    def expect(F, setting, observed, first, notes):
-        want = claimed(setting)
-        if first is None and observed != want:
-            first = {"a": what, "b": "", "predicted": want,
-                     "observed": observed}
-        return first
-    return expect
-
-
-def _below_differential_uniformity(F, setting, observed, first, notes):
-    delta = differential_uniformity(F)
-    notes.append(f"differential uniformity {delta}")
-    if first is None and observed > delta:
-        first = {"a": "F-boomerang uniformity", "b": "differential uniformity",
-                 "predicted": delta, "observed": observed}
-        notes.append("F-boomerang uniformity exceeds differential uniformity")
-    return first
-
-
-def _bound_attained(F, setting, observed, first, notes):
-    if first is None and observed < 8:
-        notes.append(f"bound not attained: maximum 8 claimed, observed "
-                     f"{observed} on this field")
-    return first
-
-
-# ---------------------------------------------------------------------------
-# spectrum- and count-level checks
-# ---------------------------------------------------------------------------
-
-def _power_map(field: Field, setting: dict):
-    return Monomial(field, setting["d"])
-
-
 def _mersenne(field: Field, t: int, with_m: bool = False) -> dict:
     """Verdict params of x^(2^t-1): t, the exponent d and, for the claims
     stated in m, m = t."""
-    out = {"t": t, "d": canonical_exponent(field.q, 2 ** t - 1)}
-    if with_m:
-        out["m"] = t
-    return out
-
-
-def _one_of(values) -> str:
-    return "one of {" + ", ".join(map(str, sorted(values))) + "}"
-
-
-def _first_outside(F, allowed) -> tuple:
-    """(cells, mismatch) at the first nontrivial FBCT cell (a, b), in
-    row-major order, whose value is not in ``allowed``, where cells =
-    (a - 1)(q - 1) + b counts it; called only once the histogram shows
-    such a value.  The representatives are walked in ascending order, as in
-    `_compare_rows`, which says why the first offending row is one."""
-    f = F.field
-    for a, row in fbct_rows(F, [a for a, _ in orbit_rows(F)]):
-        outside = ~np.isin(row, sorted(allowed))
-        outside[_trivial(f, a)] = False
-        hit = np.flatnonzero(outside)
-        if hit.size:
-            b = int(hit[0])
-            return (a - 1) * (f.q - 1) + b, _mismatch(f, a, b, _one_of(allowed), int(row[b]))
-    raise InvariantError(f"the histogram of {F.text()} holds a value outside "
-                         f"{_one_of(allowed)} that no row holds")
-
-
-def _run_T2(theorem_id: str, field: Field, setting: dict, kw: dict):
-    """Value set and maximum of the nontrivial spectrum, with its histogram."""
-    q = field.q
-    F = _power_map(field, setting)
-    allowed = {0, 1, (field.p - 3) // 2}
-    hist = fbct_spectrum(F).histogram
-    notes = ["observed nontrivial value histogram: "
-             + ", ".join(f"{v}: {c}" for v, c in hist)]
-    if any(v not in allowed for v, _ in hist):
-        cells, first = _first_outside(F, allowed)
-        notes.append(f"claimed value set and maximum not attained on GF({q})")
-        return setting, cells, first, notes
-    withmax = hist[-1][0]
-    notes += [f"{_NONTRIVIAL} {withmax}",
-              "per-cell branch conditions are not machine-checkable; "
-              "value-set and maximum checked instead"]
-    expect = _maximum("maximum over ab != 0", lambda s: max(allowed))
-    return setting, (q - 1) * (q - 1), expect(F, setting, withmax, None, notes), notes
-
-
-def _run_vb(theorem_id: str, field: Field, setting: dict, kw: dict):
-    """The enumerated vanishing-flat count, then (C_F2_VB, C_F3_VB) the size
-    of S_6 by direct count, each against its formula; stops at the first
-    that differs."""
-    claimed = vanishing_count_formula(theorem_id, field.n)
-    enumerated = vanishing_flats(_power_map(field, setting)).vanishing_count
-    notes = [f"enumerated vanishing flats: {enumerated}"]
-    if enumerated != claimed:
-        return setting, 1, {"a": "vanishing-flat count", "b": "",
-                            "predicted": claimed, "observed": enumerated}, notes
-    if theorem_id == "C_F1_VB":
-        return setting, 1, None, notes
-    s6_direct = int(_s6_mask(field, setting["t"]).sum())
-    s6_claimed = s6_count_formula(theorem_id, field.n)
-    notes.append(f"S_6 size by direct count: {s6_direct}")
-    first = None
-    if s6_direct != s6_claimed:
-        first = {"a": "S_6 size", "b": "",
-                 "predicted": s6_claimed, "observed": s6_direct}
-    return setting, 2, first, notes
-
-
-def _admissible_gammas(field: Field, t: int) -> list:
-    """The nonzero codes that meet both `gamma_conditions` at t."""
-    gs = np.arange(1, field.q, dtype=np.int64)
-    fixed, traceless = gamma_conditions(field, t, gs)
-    return gs[fixed & traceless].tolist()
-
-
-_T7_VALUES = frozenset({0, 4, 8})
-
-
-def _run_T7(theorem_id: str, field: Field, setting: dict, kw: dict):
-    """Every admissible (t, gamma), or the given ones: nontrivial values in
-    {0, 4, 8}, one function per class.  Tr(x^(2^(n-t)+1)) = Tr(x^(2^t+1)) and
-    F_{t,g^2}(x^2) = F_{t,g}(x)^2, so an enumerated t > n - t, or gamma with a
-    smaller conjugate, repeats an earlier pair's value set; its cells count.
-    At t = n/2, Tr(x^(2^t+1)) = 0, so every gamma there gives x^(q-2)."""
-    q, n, t, gamma = field.q, field.n, kw["t"], kw["gamma"]
-    params = {} if t is None else {"t": t}
-    if gamma is not None:
-        g = field.element(gamma)
-        pairs = [(t, g.code)]
-        params["gamma"] = g.text
-    else:
-        pairs = [(tt, g) for tt in ([t] if t is not None else range(1, n))
-                 for g in _admissible_gammas(field, tt)]
-    cells, observed, half = 0, set(), False
-    for tt, g in pairs:
-        if gamma is None and ((t is None and tt > n - tt) or (2 * tt == n and half)
-                              or min(field.vpow(g, 2 ** i) for i in range(n)) < g):
-            cells += (q - 1) * (q - 1)
-            continue
-        half = half or 2 * tt == n
-        try:
-            F = GammaTraceInverse(field, tt, field.from_code(g))
-        except FunctionError as exc:
-            raise HypothesisError(str(exc)) from exc
-        values = {v for v, _ in fbct_spectrum(F).histogram}
-        if not values <= _T7_VALUES:
-            row_major, first = _first_outside(F, _T7_VALUES)
-            first.update(t=tt, gamma=field.from_code(g).text)
-            return params, cells + row_major, first, []
-        observed |= values
-        cells += (q - 1) * (q - 1)
-    notes = [f"admissible (t, gamma) pairs: {len(pairs)}"]
-    if pairs:
-        notes.append(f"observed nontrivial values: {sorted(observed)}")
-    else:
-        notes.append("no admissible (t, gamma) pair exists for this n; "
-                     "the claim is vacuous here")
-    return params, cells, None, notes
-
-
-#: (label, [(p, n), ...], exponent function, claimed maximum function)
-_TABLE1_ROWS = (
-    ("x^3, p > 3",
-     [(5, 1), (7, 1)], lambda p, q: 3, lambda p: 1),
-    ("x^(3^n-3), p = 3, odd n > 1",
-     [(3, 3)], lambda p, q: q - 3, lambda p: 2),
-    ("x^(q-2), p odd, q ≡ 2 (mod 3)",
-     [(5, 1), (11, 1)], lambda p, q: q - 2, lambda p: 1),
-    ("x^(p^m+2), p > 3, n = 2m, p^m ≡ 1 (mod 3)",
-     [(7, 2)], lambda p, q: math.isqrt(q) + 2, lambda p: 1),
-    ("x^(3^n-2), p = 3",
-     [(3, 2), (3, 3)], lambda p, q: q - 2, lambda p: 3),
-    ("x^(q-2), p odd, q ≡ 1 (mod 3)",
-     [(7, 1), (13, 1)], lambda p, q: q - 2, lambda p: 3),
-    ("x^4, p > 3, n > 1",
-     [(5, 2)], lambda p, q: 4, lambda p: 2),
-    ("x^((2q-1)/3), q ≡ 2 (mod 3)",
-     [(5, 1), (5, 3)], lambda p, q: (2 * q - 1) // 3, lambda p: 1),
-    ("x^((p+1)/2), p > 3",
-     [(7, 1), (11, 1), (13, 1), (11, 2)], lambda p, q: (p + 1) // 2,
-     lambda p: (p - 3) // 2),
-    ("x^((3^n-1)/2+2), p = 3, odd n",
-     [(3, 3)], lambda p, q: (q - 1) // 2 + 2, lambda p: 3),
-)
-
-
-def _run_TABLE1(theorem_id: str, field, setting: dict, kw: dict):
-    cells = 0
-    notes = []
-    first = None
-    for label, fields, d_fn, max_fn in _TABLE1_ROWS:
-        for p, n in fields:
-            f = make_field(p, n)
-            q = f.q
-            claimed = max_fn(p)
-            F = Monomial(f, canonical_exponent(q, d_fn(p, q)))
-            got = fbct_spectrum(F).uniformity
-            cells += (q - 1) * (q - 1)
-            notes.append(f"{label} on GF({p}^{n}): maximum {got} "
-                         f"(claimed {claimed})")
-            if got != claimed and first is None:
-                first = {"a": f"{label} on GF({p}^{n})",
-                         "b": "maximum over ab != 0",
-                         "predicted": claimed, "observed": got}
-    return {}, cells, first, notes
-
-
-def _run_PROP_VB(theorem_id: str, field: Field, setting: dict, kw: dict):
-    q = field.q
-    num_tables = kw["num_random_tables"]
-    seed = kw["seed"]
-    jobs = [(f"monomial d={d}", Monomial(field, d)) for d in range(1, q)]
-    rng = random.Random(seed)
-    for i in range(num_tables):
-        codes = [rng.randrange(q) for _ in range(q)]
-        jobs.append((f"random table {i}", TableFunction(field, codes)))
-    first = None
-    for label, F in jobs:
-        res = check_prop_identity(F)
-        if not res.holds:
-            first = {"a": label, "b": "",
-                     "predicted": res.rhs_24x, "observed": res.fbct_sum}
-            break
-    notes = [f"functions checked: {len(jobs)} "
-             f"({q - 1} monomials, {num_tables} random tables)"]
-    return {"num_random_tables": num_tables, "seed": seed}, len(jobs), first, notes
-
-
-def _run_APN_IFF_FBCT0(theorem_id: str, field: Field, setting: dict, kw: dict):
-    q = field.q
-    first = None
-    apn_count = 0
-    for d in range(1, q):
-        F = Monomial(field, d)
-        apn = differential_uniformity(F) == 2
-        fb_max = fbct_spectrum(F).uniformity
-        if apn != (fb_max == 0):
-            first = {"a": f"monomial d={d}", "b": "",
-                     "predicted": 0 if apn else "nonzero somewhere",
-                     "observed": fb_max}
-            break
-        if apn:
-            apn_count += 1
-    notes = [f"monomials checked: {q - 1}; APN among them: {apn_count}"]
-    return {}, q - 1, first, notes
+    return {"t": t, "d": canonical_exponent(field.q, 2 ** t - 1), **({"m": t} if with_m else {})}
 
 
 # ---------------------------------------------------------------------------
@@ -665,21 +185,17 @@ class Claim:
     also the default p); ``n``, the parity and the least n (None: no rule;
     a least n of 0 is not printed), and a reason printed with them; and
     ``check``, any condition beyond both.  `_check` tests them in that
-    order.  A per-cell claim gives ``row`` and keeps the generic ``run``;
-    any other claim gives its own."""
+    order.  Its code is the name of its id in the ``family`` module, called
+    as (theorem_id, field, setting, kw) -> (params, cells, first, notes)."""
 
     summary: str
+    family: str                        # "cell_claims", "count_claims" or "spectrum_claims"
     p: object = 2                      # 2, 3, "> 3" or "odd"; None: no field
     n: tuple = (None, None)            # (parity, least n[, reason])
     check: Callable[[dict], None] = lambda kw: None  # the remaining condition
     params: tuple = ("p", "n")         # the parameters the claim is stated in
     defaults: dict = dc_field(default_factory=dict)  # for those not given
     setting: Callable[[Field, dict], dict] = lambda field, kw: {}  # d, t, m, k
-    build: Callable = _power_map       # the function checked, from its setting
-    row: Optional[Callable] = None     # per-cell claims: the predicted row a
-    label: str = _NONTRIVIAL           # note label of the observed maximum
-    expect: Optional[Callable] = None  # expected-maximum check after the rows
-    run: Callable = _compare_rows      # or a spectrum- or count-level check
     values: Optional[frozenset] = None  # membership claims: values off diagonal
 
 
@@ -688,132 +204,107 @@ CLAIMS = {
         summary="x^(2^n-2) on GF(2^n), n even: nontrivial cells are 0 "
                 "except value 4 exactly at a in {b*w, b*w^2}, w a "
                 "primitive cube root of unity",
-        n=("even", 0),
-        setting=lambda f, kw: {"d": f.q - 2},
-        row=_homogeneous(_inverse_row1), label=_OFF_DIAGONAL),
+        family="cell_claims", n=("even", 0),
+        setting=lambda f, kw: {"d": f.q - 2}),
     "L2": Claim(
         summary="x^(2^n-2) on GF(2^n), n odd: every cell with "
                 "a,b nonzero and a != b is 0",
-        n=("odd", 0),
-        setting=lambda f, kw: {"d": f.q - 2},
-        row=_homogeneous(_inverse_row1), label=_OFF_DIAGONAL),
+        family="cell_claims", n=("odd", 0),
+        setting=lambda f, kw: {"d": f.q - 2}),
     "T1": Claim(
         summary="x^((2q-1)/3) on GF(q), q = p^n ≡ 2 (mod 3), p odd: "
                 "every cell with ab != 0 equals 1",
-        p="odd", n=(None, 1), check=_check_T1,
-        setting=lambda f, kw: {"d": (2 * f.q - 1) // 3},
-        row=_homogeneous(lambda f, t: np.ones(f.q, dtype=np.int64))),
+        family="cell_claims", p="odd", n=(None, 1), check=_check_T1,
+        setting=lambda f, kw: {"d": (2 * f.q - 1) // 3}),
     "T2": Claim(
         summary="x^((p^k+1)/2) on GF(p^n), p > 3, gcd(k, 2n) = 1: "
                 "nontrivial values lie in {0, 1, (p-3)/2} with maximum "
                 "(p-3)/2 (checked at the spectrum level)",
-        params=("p", "n", "k"),
+        family="spectrum_claims", params=("p", "n", "k"),
         p="> 3", check=_check_T2, defaults={"k": 1},
         # p^k mod 2(q-1) is odd, so halving it gives (p^k+1)/2 mod q-1
         setting=lambda f, kw: {"k": kw["k"], "d": canonical_exponent(
-            f.q, (pow(f.p, kw["k"], 2 * (f.q - 1)) + 1) // 2)},
-        run=_run_T2),
+            f.q, (pow(f.p, kw["k"], 2 * (f.q - 1)) + 1) // 2)}),
     "T3": Claim(
         summary="x^4 on GF(p^n), p > 3, n > 1: cell value for ab != 0 is "
                 "1 + eta(-(a^2+b^2)/3)",
-        p="> 3", n=(None, 2),
-        setting=lambda f, kw: {"d": 4},
-        row=_homogeneous(_fourth_power_row1),
-        expect=_maximum("maximum over ab != 0", lambda s: 2)),
+        family="cell_claims", p="> 3", n=(None, 2),
+        setting=lambda f, kw: {"d": 4}),
     "T4": Claim(
         summary="x^((3^n-1)/2+2) on GF(3^n), n odd: cell value for "
                 "ab != 0 is 1 or 3 according to the signs of eta(ab) and "
                 "eta(a^2+b^2); maximum 3",
-        p=3, n=("odd", None),
-        setting=lambda f, kw: {"d": (f.q - 1) // 2 + 2},
-        row=_homogeneous(_ternary_row1),
-        expect=_maximum("maximum over ab != 0", lambda s: 3)),
+        family="cell_claims", p=3, n=("odd", None),
+        setting=lambda f, kw: {"d": (f.q - 1) // 2 + 2}),
     "THMT": Claim(
         summary="x^(2^t-1) on GF(2^n), 0 < t < n: row-one values "
                 "classified through B = (b^(2^t)+b)/(b(b+1)) and the "
                 "kernel dimension of x^(2^t)+Bx^2+(B+1)x; other rows "
                 "follow by monomial homogeneity",
-        params=("p", "n", "t"),
+        family="cell_claims", params=("p", "n", "t"),
         check=functools.partial(_t_inside, "THMT"),
-        setting=lambda f, kw: _mersenne(f, kw["t"]),
-        row=_homogeneous(_thmt_row1), label=_BETA,
-        expect=_below_differential_uniformity),
+        setting=lambda f, kw: _mersenne(f, kw["t"])),
     "C_F1": Claim(
         summary="x^(2^m-1) on GF(2^(2m)), m > 2: F-boomerang uniformity "
                 "2^m-4, attained on the b with b^(2^m-1) = 1",
-        n=("even", None), check=functools.partial(
+        family="cell_claims", n=("even", None), check=functools.partial(
             _check_m, "C_F1", "the m = 2 function is APN and the special b-sets degenerate"),
-        setting=lambda f, kw: _mersenne(f, f.n // 2, with_m=True),
-        row=_homogeneous(_cf1_row1), label=_BETA,
-        expect=_maximum("F-boomerang uniformity", lambda s: 2 ** s["m"] - 4)),
+        setting=lambda f, kw: _mersenne(f, f.n // 2, with_m=True)),
     "C_F1_VB": Claim(
         summary="vanishing-flat count of x^(2^m-1) on GF(2^(2m)): "
                 "(2^(m-2)-1)(2^(m-1)-1)(2^n-1)/3, plus (2^n-1)/3 when m "
                 "is odd",
-        n=("even", 4),
-        setting=lambda f, kw: _mersenne(f, f.n // 2),
-        run=_run_vb),
+        family="count_claims", n=("even", 4),
+        setting=lambda f, kw: _mersenne(f, f.n // 2)),
     "C_F2": Claim(
         summary="x^(2^m-1) on GF(2^(2m+1)), m > 2: F-boomerang "
                 "uniformity 8 if m ≡ 1 (mod 3), else 4",
-        n=("odd", None), check=functools.partial(
+        family="cell_claims", n=("odd", None), check=functools.partial(
             _check_m, "C_F2", "for m = 2 the value-4 set is empty and the function is APN"),
-        setting=lambda f, kw: _mersenne(f, (f.n - 1) // 2, with_m=True),
-        row=_homogeneous(lambda f, m: _s6_row1(f, m, 2 ** m - 2, 8, m % 3 == 1)),
-        label=_BETA,
-        expect=_maximum("F-boomerang uniformity",
-                        lambda s: 8 if s["m"] % 3 == 1 else 4)),
+        setting=lambda f, kw: _mersenne(f, (f.n - 1) // 2, with_m=True)),
     "C_F2_VB": Claim(
         summary="vanishing-flat count of x^(2^m-1) on GF(2^(2m+1)) "
                 "written in terms of the Kloosterman sum K(1)",
-        n=("odd", 3),
-        setting=lambda f, kw: _mersenne(f, (f.n - 1) // 2),
-        run=_run_vb),
+        family="count_claims", n=("odd", 3),
+        setting=lambda f, kw: _mersenne(f, (f.n - 1) // 2)),
     "C_F3": Claim(
         summary="x^(2^t-1) on GF(2^n), n odd, t = (n+3)/2: F-boomerang "
                 "uniformity 4",
+        family="cell_claims",
         n=("odd", 7, "for n = 5 the value-4 sets are empty and the function is APN"),
-        setting=lambda f, kw: _mersenne(f, (f.n + 3) // 2),
-        row=_homogeneous(lambda f, t: _s6_row1(f, t, 2 ** t - 1, 4, f.n % 3 == 0)),
-        label=_BETA,
-        expect=_maximum("F-boomerang uniformity", lambda s: 4)),
+        setting=lambda f, kw: _mersenne(f, (f.n + 3) // 2)),
     "C_F3_VB": Claim(
         summary="vanishing-flat count of x^(2^t-1) on GF(2^n), n odd, "
                 "t = (n+3)/2, written in terms of K(1)",
-        n=("odd", 5),
-        setting=lambda f, kw: _mersenne(f, (f.n + 3) // 2),
-        run=_run_vb),
+        family="count_claims", n=("odd", 5),
+        setting=lambda f, kw: _mersenne(f, (f.n + 3) // 2)),
     "T6": Claim(
         summary="x^(2^n-2) + Tr(x^2/(x+1)) on GF(2^n), n even: "
                 "nontrivial values lie in {0, 4, 8}, classified by "
                 "explicit trace conditions",
-        n=("even", 4),
-        build=lambda f, setting: InversePlusTrace(f),
-        row=_t6_row, label=_BETA, expect=_bound_attained),
+        family="cell_claims", n=("even", 4)),
     "T7": Claim(
         summary="1/(x + g*Tr(x^(2^t+1))) on GF(2^n) for admissible "
                 "(t, g) (g nonzero in the 2^(2t)-element subfield meet, "
                 "Tr(g^(2^t+1)) = 0): nontrivial values lie in {0, 4, 8}",
-        params=("p", "n", "t", "gamma"),
-        check=_check_T7,
-        run=_run_T7, values=_T7_VALUES),
+        family="spectrum_claims", params=("p", "n", "t", "gamma"),
+        check=_check_T7, values=frozenset({0, 4, 8})),
     "TABLE1": Claim(
         summary="catalogue of power maps in odd characteristic with a "
                 "claimed second-order zero differential uniformity; each "
                 "row's maximum is recomputed on small admissible fields",
-        params=(), p=None,
-        run=_run_TABLE1),
+        family="spectrum_claims", params=(), p=None),
     "PROP_VB": Claim(
         summary="for every function on GF(2^n) the nontrivial "
                 "second-order spectrum sums to 24 times the "
                 "vanishing-flat count",
-        params=("p", "n", "num_random_tables", "seed"),
-        n=(None, 2), run=_run_PROP_VB),
+        family="count_claims", params=("p", "n", "num_random_tables", "seed"),
+        n=(None, 2)),
     "APN_IFF_FBCT0": Claim(
         summary="a function on GF(2^n) is APN exactly when its "
                 "second-order spectrum vanishes off the trivial cells; "
                 "checked in both directions across all monomials",
-        n=(None, 2), run=_run_APN_IFF_FBCT0),
+        family="spectrum_claims", n=(None, 2)),
 }
 
 #: Supported claim ids mapped to a hypothesis summary and accepted parameters.
@@ -824,9 +315,15 @@ THEOREMS = {tid: {"summary": c.summary, "params": c.params}
 def _claim(theorem_id: str) -> Claim:
     claim = CLAIMS.get(theorem_id)
     if claim is None:
-        known = ", ".join(sorted(CLAIMS))
-        raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {known}")
+        raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(sorted(CLAIMS))}")
     return claim
+
+
+def _code(theorem_id: str, claim: Claim):
+    """The name ``theorem_id`` in the claim's family module, which runs on first
+    use.  A claim names its family: a lazy module among the registry's globals
+    would run as soon as code walking them (a tracer wrapping each layer) met it."""
+    return getattr(getattr(sys.modules[__package__], claim.family), theorem_id)
 
 
 def _arguments(claim: Claim, **given) -> dict:
@@ -858,7 +355,7 @@ def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
         raise HypothesisError(
             "T2 has no per-cell predictor (its branch conditions are not "
             "pinned to explicit cells); verify it at the spectrum level")
-    if claim.row is None and claim.values is None:
+    if claim.family != "cell_claims" and claim.values is None:
         raise ValueError(f"id {theorem_id!r} has no per-cell predictor")
     field = a.field
     if b.field != field:
@@ -871,7 +368,7 @@ def predict(theorem_id: str, a: FieldElement, b: FieldElement, *,
     if claim.values is not None:
         return q if a.code == b.code else claim.values
     t = claim.setting(field, kw).get("t")
-    return int(_predicted_row(theorem_id, field, t, a.code)[b.code])
+    return int(_code(theorem_id, claim).predicted(field, t, a.code)[b.code])
 
 
 def verify(theorem_id: str, *, p: Optional[int] = None,
@@ -901,7 +398,7 @@ def verify(theorem_id: str, *, p: Optional[int] = None,
         field = (make_field(kw["p"], kw["n"], modulus)
                  if "n" in claim.params else None)
         setting = claim.setting(field, kw)
-        extra, cells, first, notes = claim.run(theorem_id, field, setting, kw)
+        extra, cells, first, notes = _code(theorem_id, claim)(theorem_id, field, setting, kw)
         params = extra if field is None else {
             "p": field.p, "n": field.n, "modulus": field.modulus_text(),
             **extra}

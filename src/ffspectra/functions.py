@@ -8,12 +8,13 @@ the global convention inv(0) = 0.
 from __future__ import annotations
 
 import ast
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 
-from .field import Field, FieldElement, FieldError
+from .field import _CHUNK, Field, FieldElement, FieldError
 
 
 class FunctionError(ValueError):
@@ -47,12 +48,11 @@ class FunctionUnderTest:
         return self.eval(x)
 
     def table(self) -> np.ndarray:
-        """Value table FT with FT[x] = code of F(x); built once by `_build_table`, then cached."""
-        ft = getattr(self, "_ft", None)
-        if ft is None:
-            ft = self._build_table()
-            self._ft = ft
-        return ft
+        """Value table FT[x] = code of F(x), built once by `_build_table`, kept read-only."""
+        if getattr(self, "_ft", None) is None:
+            self._ft = self._build_table()
+            self._ft.flags.writeable = False
+        return self._ft
 
     def text(self) -> str:
         raise NotImplementedError
@@ -128,23 +128,31 @@ class GammaTraceInverse(FunctionUnderTest):
         return f"gamma-trace-inverse:t={self.t},gamma={self.gamma.text}"
 
 
+def _check_table(q: int, shape: tuple, parts) -> None:
+    """Refuse a table of this shape unless it is (q,), then unless each array of
+    ``parts`` holds integer codes in [0, q) only: a code of 2^64 or more gives an
+    object array, and 1.5 or a negative code beside one of 2^63 a float one."""
+    if shape != (q,):
+        raise FunctionError(f"table needs exactly q={q} entries, got {math.prod(shape)}")
+    if not all(c.dtype.kind in "iu" and c.min() >= 0 and c.max() < q for c in parts):
+        raise FunctionError(f"table entries must be integer codes in [0, {q})")
+
+
 class TableFunction(FunctionUnderTest):
     """Explicit value table: entry i is F(element with code i).  The integer
     codes, a sequence or an array, are checked in one pass and held in a copy."""
 
     def __init__(self, field: Field, values):
         ft = np.array(values)  # a copy: later edits to ``values`` leave F as it is
-        if ft.shape != (field.q,):
-            raise FunctionError(f"table needs exactly q={field.q} entries, got {ft.size}")
-        # a code of 2^64 or more gives an object array, and 1.5 or a negative
-        # code beside one of 2^63 a float array: both refused before the int64 cast
-        if ft.dtype.kind not in "iu" or ft.min() < 0 or ft.max() >= field.q:
-            raise FunctionError(f"table entries must be integer codes in [0, {field.q})")
+        _check_table(field.q, ft.shape, [ft])
         self.field = field
         self._ft = ft.astype(np.int64, copy=False)
+        self._ft.flags.writeable = False
 
     def text(self) -> str:
-        return "table:" + ",".join(map(str, self._ft.tolist()))
+        """The `table:` text, formed a _CHUNK of codes at a time."""
+        return "table:" + ",".join([",".join(map(str, self._ft[s:s + _CHUNK].tolist()))
+                                    for s in range(0, self._ft.size, _CHUNK)])
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +262,28 @@ def parse_function(field: Field, text: str, k: int | None = None,
                     body = fh.read()
             except OSError as e:
                 raise FunctionError(f"cannot read table file {path!r}: {e}") from e
-        try:
-            codes = [int(tok) for tok in body.replace(",", " ").split()]
-        except ValueError as e:
-            raise FunctionError(f"table entries must be integer element codes: {e}") from e
-        return TableFunction(field, codes)
+        return TableFunction(field, _table_codes(field.q, body.replace(",", " ")))
     raise FunctionError(f"unparseable function text {text!r}")
 
+
+#: A chunk of `table:` text: up to 2^16 characters, then the rest of the last token.
+_TEXT_CHUNK = re.compile(r"(?s).{1,65536}\S*")
+
+
+def _table_codes(q: int, text: str):
+    """The codes of a `table:` text: a list of ints if the text is one chunk, else
+    an int64 array joined from an array a chunk, all checked before the join.
+    Refused as the whole list would be: a non-int token, then count, then range."""
+    parts, count = [], 0
+    try:
+        for m in _TEXT_CHUNK.finditer(text):
+            codes = [int(tok) for tok in m[0].split()]
+            if m.end() - m.start() == len(text):
+                return codes
+            count += len(codes)
+            if codes and count <= q:
+                parts.append(np.array(codes))
+    except ValueError as e:
+        raise FunctionError(f"table entries must be integer element codes: {e}") from e
+    _check_table(q, (count,), parts)
+    return np.concatenate(parts)

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 import sympy
 
-from ffspectra.algebra import (cubic_roots_odd, quartic_pattern_brute,
+from ffspectra.algebra import (cubic_roots_odd, kloosterman, quartic_pattern_brute,
                                quartic_pattern_char2)
-from ffspectra.closed_forms import kloosterman, vanishing_count_formula, verify
+from ffspectra.closed_forms import verify
+from ffspectra.count_claims import vanishing_count_formula
 from ffspectra.field import make_field
 from ffspectra.functions import InversePlusTrace, Monomial, canonical_exponent
 from ffspectra.spectra import (classify, differential_uniformity,

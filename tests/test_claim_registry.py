@@ -10,8 +10,8 @@ import json
 import pytest
 
 from ffspectra.closed_forms import (CLAIMS, THEOREMS, HypothesisError, _arguments,
-                                    _check, predict, s6_count_formula,
-                                    vanishing_count_formula, verify)
+                                    _check, predict, verify)
+from ffspectra.count_claims import s6_count_formula, vanishing_count_formula
 from ffspectra.field import make_field
 
 #: sha256 of each verdict's fixed-time JSON (sorted keys) on a small field

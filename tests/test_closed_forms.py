@@ -10,12 +10,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ffspectra import closed_forms, spectra
-from ffspectra.algebra import linearized_kernel_dim
-from ffspectra.closed_forms import (CLAIMS, THEOREMS, HypothesisError,
-                                    _admissible_gammas, _first_outside,
-                                    kloosterman, predict, s6_count_formula,
-                                    vanishing_count_formula, verify)
+from ffspectra import cell_claims, count_claims, spectra, spectrum_claims
+from ffspectra.algebra import kloosterman, linearized_kernel_dim
+from ffspectra.closed_forms import CLAIMS, THEOREMS, HypothesisError, predict, verify
+from ffspectra.count_claims import s6_count_formula, vanishing_count_formula
+from ffspectra.spectrum_claims import _admissible_gammas, _first_outside
 from ffspectra.field import FieldError, InvariantError, make_field, omega
 from ffspectra.flats import count_two_flats, vanishing_flats
 from ffspectra.functions import (GammaTraceInverse, InversePlusTrace, Monomial,
@@ -158,9 +157,9 @@ def _thmt_by_kernel_dims(field, t, Bs) -> dict:
 def test_thmt_row_one_equals_one_kernel_per_B(n):
     f = make_field(2, n)
     for t in range(1, n):
-        B = closed_forms._b_map(f, t)[0].tolist()
+        B = cell_claims._b_map(f, t)[0].tolist()
         want = _thmt_by_kernel_dims(f, t, set(B))
-        assert closed_forms._thmt_row1(f, t).tolist() == [want[b] for b in B], t
+        assert cell_claims._thmt_row1(f, t).tolist() == [want[b] for b in B], t
 
 
 @pytest.mark.parametrize("t", [5, 8])
@@ -171,13 +170,13 @@ def test_thmt_root_count_is_the_kernel_at_n16(t):
     f = make_field(2, 16)
     rng = np.random.default_rng(16 + t)
     sample = np.concatenate([[0, 1], rng.integers(2, f.q, 200)])
-    Bc, count = closed_forms._b_map(f, t)
+    Bc, count = cell_claims._b_map(f, t)
     roots = 2 + count
     for B in sample.tolist():
         assert roots[B] == 2 ** linearized_kernel_dim(t, f.from_code(B)), B
     cells = np.flatnonzero(np.isin(Bc, sample))
     want = _thmt_by_kernel_dims(f, t, set(Bc[cells].tolist()))
-    got = closed_forms._thmt_row1(f, t)[cells]
+    got = cell_claims._thmt_row1(f, t)[cells]
     assert cells.size > 2 and got.tolist() == [want[b] for b in Bc[cells].tolist()]
 
 
@@ -187,7 +186,7 @@ def test_root_count_at_B_0_and_1(n):
     x^(2^t) = x has 2^gcd(t, n) roots, x^(2^t) = x^2 has 2^gcd(t-1, n)."""
     f = make_field(2, n)
     for t in range(1, n):
-        count = closed_forms._b_map(f, t)[1]
+        count = cell_claims._b_map(f, t)[1]
         assert 2 + count[0] == 2 ** math.gcd(t, n), t
         assert 2 + count[1] == 2 ** math.gcd(t - 1, n), t
 
@@ -198,10 +197,10 @@ def test_s6_mask_is_the_row_one_ddt_count(n):
     delta(1, B(b)) = 6 for x^(2^t-1)."""
     f = make_field(2, n)
     for t in range(1, n):
-        B = closed_forms._b_map(f, t)[0]
+        B = cell_claims._b_map(f, t)[0]
         drow = ddt_row_counts(Monomial(f, 2 ** t - 1), 1)
         want = (B != 0) & (B != 1) & (drow[B] == 6)
-        assert np.array_equal(closed_forms._s6_mask(f, t), want), t
+        assert np.array_equal(cell_claims._s6_mask(f, t), want), t
 
 
 # --- verify: parameter policing and hypothesis gating -----------------------
@@ -367,7 +366,7 @@ def test_gamma_trace_family_small_field():
 def test_gamma_trace_failure_in_row_one_counts_its_column(monkeypatch):
     """With 4 no longer allowed, GF(2^4) fails at a = 1, b = code 6: six
     cells are checked, counted row-major as T2 and the row-one claims do."""
-    monkeypatch.setattr(closed_forms, "_T7_VALUES", frozenset({0, 8}))
+    monkeypatch.setattr(spectrum_claims, "_T7_VALUES", frozenset({0, 8}))
     v = verify("T7", n=4)
     assert v.status == "failed"
     assert (v.first_mismatch["a"], v.first_mismatch["b"]) == ("1,0,0,0", "0,1,1,0")
@@ -399,9 +398,9 @@ def _t7_every_pair(n, t=None):
     cells = 0
     for tt in [t] if t is not None else range(1, n):
         for g in _admissible_gammas(f, tt):
-            F = closed_forms.GammaTraceInverse(f, tt, f.from_code(g))
-            if not {v for v, _ in fbct_spectrum(F).histogram} <= closed_forms._T7_VALUES:
-                row_major, first = _first_outside(F, closed_forms._T7_VALUES)
+            F = spectrum_claims.GammaTraceInverse(f, tt, f.from_code(g))
+            if not {v for v, _ in fbct_spectrum(F).histogram} <= spectrum_claims._T7_VALUES:
+                row_major, first = _first_outside(F, spectrum_claims._T7_VALUES)
                 first.update(t=tt, gamma=f.from_code(g).text)
                 return "failed", cells + row_major, first
             cells += (q - 1) * (q - 1)
@@ -411,13 +410,13 @@ def _t7_every_pair(n, t=None):
 def _t7_spy(monkeypatch, broken=()):
     """Record the (t, gamma code) of each T7 function built, and build the
     linear x^2 (every cell q) for the pairs in ``broken``."""
-    real, built = closed_forms.GammaTraceInverse, []
+    real, built = spectrum_claims.GammaTraceInverse, []
 
     def make(field, t, gamma):
         built.append((t, gamma.code))
         return Monomial(field, 2) if (t, gamma.code) in broken else real(field, t, gamma)
 
-    monkeypatch.setattr(closed_forms, "GammaTraceInverse", make)
+    monkeypatch.setattr(spectrum_claims, "GammaTraceInverse", make)
     return built
 
 
@@ -451,7 +450,7 @@ def test_t7_given_gamma_is_checked_whatever_its_class(monkeypatch):
 
 @pytest.mark.parametrize("n, values", [(6, {0, 8}), (8, {0, 4})])
 def test_t7_forced_failure_equals_every_pair_walk(n, values, monkeypatch):
-    monkeypatch.setattr(closed_forms, "_T7_VALUES", frozenset(values))
+    monkeypatch.setattr(spectrum_claims, "_T7_VALUES", frozenset(values))
     v = verify("T7", n=n)
     assert (v.status, v.cells_checked, v.first_mismatch) == _t7_every_pair(n)
     assert v.status == "failed"
@@ -470,7 +469,7 @@ def test_t7_half_n_takes_one_spectrum_and_the_every_pair_verdict(n, t, monkeypat
     if t is not None:
         assert v.cells_checked == len(half) * (f.q - 1) ** 2
     values = {v for v, _ in fbct_spectrum(Monomial(f, f.q - 2)).histogram}
-    monkeypatch.setattr(closed_forms, "_T7_VALUES", frozenset(values - {max(values)}))
+    monkeypatch.setattr(spectrum_claims, "_T7_VALUES", frozenset(values - {max(values)}))
     v = verify("T7", n=n, t=n // 2)
     assert (v.status, v.cells_checked, v.first_mismatch) == _t7_every_pair(n, n // 2)
     assert v.status == "failed" and v.first_mismatch["gamma"] == f.from_code(half[0]).text
@@ -637,7 +636,8 @@ T6_CASES = [("T6", 2, 4, None, None), ("T6", 2, 6, None, None)]
 
 def test_row_one_ids_are_the_power_map_claims():
     assert sorted(ROW_ONE_FIELDS) == sorted(
-        t for t, c in CLAIMS.items() if c.build is closed_forms._power_map and c.row)
+        t for t, c in CLAIMS.items()
+        if c.family == "cell_claims" and getattr(cell_claims, t).build is None)
 
 
 def _verify_on(tid, p, n, modulus, t):
@@ -649,8 +649,8 @@ def _every_row_walk(tid, field, setting):
     != 0, up to the first mismatch; the observed maximum over the rows that
     matched whole; then the claim's expected-maximum check.  Returns (first
     mismatch, cells checked, notes) as the verdict holds them."""
-    claim = CLAIMS[tid]
-    F = claim.build(field, setting)
+    claim = getattr(cell_claims, tid)
+    F = claim.build(field, setting) if claim.build else Monomial(field, setting["d"])
     q = field.q
     first, cells, observed = None, 0, 0
     for a, row in fbct_rows(F):
@@ -693,14 +693,14 @@ def test_corrupted_row_one_fails_where_every_row_walk_does(monkeypatch, tid):
     p, n, modulus, t = FIRST_FIELDS[tid]
     field = make_field(p, n, modulus)
     c = field.q // 2 + 1
-    real = CLAIMS[tid].row
+    real = getattr(cell_claims, tid).row
 
     def corrupt(f, tt, a):
         row = real(f, tt, a)
         row[f.vmul(c, a)] += 1
         return row
 
-    monkeypatch.setitem(CLAIMS, tid, dataclasses.replace(CLAIMS[tid], row=corrupt))
+    monkeypatch.setattr(cell_claims, tid, dataclasses.replace(getattr(cell_claims, tid), row=corrupt))
     v = _verify_on(tid, p, n, modulus, t)
     assert v.status == "failed"
     assert v.cells_checked == c
@@ -712,14 +712,14 @@ def test_corrupted_row_one_fails_where_every_row_walk_does(monkeypatch, tid):
 
 def test_row_one_claims_count_one_row_and_T6_its_representatives(monkeypatch):
     counted = []
-    real = closed_forms.fbct_rows
+    real = cell_claims.fbct_rows
 
     def counting(F, codes=None):
         for a, row in real(F, codes):
             counted.append(a)
             yield a, row
 
-    monkeypatch.setattr(closed_forms, "fbct_rows", counting)
+    monkeypatch.setattr(cell_claims, "fbct_rows", counting)
     for tid, cases in ROW_ONE_FIELDS.items():
         counted.clear()
         assert _verify_on(tid, *cases[0]).passed, tid
@@ -754,7 +754,7 @@ def test_power_map_build_without_symmetry_fails_like_every_row_walk(monkeypatch)
         values[3] ^= 1
         return TableFunction(f, values)
 
-    monkeypatch.setitem(CLAIMS, "L1", dataclasses.replace(CLAIMS["L1"], build=build))
+    monkeypatch.setattr(cell_claims, "L1", dataclasses.replace(cell_claims.L1, build=build))
     field = make_field(2, 4)
     v = verify("L1", n=4)
     assert len(orbit_rows(build(field, v.params))) > 1
@@ -772,8 +772,8 @@ def test_t6_predictor_shares_the_frobenius_orbits(n):
     f = make_field(2, n)
     frob = f.tables().frob
     for a in range(f.q):
-        assert (closed_forms._t6_row(f, None, frob[a])[frob]
-                == closed_forms._t6_row(f, None, a)).all(), a
+        assert (cell_claims._t6_row(f, None, frob[a])[frob]
+                == cell_claims._t6_row(f, None, a)).all(), a
     assert all(n % w == 0 for _, w in orbit_rows(InversePlusTrace(f)))
 
 
@@ -801,8 +801,8 @@ def test_apn_equivalence_verdict():
 def test_vb_formula_can_fail_on_a_corrupted_kloosterman_sum(monkeypatch, tid):
     """K(1) feeds the formula side only: K + 8 takes 2^n - 1 off the claimed
     count, and the verdict fails at the count, not with an exception."""
-    real = closed_forms.kloosterman
-    monkeypatch.setattr(closed_forms, "kloosterman",
+    real = count_claims.kloosterman
+    monkeypatch.setattr(count_claims, "kloosterman",
                         lambda n, method="direct": real(n, method) + 8)
     v = verify(tid, n=7)
     assert v.status == "failed" and v.cells_checked == 1
@@ -813,13 +813,13 @@ def test_vb_formula_can_fail_on_a_corrupted_kloosterman_sum(monkeypatch, tid):
 def test_vb_formula_can_fail_on_a_corrupted_enumeration(monkeypatch):
     """The enumerated count feeds the observed side only: one flat too many
     fails C_F1_VB at the count."""
-    real = closed_forms.vanishing_flats
+    real = count_claims.vanishing_flats
 
     def one_more(F):
         res = real(F)
         return dataclasses.replace(res, vanishing_count=res.vanishing_count + 1)
 
-    monkeypatch.setattr(closed_forms, "vanishing_flats", one_more)
+    monkeypatch.setattr(count_claims, "vanishing_flats", one_more)
     v = verify("C_F1_VB", n=6)
     assert v.status == "failed" and v.cells_checked == 1
     assert v.first_mismatch == {"a": "vanishing-flat count", "b": "",
@@ -829,8 +829,8 @@ def test_vb_formula_can_fail_on_a_corrupted_enumeration(monkeypatch):
 def test_apn_equivalence_can_fail_on_a_corrupted_uniformity(monkeypatch):
     """Differential uniformity feeds the APN side only: raised by 2, the
     Gold map x^3 reads as non-APN while its FBCT still vanishes."""
-    real = closed_forms.differential_uniformity
-    monkeypatch.setattr(closed_forms, "differential_uniformity",
+    real = spectrum_claims.differential_uniformity
+    monkeypatch.setattr(spectrum_claims, "differential_uniformity",
                         lambda F: real(F) + 2)
     v = verify("APN_IFF_FBCT0", n=4)
     assert v.status == "failed"

@@ -1,13 +1,17 @@
 """Function constructors, the text grammar, and difference operators."""
 
+import re
+
 import numpy as np
 import pytest
 
-from ffspectra.closed_forms import _admissible_gammas
+from ffspectra import functions
 from ffspectra.field import make_field, trace
 from ffspectra.functions import (FunctionError, GammaTraceInverse,
                                  InversePlusTrace, Monomial, TableFunction,
                                  canonical_exponent, gamma_conditions, parse_function)
+from ffspectra.spectra import orbit_rows
+from ffspectra.spectrum_claims import _admissible_gammas
 from oracles import gapn_derivative, second_order_diff, value
 
 #: Each class on every field it admits among GF(2^4), GF(2^8), GF(3^5),
@@ -38,6 +42,21 @@ def test_value_table_eval_and_scalar_oracle_agree(kind, p, n, build):
     assert FT.dtype == np.int64 and FT.shape == (f.q,)
     assert evals == FT.tolist() == [value(F, x) for x in range(f.q)]
     assert all(F(f.from_code(x)).code == evals[x] for x in range(f.q))
+
+
+@pytest.mark.parametrize("kind, p, n, build", ONE_DEFINITION,
+                         ids=[f"{kind}-GF({p}^{n})" for kind, p, n, _ in ONE_DEFINITION])
+def test_value_table_is_read_only(kind, p, n, build):
+    """F is its value table, so the table it hands out refuses an in-place
+    edit, and F.eval and the orbits proved on F stay those of a fresh F."""
+    f = make_field(p, n)
+    F, fresh = build(f), build(f)
+    rows = orbit_rows(F)
+    for edit in (lambda ft: ft.__setitem__(1, 0), lambda ft: ft.__ixor__(1)):
+        with pytest.raises(ValueError, match="read-only"):
+            edit(F.table())
+    assert [F.eval(f.from_code(x)).code for x in range(f.q)] == fresh.table().tolist()
+    assert orbit_rows(F) == rows == orbit_rows(fresh)
 
 
 def test_monomial_matches_pow():
@@ -211,6 +230,37 @@ def test_parse_table_inline_and_file(tmp_path):
         parse_function(f, "table:@/nonexistent/file")
     with pytest.raises(FunctionError):
         parse_function(f, "table:3,2,one,0")
+
+
+_CODES = [str(x) for x in range(15, -1, -1)]
+#: `table:` texts on GF(2^4), each read whole and a few characters at a time:
+#: one valid, then each error and the order in which they are refused.
+TABLE_TEXTS = [
+    ",".join(_CODES), "\n".join(_CODES) + "\n", " , ".join(_CODES),
+    ",".join(_CODES[:-1]),                        # 15 entries
+    ",".join(["99"] + _CODES),                    # 17 entries, one out of range
+    ",".join(["99"] + _CODES[1:]),                # out of range
+    ",".join(_CODES[1:] + [str(2 ** 64)]),        # out of int64's range
+    ",".join(["-1", str(2 ** 63)] + _CODES[2:]),  # a float array
+    ",".join(["99"] + _CODES[1:-1] + ["x"]),      # no int, after one out of range
+]
+
+
+@pytest.mark.parametrize("text", TABLE_TEXTS)
+def test_table_text_read_in_chunks_reads_as_whole(monkeypatch, text):
+    f = make_field(2, 4)
+
+    def outcome():
+        try:
+            return parse_function(f, "table:" + text).table().tolist()
+        except FunctionError as exc:
+            return str(exc)
+
+    whole = outcome()
+    monkeypatch.setattr(functions, "_TEXT_CHUNK", re.compile(r"(?s).{1,5}\S*"))
+    assert outcome() == whole
+    if not isinstance(whole, str):  # the chunks made one array, not a list
+        assert isinstance(functions._table_codes(16, text.replace(",", " ")), np.ndarray)
 
 
 def test_function_text_round_trip():
