@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import (Field, FieldElement, FieldError, InvariantError, _gf2_solve,
-                    make_field, solve_quadratic)
+                    make_field, quadratic_character, solve_quadratic, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +63,9 @@ def cubic_roots_odd(c2: FieldElement, c1: FieldElement, c0: FieldElement) -> Cub
 
     # disc(x^3 + ax^2 + bx + c) = 18abc - 4a^3c + a^2b^2 - 4b^3 - 27c^2
     a, b, c = c2, c1, c0
-    disc = (f.from_code(f.scalar_mul_code(18, (a * b * c).code))
-            - f.from_code(f.scalar_mul_code(4, (a * a * a * c).code))
-            + a * a * b * b
-            - f.from_code(f.scalar_mul_code(4, (b * b * b).code))
-            - f.from_code(f.scalar_mul_code(27, (c * c).code)))
-    eta = f.eta_code(disc.code)
+    k18, k4, k27 = (f.from_coeffs([k]) for k in (18, 4, 27))  # prime-subfield constants
+    disc = k18 * a * b * c - k4 * a * a * a * c + a * a * b * b - k4 * b * b * b - k27 * c * c
+    eta = quadratic_character(disc)
     if disc.code != 0:
         if (len(roots) == 1) != (eta == -1):
             raise InvariantError(f"one-root criterion violated: {len(roots)} roots, "
@@ -112,7 +109,7 @@ def quartic_pattern_char2(a2: FieldElement, a1: FieldElement, a0: FieldElement) 
     roots = tuple(f.from_code(int(c)) for c in np.nonzero(gvals == 0)[0])
     inv_a1sq = (a1 * a1).inv()
     ws = tuple(a0 * r * r * inv_a1sq for r in roots)
-    traces = [f.trace_code(w.code) for w in ws]
+    traces = [trace(w) for w in ws]
 
     if len(roots) == 3:
         zeros = traces.count(0)
@@ -188,9 +185,9 @@ def linearized_kernel_dim(t: int, B: FieldElement) -> int:
         raise FieldError("linearized kernel map lives in characteristic 2")
     if not 1 <= t < f.n:
         raise ValueError(f"t={t} out of range 1..{f.n - 1}")
-    basis = [1 << j for j in range(f.n)]
-    return _gf2_solve([f.pow_code(x, 1 << t) ^ f.mul_code(B.code, f.mul_code(x, x))
-                       ^ f.mul_code(B.code ^ 1, x) for x in basis])[0]
+    x = 1 << np.arange(f.n, dtype=np.int64)
+    return _gf2_solve((f.vpow(x, 1 << t) ^ f.vmul(B.code, f.vmul(x, x))
+                       ^ f.vmul(B.code ^ 1, x)).tolist())[0]
 
 
 # ---------------------------------------------------------------------------

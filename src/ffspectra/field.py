@@ -3,12 +3,13 @@ quadratic characters, and quadratic-equation solving.
 
 Elements are stored as integer codes 0..q-1; the code of an element with
 coefficient vector (c0, c1, ..., c_{n-1}) relative to the polynomial basis is
-sum(c_i * p**i).  The dense coefficient form is primary; log/antilog and other
-acceleration tables are built lazily and are observationally identical to the
-coefficient-level routines.  Every field has q <= 2**20.  Tables are narrow,
-results int64: each table is held in the narrowest dtype of its values, the
-v* routines widen where their arithmetic could overflow and return int64
-codes, and the scalar *_code routines also take numpy integers.
+sum(c_i * p**i).  The polynomial-basis product (mul_code, pow_code) only
+builds the tables: it finds the generator and fills exp, and every other
+operation, scalar or vector, reads the tables through the v* routines.  So
+the first arithmetic on a field builds its tables (about 0.5 s and 17 MiB
+at q = 2**20).  Every field has q <= 2**20.  Tables are narrow, results
+int64: each table is held in the narrowest dtype of its values, and the v*
+routines widen where their arithmetic could overflow and return int64 codes.
 """
 
 from __future__ import annotations
@@ -177,26 +178,12 @@ class Field:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1 % self.q)
 
-    # -- coefficient-level scalar arithmetic (primary form) ----------------------
-
-    def add_code(self, x: int, y: int) -> int:
-        x, y = int(x), int(y)
-        if self.char2:
-            return x ^ y
-        return sum(((xd + yd) % self.p) * w
-                   for xd, yd, w in zip(self.coeffs_of(x), self.coeffs_of(y), self._pows))
-
-    def neg_code(self, x: int) -> int:
-        x = int(x)
-        if self.char2:
-            return x
-        return sum(((-d) % self.p) * w for d, w in zip(self.coeffs_of(x), self._pows))
-
-    def sub_code(self, x: int, y: int) -> int:
-        return self.add_code(x, self.neg_code(y))
+    # -- polynomial-basis bootstrap of the tables ----------------------------------
 
     def mul_code(self, x: int, y: int) -> int:
-        """Polynomial-basis product; independent of the acceleration tables."""
+        """Polynomial-basis product: with pow_code, the bootstrap that finds
+        the generator and builds exp.  Nothing else calls either; every other
+        operation reads the tables."""
         x, y = int(x), int(y)  # a numpy code would overflow at x <<= 1
         if self.char2:
             r = 0
@@ -220,14 +207,13 @@ class Field:
         return sum(c * w for c, w in zip(rem, self._pows))
 
     def pow_code(self, x: int, e: int) -> int:
+        """x^e by squaring with mul_code, e taken mod q - 1 (0^0 = 1); the
+        generator search of the table bootstrap is its one caller."""
         x, e = int(x), int(e)
         if e == 0:
             return 1 % self.q
         if x == 0:
             return 0
-        if e < 0:
-            x = self.inv_code(x)
-            e = -e
         e %= self.q - 1
         if e == 0:
             return 1
@@ -238,34 +224,6 @@ class Field:
             x = self.mul_code(x, x)
             e >>= 1
         return r
-
-    def inv_code(self, x: int) -> int:
-        """Multiplicative inverse with the convention inv(0) = 0."""
-        if x == 0:
-            return 0
-        return self.pow_code(x, self.q - 2)
-
-    def trace_code(self, x: int) -> int:
-        acc = cur = int(x)
-        for _ in range(self.n - 1):
-            cur = self.pow_code(cur, self.p)
-            acc = self.add_code(acc, cur)
-        if acc >= self.p:
-            raise InvariantError("trace left the prime subfield")
-        return acc
-
-    def eta_code(self, x: int) -> int:
-        """Quadratic character via x^((q-1)/2); only defined in odd characteristic."""
-        if self.char2:
-            raise FieldError("quadratic character is undefined in characteristic 2")
-        if x == 0:
-            return 0
-        r = self.pow_code(x, (self.q - 1) // 2)
-        return 1 if r == 1 else -1
-
-    def scalar_mul_code(self, k: int, x: int) -> int:
-        """Product of x with the prime-subfield constant k."""
-        return self.mul_code(k % self.p, x)
 
     # -- lazy acceleration tables -------------------------------------------------
 
@@ -429,6 +387,7 @@ class Field:
         return self.vadd(X, self.vneg(Y))
 
     def vmul(self, X, Y):
+        X, Y = np.asarray(X), np.asarray(Y)  # a list compares to 0 as one False
         t = self.tables()
         out = t.exp[(t.log[X] + t.log[Y]) % (self.q - 1)].astype(np.int64)  # int32 holds 2q
         return np.where((X == 0) | (Y == 0), 0, out)
@@ -493,32 +452,31 @@ class FieldElement:
             return other
         raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
 
+    def _made(self, code) -> "FieldElement":
+        return FieldElement(self.field, int(code))
+
     def __add__(self, other):
-        o = self._peer(other)
-        return FieldElement(self.field, self.field.add_code(self.code, o.code))
+        return self._made(self.field.vadd(self.code, self._peer(other).code))
 
     def __sub__(self, other):
-        o = self._peer(other)
-        return FieldElement(self.field, self.field.sub_code(self.code, o.code))
+        return self._made(self.field.vsub(self.code, self._peer(other).code))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.neg_code(self.code))
+        return self._made(self.field.vneg(self.code))
 
     def __mul__(self, other):
-        o = self._peer(other)
-        return FieldElement(self.field, self.field.mul_code(self.code, o.code))
+        return self._made(self.field.vmul(self.code, self._peer(other).code))
 
     def __truediv__(self, other):
-        o = self._peer(other)
-        return FieldElement(self.field, self.field.mul_code(self.code, self.field.inv_code(o.code)))
+        return self * self._peer(other).inv()
 
     def __pow__(self, e: int):
         if not isinstance(e, (int, np.integer)):
             raise TypeError("exponent must be an integer")
-        return FieldElement(self.field, self.field.pow_code(self.code, int(e)))
+        return self._made(self.field.vpow(self.code, int(e)))
 
     def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_code(self.code))
+        return self._made(self.field.vinv(self.code))
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +525,14 @@ def make_field(p: int, n: int, modulus=None) -> Field:
 
 def trace(x: FieldElement) -> int:
     """Absolute trace into Z_p, returned as an integer in [0, p)."""
-    return x.field.trace_code(x.code)
+    return int(x.field.tables().tr[x.code])
 
 
 def quadratic_character(x: FieldElement) -> int:
     """eta(x) in {-1, 0, 1}; raises in characteristic 2."""
-    return x.field.eta_code(x.code)
+    if x.field.char2:
+        raise FieldError("quadratic character is undefined in characteristic 2")
+    return int(x.field.tables().eta[x.code])
 
 
 def _gf2_solve(images, rhs: int = 0) -> tuple:
@@ -599,50 +559,46 @@ def solve_quadratic(A: FieldElement, B: FieldElement, C: FieldElement) -> frozen
 
     Characteristic 2 solves Y^2 + Y = AC/B^2 by GF(2) elimination; odd
     characteristic reads the square root of the discriminant off the log
-    table, so the first call on a field builds its tables (about 0.4 s once
-    on GF(3^12), in-process)."""
+    table.  Like all arithmetic on a field, the first call builds its tables
+    (about 0.4 s once on GF(3^12), in-process)."""
     field = A.field
     if B.field != field or C.field != field:
         raise FieldError("operands come from different fields")
     if A.code == 0:
         raise FieldError("leading coefficient A must be nonzero")
     a, b, c = A.code, B.code, C.code
+    vmul = field.vmul
     if field.char2:
+        inv_a = field.vinv(a)
         if b == 0:
             # X^2 = C/A has the unique root (C/A)^(2^(n-1))
-            rhs = field.mul_code(c, field.inv_code(a))
-            root = field.pow_code(rhs, 2 ** (field.n - 1))
-            return frozenset({FieldElement(field, root)})
-        # substitute X = (B/A) Y: reduces to Y^2 + Y = AC/B^2
-        ratio = field.mul_code(b, field.inv_code(a))
-        w = field.mul_code(field.mul_code(a, c), field.inv_code(field.mul_code(b, b)))
-        y0 = _gf2_solve([field.mul_code(1 << j, 1 << j) ^ (1 << j)
-                         for j in range(field.n)], w)[1]
-        if y0 is None:
-            return frozenset()
-        roots = {field.mul_code(ratio, y0), field.mul_code(ratio, y0 ^ 1)}
-        return frozenset(FieldElement(field, r) for r in roots)
-    # odd characteristic: discriminant split
-    disc = field.sub_code(field.mul_code(b, b),
-                          field.mul_code(field.scalar_mul_code(4, a), c))
-    inv2a = field.inv_code(field.scalar_mul_code(2, a))
-    if disc == 0:
-        root = field.mul_code(field.neg_code(b), inv2a)
-        return frozenset({FieldElement(field, root)})
-    # a nonzero square has an even discrete log, so sqrt(disc) = g^(log/2)
-    t = field.tables()
-    half, odd = divmod(int(t.log[disc]), 2)
-    if odd:
-        return frozenset()
-    s = int(t.exp[half])
-    r1 = field.mul_code(field.add_code(field.neg_code(b), s), inv2a)
-    r2 = field.mul_code(field.sub_code(field.neg_code(b), s), inv2a)
-    return frozenset({FieldElement(field, r1), FieldElement(field, r2)})
+            roots = field.vpow(vmul(c, inv_a), 2 ** (field.n - 1))
+        else:
+            # substitute X = (B/A) Y: reduces to Y^2 + Y = AC/B^2
+            w = vmul(vmul(a, c), field.vinv(vmul(b, b)))
+            basis = 1 << np.arange(field.n, dtype=np.int64)
+            y0 = _gf2_solve((vmul(basis, basis) ^ basis).tolist(), int(w))[1]
+            if y0 is None:
+                return frozenset()
+            roots = vmul(vmul(b, inv_a), [y0, y0 ^ 1])
+    else:
+        # X = (-B +- sqrt(disc)) / 2A, disc = B^2 - 4AC
+        disc = int(field.vsub(vmul(b, b), vmul(vmul(4 % field.p, a), c)))
+        s = 0
+        if disc:
+            # a nonzero square has an even discrete log, so sqrt(disc) = g^(log/2)
+            t = field.tables()
+            half, odd = divmod(int(t.log[disc]), 2)
+            if odd:
+                return frozenset()
+            s = int(t.exp[half])
+        roots = vmul(field.vsub(field.vneg(b), [s, field.vneg(s)]), field.vinv(vmul(2, a)))
+    return frozenset(FieldElement(field, int(r)) for r in np.ravel(roots))
 
 
 def omega(field: Field) -> FieldElement:
     """The least primitive cube root of unity (requires 3 | q-1)."""
     if (field.q - 1) % 3:
         raise FieldError("field has no primitive cube root of unity")
-    w = int(field.tables().exp[(field.q - 1) // 3])
-    return FieldElement(field, min(w, field.mul_code(w, w)))
+    third = (field.q - 1) // 3
+    return FieldElement(field, int(field.tables().exp[[third, 2 * third]].min()))

@@ -262,22 +262,24 @@ def parse_function(field: Field, text: str, k: int | None = None,
                     body = fh.read()
             except OSError as e:
                 raise FunctionError(f"cannot read table file {path!r}: {e}") from e
-        return TableFunction(field, _table_codes(field.q, body.replace(",", " ")))
+        return TableFunction(field, _table_codes(field.q, body))
     raise FunctionError(f"unparseable function text {text!r}")
 
 
-#: A chunk of `table:` text: up to 2^16 characters, then the rest of the last token.
-_TEXT_CHUNK = re.compile(r"(?s).{1,65536}\S*")
+#: A chunk of `table:` text: up to 2^16 characters, then the rest of the last
+#: token, so it ends at a comma, at whitespace or at the end of the text.
+_TEXT_CHUNK = re.compile(r"(?s).{1,65536}[^\s,]*")
 
 
 def _table_codes(q: int, text: str):
-    """The codes of a `table:` text: a list of ints if the text is one chunk, else
-    an int64 array joined from an array a chunk, all checked before the join.
+    """The codes of a `table:` text, tokens split at commas and whitespace one
+    chunk at a time: a list of ints if the text is one chunk, else an int64
+    array joined from an array a chunk, all checked before the join.
     Refused as the whole list would be: a non-int token, then count, then range."""
     parts, count = [], 0
     try:
         for m in _TEXT_CHUNK.finditer(text):
-            codes = [int(tok) for tok in m[0].split()]
+            codes = [int(tok) for tok in m[0].replace(",", " ").split()]
             if m.end() - m.start() == len(text):
                 return codes
             count += len(codes)

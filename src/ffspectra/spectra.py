@@ -420,7 +420,7 @@ def classify(F: FunctionUnderTest) -> Classification:
     for a, _ in orbit_rows(F):
         acc = FT
         for i in range(1, f.p):
-            acc = f.vadd(acc, FT[f.vadd(X, f.mul_code(a, i))])
+            acc = f.vadd(acc, FT[f.vadd(X, f.vmul(a, i))])
         if int(np.bincount(acc, minlength=q).max()) > f.p:
             is_gapn = False
             break

@@ -24,6 +24,8 @@ from ffspectra.functions import InversePlusTrace, Monomial, canonical_exponent
 from ffspectra.spectra import (classify, differential_uniformity,
                                fbct_row_counts, fbct_spectrum)
 
+import oracles as ref
+
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} — {detail}")
@@ -69,18 +71,18 @@ def test_acceptance_02_two_thirds_power_sweep():
 
 def _half_power_histogram(p: int, n: int, k: int) -> dict[int, int]:
     """Definition-level oracle: nontrivial (a, b != 0) histogram of
-    #{x : F(x+a+b) - F(x+a) - F(x+b) + F(x) = 0} for F(x) = x^((p^k+1)/2)."""
-    field = make_field(p, n)
-    elems = [field.from_code(c) for c in range(field.q)]
-    zero = elems[0]
+    #{x : F(x+a+b) - F(x+a) - F(x+b) + F(x) = 0} for F(x) = x^((p^k+1)/2),
+    in the coefficient-level arithmetic of `oracles`."""
+    f = make_field(p, n)
+    add, sub = (lambda x, y: ref.add(f, x, y)), (lambda x, y: ref.sub(f, x, y))
     d = (p ** k + 1) // 2
-    F = {x: x ** d for x in elems}
+    F = [f.pow_code(x, d) for x in range(f.q)]
     hist: dict[int, int] = {}
-    for a in elems[1:]:
-        for b in elems[1:]:
-            ab = a + b
-            count = sum(1 for x in elems
-                        if F[x + ab] - F[x + a] - F[x + b] + F[x] == zero)
+    for a in range(1, f.q):
+        for b in range(1, f.q):
+            ab = add(a, b)
+            count = sum(1 for x in range(f.q)
+                        if add(sub(sub(F[add(x, ab)], F[add(x, a)]), F[add(x, b)]), F[x]) == 0)
             hist[count] = hist.get(count, 0) + 1
     return dict(sorted(hist.items()))
 

@@ -15,14 +15,16 @@ from ffspectra.algebra import (cubic_roots_odd, linearized_kernel_dim,
                                quartic_quadratic_divisor_scan)
 from ffspectra.field import FieldError, make_field
 
+import oracles as ref
+
 
 def cubic_value(x, c2, c1, c0):
     return x * x * x + c2 * x * x + c1 * x + c0
 
 
 def cubic_deriv_value(f, x, c2, c1):
-    three_xx = f.from_code(f.scalar_mul_code(3, (x * x).code))
-    two_c2x = f.from_code(f.scalar_mul_code(2, (c2 * x).code))
+    three_xx = f.from_code(ref.scalar_mul(f, 3, (x * x).code))
+    two_c2x = f.from_code(ref.scalar_mul(f, 2, (c2 * x).code))
     return three_xx + two_c2x + c1
 
 

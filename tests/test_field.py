@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 from ffspectra import field as field_module
+from ffspectra.algebra import (cubic_roots_odd, linearized_kernel_dim, quartic_pattern_brute,
+                               quartic_pattern_char2)
+from ffspectra.closed_forms import verify
 from ffspectra.field import (Field, FieldError, _gf2_solve, _prime_factors, make_field, omega,
                              quadratic_character, solve_quadratic, trace)
 from ffspectra.functions import Monomial
+from ffspectra.spectra import classify
+
+import oracles as ref
 
 FIELDS = [(2, 1), (2, 4), (2, 5), (3, 1), (3, 3), (5, 2), (7, 1), (11, 1)]
 
@@ -33,6 +39,7 @@ def test_custom_modulus_round_trips():
     assert f.modulus_text() == "1,0,0,1,1"
     # x * x^3 = x^4 = x^3 + 1 under this modulus
     assert f.mul_code(2, 8) == 8 + 1
+    assert (f.from_code(2) * f.from_code(8)).code == 8 + 1
 
 
 def test_reducible_modulus_rejected():
@@ -72,40 +79,47 @@ def test_huge_characteristic_needs_no_primality_answer(monkeypatch):
 
 
 def test_ring_laws_on_all_pairs(field):
+    """The element operators obey the ring laws and agree with the
+    coefficient-level oracles."""
     f = field
     q = f.q
+    zero, one = f.zero, f.one
     xs = range(q) if q <= 32 else np.random.RandomState(7).randint(0, q, 30)
-    for x in xs:
-        x = int(x)
-        assert f.add_code(x, 0) == x
-        assert f.mul_code(x, 1 % q) == x
-        assert f.add_code(x, f.neg_code(x)) == 0
+    for x in map(int, xs):
+        X = f.from_code(x)
+        assert X + zero == X and X * one == X and X + -X == zero
+        assert (-X).code == ref.neg(f, x)
         if x:
-            assert f.mul_code(x, f.inv_code(x)) == 1
-        for y in (0, 1 % q, x, f.neg_code(x), (x * 7 + 3) % q):
-            assert f.add_code(x, y) == f.add_code(y, x)
-            assert f.mul_code(x, y) == f.mul_code(y, x)
-            z = (x * 5 + y + 11) % q
-            assert f.mul_code(x, f.add_code(y, z)) == \
-                f.add_code(f.mul_code(x, y), f.mul_code(x, z))
-            assert f.mul_code(f.mul_code(x, y), z) == \
-                f.mul_code(x, f.mul_code(y, z))
+            assert X * X.inv() == one and X / X == one
+            assert X.inv().code == ref.inv(f, x)
+        for y in (0, 1 % q, x, ref.neg(f, x), (x * 7 + 3) % q):
+            Y = f.from_code(y)
+            assert (X + Y).code == ref.add(f, x, y) and X + Y == Y + X
+            assert (X - Y).code == ref.sub(f, x, y)
+            assert (X * Y).code == f.mul_code(x, y) and X * Y == Y * X
+            Z = f.from_code((x * 5 + y + 11) % q)
+            assert X * (Y + Z) == X * Y + X * Z
+            assert (X * Y) * Z == X * (Y * Z)
 
 
 def test_inverse_of_zero_is_zero(field):
-    assert field.inv_code(0) == 0
+    assert field.zero.inv() == field.zero
+    assert int(field.vinv(0)) == 0 and field.vinv([0]).tolist() == [0]
 
 
 def test_pow_matches_repeated_multiplication(field):
     f = field
     for x in range(min(f.q, 16)):
+        X = f.from_code(x)
         acc = 1 % f.q
         for e in range(1, 6):
             acc = f.mul_code(acc, x)
-            assert f.pow_code(x, e) == acc
+            assert f.pow_code(x, e) == (X ** e).code == int(f.vpow(x, e)) == acc
+        if x:
+            assert (X ** -1).code == ref.inv(f, x)
     # Fermat: x^q = x
     for x in range(min(f.q, 40)):
-        assert f.pow_code(x, f.q) == x
+        assert f.pow_code(x, f.q) == (f.from_code(x) ** f.q).code == x
 
 
 def test_generator_has_full_order(field):
@@ -151,51 +165,53 @@ def test_frobenius_table(field):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 7), (3, 1), (3, 5), (5, 3), (7, 2), (1327, 1)])
 def test_trace_neg_and_digit_tables_are_the_scalar_routines(p, n):
+    """The tables against the coefficient-level oracles."""
     f = make_field(p, n)
     tb = f.tables()
     xs = range(f.q)
-    assert tb.tr.tolist() == [f.trace_code(x) for x in xs]
+    assert tb.tr.tolist() == [ref.trace(f, x) for x in xs]
     if f.char2:
         assert tb.neg is None and tb.dig is None
         return
-    assert tb.neg.tolist() == [f.neg_code(x) for x in xs]
+    assert tb.neg.tolist() == [ref.neg(f, x) for x in xs]
+    assert tb.eta.tolist() == [ref.eta(f, x) for x in xs]
     # digit-major: row i holds digit i of every code
     assert tb.dig.tolist() == [list(col) for col in zip(*(f.coeffs_of(x) for x in xs))]
 
 
 def test_trace_is_linear_and_balanced(field):
     f = field
-    vals = [f.trace_code(x) for x in range(f.q)]
+    elems = [f.from_code(x) for x in range(f.q)]
+    vals = [trace(x) for x in elems]
+    assert vals == [ref.trace(f, x) for x in range(f.q)]
     assert all(0 <= v < f.p for v in vals)
     counts = np.bincount(vals, minlength=f.p)
     assert (counts == f.q // f.p).all()
-    for x in range(min(f.q, 20)):
-        assert f.trace_code(f.pow_code(x, f.p)) == f.trace_code(x)
-        for y in range(min(f.q, 20)):
-            assert f.trace_code(f.add_code(x, y)) == \
-                (f.trace_code(x) + f.trace_code(y)) % f.p
+    for x in elems[:20]:
+        assert trace(x ** f.p) == trace(x)
+        for y in elems[:20]:
+            assert trace(x + y) == (trace(x) + trace(y)) % f.p
 
 
 def test_quadratic_character_odd_fields():
     for p, n in [(3, 2), (5, 1), (7, 1), (11, 1), (3, 3)]:
         f = make_field(p, n)
         q = f.q
-        etas = [f.eta_code(x) for x in range(q)]
+        elems = [f.from_code(x) for x in range(q)]
+        etas = [quadratic_character(x) for x in elems]
         assert etas[0] == 0
         assert sum(1 for e in etas if e == 1) == (q - 1) // 2
         assert sum(1 for e in etas if e == -1) == (q - 1) // 2
         for x in range(1, q):
             # eta is the {-1, 1}-valued image of x^((q-1)/2)
-            power = f.pow_code(x, (q - 1) // 2)
-            assert etas[x] == (1 if power == 1 else -1)
+            assert etas[x] == ref.eta(f, x)
             for y in range(1, q):
-                assert etas[f.mul_code(x, y)] == etas[x] * etas[y]
-        assert quadratic_character(f.from_code(2 % q)) == etas[2 % q]
+                assert etas[(elems[x] * elems[y]).code] == etas[x] * etas[y]
 
 
 def test_quadratic_character_rejected_in_char2():
     with pytest.raises(FieldError):
-        make_field(2, 3).eta_code(1)
+        quadratic_character(make_field(2, 3).one)
 
 
 def test_solve_quadratic_matches_root_scan():
@@ -211,8 +227,8 @@ def test_solve_quadratic_matches_root_scan():
             C = f.from_code(int(rng.randint(0, f.q)))
             got = {r.code for r in solve_quadratic(A, B, C)}
             want = {x for x in range(f.q)
-                    if (A * f.from_code(x) * f.from_code(x)
-                        + B * f.from_code(x) + C).code == 0}
+                    if ref.add(f, f.mul_code(f.mul_code(A.code, x), x),
+                               ref.add(f, f.mul_code(B.code, x), C.code)) == 0}
             assert got == want
 
 
@@ -248,8 +264,9 @@ def test_omega_is_a_primitive_cube_root():
         f = make_field(p, n)
         w = omega(f)
         assert w.code != 1 % f.q
-        assert (w * w * w).code == 1
-        assert (w * w + w + f.one).code == 0
+        assert f.pow_code(w.code, 3) == 1
+        assert ref.add(f, ref.add(f, f.mul_code(w.code, w.code), w.code), 1) == 0
+        assert w.code == min(w.code, f.mul_code(w.code, w.code))
     with pytest.raises(FieldError):
         omega(make_field(2, 5))  # 3 does not divide 31
 
@@ -268,19 +285,31 @@ def test_element_text_round_trip(field):
 
 
 def test_vectorized_ops_match_scalars(field):
+    """The v-ops against the coefficient-level oracles."""
     f = field
     q = f.q
     rng = np.random.RandomState(3)
     xs = rng.randint(0, q, 50).astype(np.int64)
     ys = rng.randint(0, q, 50).astype(np.int64)
-    assert all(int(v) == f.add_code(int(x), int(y))
-               for v, x, y in zip(f.vadd(xs, ys), xs, ys))
-    assert all(int(v) == f.mul_code(int(x), int(y))
-               for v, x, y in zip(f.vmul(xs, ys), xs, ys))
-    assert all(int(v) == f.sub_code(int(x), int(y))
-               for v, x, y in zip(f.vsub(xs, ys), xs, ys))
-    assert all(int(v) == f.inv_code(int(x)) for v, x in zip(f.vinv(xs), xs))
-    assert all(int(v) == f.pow_code(int(x), 5) for v, x in zip(f.vpow(xs, 5), xs))
+    assert all(int(v) == ref.add(f, x, y) for v, x, y in zip(f.vadd(xs, ys), xs, ys))
+    assert all(int(v) == f.mul_code(x, y) for v, x, y in zip(f.vmul(xs, ys), xs, ys))
+    assert all(int(v) == ref.sub(f, x, y) for v, x, y in zip(f.vsub(xs, ys), xs, ys))
+    assert all(int(v) == ref.neg(f, x) for v, x in zip(f.vneg(xs), xs))
+    assert all(int(v) == ref.inv(f, x) for v, x in zip(f.vinv(xs), xs))
+    assert all(int(v) == f.pow_code(x, 5) for v, x in zip(f.vpow(xs, 5), xs))
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 2)])
+def test_vmul_takes_sequence_operands_holding_zero(p, n):
+    """A list or tuple compares to 0 as one scalar False, so the zero mask
+    must see it as an array: 3 * [0, 1] on GF(2^4) once read [8, 3]."""
+    f = make_field(p, n)
+    x = f.q - 1
+    want = [0, x, 0, f.mul_code(x, x)]
+    for seq in (list, tuple):
+        for X, Y in ((x, seq([0, 1, 0, x])), (seq([0, 1, 0, x]), x),
+                     (seq([0, x, 0, x]), seq([1, 1, x, x]))):
+            assert f.vmul(X, Y).tolist() == want, (seq, X, Y)
 
 
 @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (1327, 1), (251, 1), (11, 3)])
@@ -301,9 +330,9 @@ def test_vectorized_add_sub_beyond_the_old_table_limit(p, n):
     for X, Y in cases:
         pairs = np.broadcast_arrays(np.array(X, dtype=np.int64), np.array(Y, dtype=np.int64))
         pairs = list(zip(*(a.ravel().tolist() for a in pairs)))
-        for op, scalar in ((f.vadd, f.add_code), (f.vsub, f.sub_code)):
+        for op, scalar in ((f.vadd, ref.add), (f.vsub, ref.sub)):
             got = np.ravel(op(X, Y)).tolist()
-            assert got == [scalar(x, y) for x, y in pairs]
+            assert got == [scalar(f, x, y) for x, y in pairs]
 
 
 def test_tables_hold_no_quadratic_array():
@@ -376,7 +405,7 @@ def test_vadd_peak_is_its_result_and_a_few_digit_rows():
 @pytest.mark.parametrize("p,n", [(2, 20), (3, 12), (1048573, 1)])
 def test_narrow_tables_are_exact_at_the_largest_fields(p, n):
     """Each table in the narrowest dtype of its values, checked against the
-    scalar routines on 2,000 seeded codes plus 0, 1 and q - 1.  On GF(1048573)
+    coefficient-level oracles on 2,000 seeded codes plus 0, 1 and q - 1.  On GF(1048573)
     the Frobenius exponent log * p reaches 2^40, past int32."""
     f = make_field(p, n)
     q = f.q
@@ -396,9 +425,9 @@ def test_narrow_tables_are_exact_at_the_largest_fields(p, n):
             assert tb.exp[tb.log[x]] == x
             assert f.mul_code(x, tb.inv[x]) == 1
         assert tb.frob[x] == f.pow_code(x, p)
-        assert tb.tr[x] == f.trace_code(x)
+        assert tb.tr[x] == ref.trace(f, x)
         if not f.char2:
-            assert tb.neg[x] == f.neg_code(x)
+            assert tb.neg[x] == ref.neg(f, x)
     # tables narrow, results int64; log * (q - 2) passes 2^31
     X = np.array(xs)
     results = (f.vadd(X, X), f.vneg(X), f.vmul(X, X), f.vinv(X), f.vpow(X, q - 2))
@@ -408,9 +437,9 @@ def test_narrow_tables_are_exact_at_the_largest_fields(p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 8), (2, 16), (2, 20), (3, 5)])
 def test_scalar_routines_take_numpy_codes(p, n):
-    """Table reads are numpy scalars of the table's dtype; the scalar routines
-    give the same int for them as for Python ints (a uint8 x <<= 1 would
-    overflow in mul_code at q = 256)."""
+    """Table reads are numpy scalars of the table's dtype; the bootstrap
+    product gives the same int for them as for Python ints (a uint8 x <<= 1
+    would overflow in mul_code at q = 256), and the v-ops the same code."""
     f = make_field(p, n)
     rng = np.random.default_rng(11)
     for dtype in (np.uint8, np.uint16, np.uint32):
@@ -418,12 +447,14 @@ def test_scalar_routines_take_numpy_codes(p, n):
         xs = [0, 1, top - 1] + rng.integers(0, top, 20).tolist()
         for x, y in zip(xs, xs[::-1]):
             nx, ny = dtype(x), dtype(y)
-            for got, ref in ((f.mul_code(nx, ny), f.mul_code(x, y)),
-                             (f.add_code(nx, ny), f.add_code(x, y)),
-                             (f.pow_code(nx, dtype(7)), f.pow_code(x, 7)),
-                             (f.inv_code(nx), f.inv_code(x)),
-                             (f.trace_code(nx), f.trace_code(x))):
-                assert type(got) is int and got == ref
+            for got, want in ((f.mul_code(nx, ny), f.mul_code(x, y)),
+                              (f.pow_code(nx, dtype(7)), f.pow_code(x, 7))):
+                assert type(got) is int and got == want
+            for got, want in ((f.vadd(nx, ny), ref.add(f, x, y)),
+                              (f.vmul(nx, ny), f.mul_code(x, y)),
+                              (f.vpow(nx, 7), f.pow_code(x, 7)),
+                              (f.vinv(nx), ref.inv(f, x))):
+                assert int(got) == want
 
 
 def test_element_operators(field):
@@ -431,25 +462,31 @@ def test_element_operators(field):
     a = f.from_code(1 % f.q)
     b = f.from_code(min(2, f.q - 1))
     assert (a + b - b).code == a.code
+    assert (a + b).code == ref.add(f, a.code, b.code)
     assert (a * b).code == f.mul_code(a.code, b.code)
     if b.code:
         assert ((a / b) * b).code == a.code
+        assert (a / b).code == f.mul_code(a.code, ref.inv(f, b.code))
     assert (b ** 3).code == f.pow_code(b.code, 3)
+    assert all(type(e.code) is int for e in (a + b, a - b, -b, a * b, a / b, b ** 3, b.inv()))
     assert bool(f.zero) is False and bool(f.one) is True
 
 
 def test_trace_helper_matches_method(field):
     x = field.from_code(min(3, field.q - 1))
-    assert trace(x) == field.trace_code(x.code)
+    assert trace(x) == ref.trace(field, x.code)
 
 
 def test_scalar_mul_code(field):
+    """k * x for the prime-subfield constant k is x added k times."""
     f = field
     for x in range(min(f.q, 12)):
-        acc = 0
+        X = f.from_code(x)
+        acc = f.zero
         for k in range(f.p + 2):
-            assert f.scalar_mul_code(k, x) == acc
-            acc = f.add_code(acc, x)
+            assert f.from_coeffs([k]) * X == acc
+            assert acc.code == ref.scalar_mul(f, k, x)
+            acc = acc + X
 
 
 def test_cross_field_operands_rejected():
@@ -457,3 +494,42 @@ def test_cross_field_operands_rejected():
     b = make_field(2, 5).one
     with pytest.raises(FieldError):
         _ = a + b
+
+
+def test_arithmetic_reads_only_the_tables_once_they_exist(monkeypatch):
+    """The polynomial-basis product only builds the tables: once they exist,
+    element operators, traces, characters, quadratic and cubic solving,
+    quartic patterns, kernels, classification and whole verdicts run with
+    mul_code and pow_code refusing every call, and give the same results."""
+    f2, f3, f5 = make_field(2, 6), make_field(3, 3), make_field(5, 2)
+    claims = [("T3", {"p": 5, "n": 2}), ("T4", {"n": 3}), ("L1", {"n": 4}), ("T6", {"n": 4})]
+
+    def run():
+        out = [verify(cid, **kw).to_json_obj(fixed_time=True) for cid, kw in claims]
+        for f in (f2, f3, f5):
+            x, y = f.from_code(f.q - 1), f.from_code(2)
+            out.append([e.code for e in (x + y, x - y, -x, x * y, x / y, x ** 5, x ** -1,
+                                         x.inv())])
+            out.append(trace(x))
+            if not f.char2:
+                out.append(quadratic_character(x))
+            for c in range(f.q):
+                out.append(sorted(r.code for r in solve_quadratic(y, x, f.from_code(c))))
+        out += [omega(f2).code, omega(f5).code]
+        c2, c1, c0 = (f5.from_code(c) for c in (3, 7, 11))
+        rep = cubic_roots_odd(c2, c1, c0)
+        out.append(([r.code for r in rep.roots], rep.discriminant.code, rep.eta_disc))
+        a2, a1, a0 = (f2.from_code(c) for c in (5, 9, 33))
+        out += [quartic_pattern_char2(a2, a1, a0).pattern, quartic_pattern_brute(a2, a1, a0)]
+        out += [linearized_kernel_dim(t, f2.from_code(b)) for t in (1, 2, 3) for b in (0, 1, 6)]
+        out += [classify(Monomial(f, 3)) for f in (f2, f3, f5)]
+        return out
+
+    before = run()  # builds every table the checks read
+
+    def refuse(*args):
+        raise AssertionError("polynomial-basis arithmetic after the tables were built")
+
+    monkeypatch.setattr(Field, "mul_code", refuse)
+    monkeypatch.setattr(Field, "pow_code", refuse)
+    assert run() == before

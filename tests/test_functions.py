@@ -12,6 +12,7 @@ from ffspectra.functions import (FunctionError, GammaTraceInverse,
                                  canonical_exponent, gamma_conditions, parse_function)
 from ffspectra.spectra import orbit_rows
 from ffspectra.spectrum_claims import _admissible_gammas
+import oracles as ref
 from oracles import gapn_derivative, second_order_diff, value
 
 #: Each class on every field it admits among GF(2^4), GF(2^8), GF(3^5),
@@ -98,12 +99,10 @@ def test_inverse_plus_trace_values():
     one = f.one.code
     for x in range(f.q):
         xe = f.from_code(x)
-        tr_arg = f.mul_code(f.mul_code(x, x),
-                            f.inv_code(f.add_code(x, one)))
+        tr_arg = f.mul_code(f.mul_code(x, x), ref.inv(f, ref.add(f, x, one)))
         expect = value(inv, x) ^ (trace(f.from_code(tr_arg)) and one)
         # the trace term adds 0 or 1 in the field
-        expect = f.add_code(value(inv, x),
-                            trace(f.from_code(tr_arg)) % 2)
+        expect = ref.add(f, value(inv, x), trace(f.from_code(tr_arg)) % 2)
         assert value(F, x) == expect == F.table()[x], x
     assert list(F.table()) == [value(F, x) for x in range(f.q)]
 
@@ -115,8 +114,8 @@ def test_gamma_trace_inverse_validation():
     F = GammaTraceInverse(f, 2, one)
     for x in range(f.q):
         s = f.pow_code(x, 2 ** 2 + 1)
-        arg = f.add_code(x, f.scalar_mul_code(f.trace_code(s), one.code))
-        assert value(F, x) == f.inv_code(arg) == F.table()[x]
+        arg = ref.add(f, x, ref.scalar_mul(f, ref.trace(f, s), one.code))
+        assert value(F, x) == ref.inv(f, arg) == F.table()[x]
     with pytest.raises(FunctionError):
         GammaTraceInverse(f, 0, one)               # t out of range
     with pytest.raises(FunctionError):
@@ -142,7 +141,7 @@ def test_gamma_conditions_report_the_fixed_field_first():
         fixed, traceless = gamma_conditions(f, t, gs)
         for g in gs.tolist():
             assert fixed[g - 1] == (f.pow_code(g, 2 ** (2 * t)) == g)
-            assert traceless[g - 1] == (f.trace_code(f.pow_code(g, 2 ** t + 1)) == 0)
+            assert traceless[g - 1] == (ref.trace(f, f.pow_code(g, 2 ** t + 1)) == 0)
         both = gs[~fixed & ~traceless]
         if both.size:
             with pytest.raises(FunctionError, match=r"gamma\^\(2\^\(2t\)\)"):
@@ -257,10 +256,10 @@ def test_table_text_read_in_chunks_reads_as_whole(monkeypatch, text):
             return str(exc)
 
     whole = outcome()
-    monkeypatch.setattr(functions, "_TEXT_CHUNK", re.compile(r"(?s).{1,5}\S*"))
+    monkeypatch.setattr(functions, "_TEXT_CHUNK", re.compile(r"(?s).{1,5}[^\s,]*"))
     assert outcome() == whole
     if not isinstance(whole, str):  # the chunks made one array, not a list
-        assert isinstance(functions._table_codes(16, text.replace(",", " ")), np.ndarray)
+        assert isinstance(functions._table_codes(16, text), np.ndarray)
 
 
 def test_function_text_round_trip():
