@@ -134,6 +134,9 @@ def _emit(cfg: argparse.Namespace, result) -> None:
 def _batches(pieces):
     batch, size = [], 0
     for piece in pieces:
+        if len(piece) >= _BATCH:  # a big piece is its own batch, which joins as no copy
+            yield "".join(batch)
+            batch, size = [], 0
         batch.append(piece)
         if (size := size + len(piece)) >= _BATCH:
             yield "".join(batch)

@@ -584,14 +584,12 @@ def solve_quadratic(A: FieldElement, B: FieldElement, C: FieldElement) -> frozen
     else:
         # X = (-B +- sqrt(disc)) / 2A, disc = B^2 - 4AC
         disc = int(field.vsub(vmul(b, b), vmul(vmul(4 % field.p, a), c)))
-        s = 0
-        if disc:
-            # a nonzero square has an even discrete log, so sqrt(disc) = g^(log/2)
-            t = field.tables()
-            half, odd = divmod(int(t.log[disc]), 2)
-            if odd:
-                return frozenset()
-            s = int(t.exp[half])
+        # a nonzero square has an even discrete log, so sqrt(disc) = g^(log/2)
+        t = field.tables()
+        half, odd = divmod(int(t.log[disc]), 2)
+        if disc and odd:
+            return frozenset()
+        s = int(t.exp[half]) if disc else 0
         roots = vmul(field.vsub(field.vneg(b), [s, field.vneg(s)]), field.vinv(vmul(2, a)))
     return frozenset(FieldElement(field, int(r)) for r in np.ravel(roots))
 

@@ -266,16 +266,14 @@ def parse_function(field: Field, text: str, k: int | None = None,
     raise FunctionError(f"unparseable function text {text!r}")
 
 
-#: A chunk of `table:` text: up to 2^16 characters, then the rest of the last
-#: token, so it ends at a comma, at whitespace or at the end of the text.
+#: A chunk of `table:` text: up to 2^16 characters, then the rest of the last token.
 _TEXT_CHUNK = re.compile(r"(?s).{1,65536}[^\s,]*")
 
 
 def _table_codes(q: int, text: str):
-    """The codes of a `table:` text, tokens split at commas and whitespace one
-    chunk at a time: a list of ints if the text is one chunk, else an int64
-    array joined from an array a chunk, all checked before the join.
-    Refused as the whole list would be: a non-int token, then count, then range."""
+    """The codes of a `table:` text, split at commas and whitespace a chunk at a time: a
+    list of ints if the text is one chunk, else an int64 array joined from an array a chunk,
+    all checked before the join; refused as the whole list is: non-int, count, range."""
     parts, count = [], 0
     try:
         for m in _TEXT_CHUNK.finditer(text):

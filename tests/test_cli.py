@@ -487,3 +487,12 @@ def test_kept_table_is_streamed_not_held_as_text(monkeypatch, argv, mib):
         finally:
             tracemalloc.stop()
     assert peak < mib * 2 ** 20, peak / 2 ** 20
+
+
+def test_a_big_output_piece_is_written_without_a_copy():
+    """A piece of _BATCH characters or more is its own batch, so a 2^20-code
+    table's `function` text is not copied into one more string on the way out."""
+    big = "7," * cli._BATCH
+    out = list(cli._batches(["[", big, "]"]))
+    assert "".join(out) == "[" + big + "]"
+    assert any(piece is big for piece in out)
