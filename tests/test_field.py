@@ -514,7 +514,8 @@ def test_arithmetic_reads_only_the_tables_once_they_exist(monkeypatch):
             if not f.char2:
                 out.append(quadratic_character(x))
             for c in range(f.q):
-                out.append(sorted(r.code for r in solve_quadratic(y, x, f.from_code(c))))
+                for b in (x, f.zero):
+                    out.append(sorted(r.code for r in solve_quadratic(y, b, f.from_code(c))))
         out += [omega(f2).code, omega(f5).code]
         c2, c1, c0 = (f5.from_code(c) for c in (3, 7, 11))
         rep = cubic_roots_odd(c2, c1, c0)
