@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -218,6 +217,7 @@ def kloosterman(n: int, method: str = "direct") -> int:
         if n > _CARLITZ_LIMIT:
             raise ValueError(f"n={n} exceeds the supported n <= {_CARLITZ_LIMIT} "
                              f"of the closed form")
+        from fractions import Fraction  # here, so `direct` loads no `decimal`
         acc = sum((-1) ** i * math.comb(n, 2 * i) * 7 ** i
                   for i in range(n // 2 + 1))
         val = 1 + Fraction((-1) ** (n - 1), 2 ** (n - 1)) * acc

@@ -5,7 +5,6 @@ code is the function named by its id; `closed_forms` loads the module on use."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .algebra import kloosterman
 from .closed_forms import CLAIMS, HypothesisError, _arguments, _check
@@ -31,6 +30,7 @@ def vanishing_count_formula(theorem_id: str, n: int) -> int:
     if claim is None or globals().get(theorem_id) is not _run_vb:
         raise ValueError(f"no vanishing-flat count formula for id {theorem_id!r}")
     _check(theorem_id, claim, _arguments(claim, n=n))
+    from fractions import Fraction  # here, so a run that forms no rational loads no `decimal`
     what = f"vanishing-flat count for {theorem_id}"
     if theorem_id == "C_F1_VB":
         m = n // 2
@@ -57,6 +57,7 @@ def s6_count_formula(theorem_id: str, n: int) -> int:
         raise ValueError(f"no S_6 count formula for id {theorem_id!r}")
     vb = family + "_VB"
     _check(vb, CLAIMS[vb], _arguments(CLAIMS[vb], n=n))
+    from fractions import Fraction
     rich = ((n - 1) // 2) % 3 == 1 if family == "C_F2" else n % 3 == 0
     K = kloosterman(n, "direct")
     lead = 2 ** (n - 2) - 5 if rich else 2 ** (n - 2) + 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 import ast
 import math
 import re
-from fractions import Fraction
 
 import numpy as np
 
@@ -162,11 +161,20 @@ class TableFunction(FunctionUnderTest):
 #: A power sure to have more bits than this is refused before it is computed.
 _POWER_BITS = 1 << 16
 
+
+def _div(a, b):
+    """a / b as a Fraction: the one place an exponent formula leaves the ints, so
+    only a formula with a division or a negative power loads `fractions`."""
+    from fractions import Fraction
+    return Fraction(a) / b
+
+
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
+    ast.Div: _div,
+    ast.Pow: lambda a, e: a ** e if e >= 0 else _div(1, a ** -e),
 }
 
 
@@ -176,40 +184,40 @@ def eval_exponent_expr(text: str, field: Field, k: int | None = None,
 
     Supports + - * / ^ and parentheses; every division must be exact by the
     time the whole expression is evaluated (e.g. "(2*q-1)/3", "(p^k+1)/2",
-    "(3^n-1)/2+2", "2^t-1").  Implicit products like "2q" are accepted.  A
-    power b^e with |e| * floor(log2 max(|num b|, den b)) >= _POWER_BITS, which
-    has more than _POWER_BITS bits, raises FunctionError before it is computed.
+    "(3^n-1)/2+2", "2^t-1").  Implicit products like "2q" are accepted.  Values
+    are ints until a division or a negative power makes a Fraction.  A power
+    b^e with |e| * floor(log2 max(|num b|, den b)) >= _POWER_BITS, which has
+    more than _POWER_BITS bits, raises FunctionError before it is computed.
     """
-    names = {"p": Fraction(field.p), "n": Fraction(field.n), "q": Fraction(field.q)}
+    names = {"p": field.p, "n": field.n, "q": field.q}
     if k is not None:
-        names["k"] = Fraction(k)
+        names["k"] = int(k)
     if t is not None:
-        names["t"] = Fraction(t)
+        names["t"] = int(t)
     src = re.sub(r"(\d)([pnqkt])\b", r"\1*\2", text.replace("^", "**").strip())
 
-    def ev(nd) -> Fraction:
+    def ev(nd):
         if isinstance(nd, ast.BinOp):
-            if isinstance(nd.op, ast.Pow):
-                base, e = ev(nd.left), ev(nd.right)
-                if e.denominator != 1:
-                    raise FunctionError(f"non-integer power in exponent expression {text!r}")
-                ei = int(e)
-                size = max(abs(base.numerator), base.denominator)
-                if abs(ei) * (size.bit_length() - 1) >= _POWER_BITS:
-                    raise FunctionError(f"power too large in exponent expression {text!r}")
-                return Fraction(1) / base ** (-ei) if ei < 0 else base ** ei
             fn = _BINOPS.get(type(nd.op))
             if fn is None:
                 raise FunctionError(f"unsupported operator in exponent expression {text!r}")
+            a, b = ev(nd.left), ev(nd.right)
+            if isinstance(nd.op, ast.Pow):
+                if b.denominator != 1:
+                    raise FunctionError(f"non-integer power in exponent expression {text!r}")
+                b = int(b)
+                size = max(abs(a.numerator), a.denominator)
+                if abs(b) * (size.bit_length() - 1) >= _POWER_BITS:
+                    raise FunctionError(f"power too large in exponent expression {text!r}")
             try:
-                return fn(ev(nd.left), ev(nd.right))
+                return fn(a, b)
             except ZeroDivisionError:
                 raise FunctionError(f"division by zero in exponent expression {text!r}") from None
         if isinstance(nd, ast.UnaryOp) and isinstance(nd.op, (ast.USub, ast.UAdd)):
             v = ev(nd.operand)
             return -v if isinstance(nd.op, ast.USub) else v
         if isinstance(nd, ast.Constant) and isinstance(nd.value, int):
-            return Fraction(nd.value)
+            return int(nd.value)
         if isinstance(nd, ast.Name):
             if nd.id in names:
                 return names[nd.id]

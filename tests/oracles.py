@@ -6,11 +6,15 @@ Field arithmetic here is coefficient-level: digits added mod p, and the
 polynomial-basis product `Field.mul_code`/`pow_code`, which use no table.
 """
 
+import ast
+import re
+from fractions import Fraction
+
 import numpy as np
 
 from ffspectra.field import Field, FieldElement, InvariantError
-from ffspectra.functions import (FunctionUnderTest, GammaTraceInverse, InversePlusTrace,
-                                 Monomial, TableFunction)
+from ffspectra.functions import (_POWER_BITS, FunctionError, FunctionUnderTest,
+                                 GammaTraceInverse, InversePlusTrace, Monomial, TableFunction)
 from ffspectra.spectra import deriv_row
 
 
@@ -128,3 +132,66 @@ def gapn_derivative(F: FunctionUnderTest, a: FieldElement, x: FieldElement) -> F
     for i in range(f.p):
         acc = add(f, acc, value(F, add(f, x.code, f.mul_code(a.code, i))))
     return f.from_code(acc)
+
+
+_BINOPS = {
+    ast.Add: lambda a, b: a + b,
+    ast.Sub: lambda a, b: a - b,
+    ast.Mult: lambda a, b: a * b,
+    ast.Div: lambda a, b: a / b,
+}
+
+
+def eval_exponent_expr(text: str, field: Field, k: int | None = None,
+                       t: int | None = None) -> int:
+    """The exponent-formula evaluator as it was when every value was a Fraction.
+
+    Its one known fault is kept: a zero base to a negative power escapes as
+    ZeroDivisionError, where the program raises its division-by-zero
+    FunctionError.
+    """
+    names = {"p": Fraction(field.p), "n": Fraction(field.n), "q": Fraction(field.q)}
+    if k is not None:
+        names["k"] = Fraction(k)
+    if t is not None:
+        names["t"] = Fraction(t)
+    src = re.sub(r"(\d)([pnqkt])\b", r"\1*\2", text.replace("^", "**").strip())
+
+    def ev(nd) -> Fraction:
+        if isinstance(nd, ast.BinOp):
+            if isinstance(nd.op, ast.Pow):
+                base, e = ev(nd.left), ev(nd.right)
+                if e.denominator != 1:
+                    raise FunctionError(f"non-integer power in exponent expression {text!r}")
+                ei = int(e)
+                size = max(abs(base.numerator), base.denominator)
+                if abs(ei) * (size.bit_length() - 1) >= _POWER_BITS:
+                    raise FunctionError(f"power too large in exponent expression {text!r}")
+                return Fraction(1) / base ** (-ei) if ei < 0 else base ** ei
+            fn = _BINOPS.get(type(nd.op))
+            if fn is None:
+                raise FunctionError(f"unsupported operator in exponent expression {text!r}")
+            try:
+                return fn(ev(nd.left), ev(nd.right))
+            except ZeroDivisionError:
+                raise FunctionError(f"division by zero in exponent expression {text!r}") from None
+        if isinstance(nd, ast.UnaryOp) and isinstance(nd.op, (ast.USub, ast.UAdd)):
+            v = ev(nd.operand)
+            return -v if isinstance(nd.op, ast.USub) else v
+        if isinstance(nd, ast.Constant) and isinstance(nd.value, int):
+            return Fraction(nd.value)
+        if isinstance(nd, ast.Name):
+            if nd.id in names:
+                return names[nd.id]
+            raise FunctionError(f"unknown name {nd.id!r} in exponent expression {text!r}")
+        raise FunctionError(f"unsupported syntax in exponent expression {text!r}")
+
+    try:
+        node = ast.parse(src, mode="eval").body
+    except SyntaxError as e:
+        raise FunctionError(f"bad exponent expression {text!r}") from e
+    val = ev(node)
+    if val.denominator != 1:
+        raise FunctionError(f"exponent expression {text!r} is not an integer "
+                            f"(got {val}); check the divisibility hypothesis")
+    return int(val)

@@ -150,6 +150,18 @@ def test_a_table_code_above_2_64_exits_2_without_a_traceback():
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
 
 
+@pytest.mark.parametrize("expr", ["0^-1", "(q-q)^(-2)"])
+def test_a_zero_to_a_negative_power_exits_2_without_a_traceback(expr):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-m", "ffspectra.cli", "ddt", "--p", "2", "--n", "3",
+                          "--fn", f"monomial:d={expr}"],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2 and out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == [
+        f"error: division by zero in exponent expression {expr!r}"], out.stderr
+
+
 def test_identical_configs_are_byte_identical(tmp_path, capsys):
     argv = ["spectrum", "--p", "2", "--n", "5", "--fn", "monomial:d=30"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

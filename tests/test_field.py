@@ -335,6 +335,19 @@ def test_vectorized_add_sub_beyond_the_old_table_limit(p, n):
             assert got == [scalar(f, x, y) for x, y in pairs]
 
 
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+def test_additive_routines_keep_a_narrow_dtype_only_in_characteristic_2(p, n):
+    """XOR of two uint8 codes is a uint8 and vneg returns its operand, which the
+    FBCT pair kernel's narrow keys rely on; odd characteristic's digit rows and
+    every multiplicative routine give int64."""
+    f = make_field(p, n)
+    X = np.arange(4, dtype=np.uint8)
+    additive = (f.vadd(X, 1), f.vadd(X, X), f.vsub(X, X), f.vneg(X))
+    assert {r.dtype for r in additive} == {np.dtype(np.uint8 if f.char2 else np.int64)}
+    assert f.vadd(np.uint8(3), np.uint8(5)).dtype == (np.uint8 if f.char2 else np.int64)
+    assert {r.dtype for r in (f.vmul(X, X), f.vinv(X), f.vpow(X, 3))} == {np.dtype(np.int64)}
+
+
 def test_tables_hold_no_quadratic_array():
     f = make_field(3, 7)
     sizes = [np.size(v) for v in vars(f.tables()).values() if v is not None]

@@ -1,5 +1,6 @@
 """Function constructors, the text grammar, and difference operators."""
 
+import random
 import re
 
 import numpy as np
@@ -206,6 +207,61 @@ def test_parse_formula_errors():
         parse_function(f, "monomial:3")              # missing d=
     with pytest.raises(FunctionError):
         parse_function(f, "mystery:ff")
+
+
+@pytest.mark.parametrize("expr", ["0^-1", "(q-q)^(-2)"])
+def test_a_zero_to_a_negative_power_is_a_division_by_zero(expr):
+    with pytest.raises(FunctionError) as info:
+        functions.eval_exponent_expr(expr, make_field(2, 3))
+    assert str(info.value) == f"division by zero in exponent expression {expr!r}"
+
+
+#: Atoms of the exponent grammar and its near misses (a leading zero, a digit
+#: separator, a bool literal, implicit products, unknown names) and its
+#: operators, two of them unsupported.
+_ATOMS = ["p", "n", "q", "k", "t", *map(str, range(13)), "007", "1_0", "True", "2q", "3n",
+          "x", "pi"]
+_OPERATORS = ["+", "-", "*", "/", "^", "**", "%", "//"]
+
+
+def _expression(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(_ATOMS)
+    if r < 0.4:
+        return "-" + _expression(rng, depth - 1)
+    if r < 0.5:
+        return "(" + _expression(rng, depth - 1) + ")"
+    return _expression(rng, depth - 1) + rng.choice(_OPERATORS) + _expression(rng, depth - 1)
+
+
+def _exponent_outcome(evaluate, text, field, k, t):
+    try:
+        return evaluate(text, field, k=k, t=t)
+    except (ValueError, ZeroDivisionError) as exc:  # FunctionError is a ValueError
+        return type(exc).__name__, str(exc)
+
+
+def test_exponent_formulas_in_ints_match_the_all_fraction_oracle():
+    """20,000 seeded formulas give the oracle's value, or its exception type and
+    message; the oracle's uncaught zero to a negative power is the one
+    division-by-zero FunctionError."""
+    rng = random.Random(2024)
+    fields = [make_field(2, 1), make_field(2, 3), make_field(3, 2), make_field(5, 1)]
+    kinds = set()
+    for _ in range(20_000):
+        text = _expression(rng, rng.randint(1, 4))
+        field, k, t = rng.choice(fields), rng.choice([None, 0, 2, -1]), rng.choice([None, 1, 3])
+        want = _exponent_outcome(ref.eval_exponent_expr, text, field, k, t)
+        if isinstance(want, tuple) and want[0] == "ZeroDivisionError":
+            want = "FunctionError", f"division by zero in exponent expression {text!r}"
+            kinds.add("zero to a negative power")
+        got = _exponent_outcome(functions.eval_exponent_expr, text, field, k, t)
+        assert got == want, (text, field, k, t)
+        kinds.add("value" if isinstance(got, int) else got[1].split(" in exponent")[0].split(" '")[0])
+    assert kinds >= {"value", "zero to a negative power", "division by zero",
+                     "non-integer power", "power too large", "unsupported operator",
+                     "unknown name", "bad exponent expression", "exponent expression"}, kinds
 
 
 def test_parse_named_and_gamma_functions():

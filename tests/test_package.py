@@ -39,15 +39,20 @@ def test_submodules_are_registered_and_kloosterman_lives_in_algebra():
 
 
 #: A module has run once LazyLoader has turned its class back to ModuleType.
+#: The second line names `fractions` and `decimal` if the command loaded them
+#: beyond what `import numpy` alone loads (numpy 1.24 may load them itself).
 RAN = """
 import contextlib, io, sys, types
+import numpy
+numpy_alone = set(sys.modules)
 import ffspectra.cli
 argv = sys.argv[1:]
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
-        ffspectra.cli.main(argv)
+        assert ffspectra.cli.main(argv) == 0
 print(" ".join(sorted(name[len("ffspectra."):] for name, mod in sys.modules.items()
                       if name.startswith("ffspectra.") and type(mod) is types.ModuleType)))
+print(" ".join(sorted({"fractions", "decimal"} & (set(sys.modules) - numpy_alone))))
 """
 
 BASE = {"cli", "field", "functions"}
@@ -56,41 +61,60 @@ CLAIMS = BASE | SPECTRA | {"closed_forms"}  # every claim family reads spectra
 COUNTS = {"count_claims", "flats", "algebra"}
 F2 = ("--p", "2", "--n", "4", "--fn", "monomial:d=3")
 
-#: (argv, the ffspectra modules that run): `import ffspectra.cli` alone runs
-#: cli, field and functions; only verify and list-theorems run closed_forms,
-#: and a verify runs the family module of its claim and what that imports.
+TABLE = ("--p", "2", "--n", "4", "--fn", "table:" + ",".join(map(str, range(15, -1, -1))))
+
+#: (argv, the ffspectra modules that run, whether `fractions` and `decimal`
+#: load): `import ffspectra.cli` alone runs cli, field and functions; only
+#: verify and list-theorems run closed_forms, and a verify runs the family
+#: module of its claim and what that imports.  Only a rational number loads
+#: `fractions`, and `decimal` with it: an exponent formula with a division,
+#: the Kloosterman closed form (`kloosterman` runs both methods by default)
+#: and the vanishing-flat count formulas.
 COMMANDS = [
-    ((), BASE),
-    (("field", "--p", "3", "--n", "2"), BASE),
-    (("eval",) + F2, BASE),
-    (("ddt",) + F2, BASE | SPECTRA),
-    (("fbct",) + F2, BASE | SPECTRA),
-    (("spectrum",) + F2, BASE | SPECTRA),
-    (("flats",) + F2, BASE | SPECTRA | {"flats"}),
-    (("sumfree",) + F2 + ("--k", "2"), BASE | SPECTRA | {"flats"}),
-    (("kloosterman", "--n", "4"), BASE | {"algebra"}),
-    (("verify", "--theorem", "L2", "--p", "2", "--n", "5"), CLAIMS | {"cell_claims"}),
-    (("verify", "--theorem", "C_F1_VB", "--n", "6"), CLAIMS | COUNTS),
+    ((), BASE, False),
+    (("field", "--p", "3", "--n", "2"), BASE, False),
+    (("eval",) + F2, BASE, False),
+    (("ddt",) + F2, BASE | SPECTRA, False),
+    (("fbct",) + F2, BASE | SPECTRA, False),
+    (("spectrum",) + F2, BASE | SPECTRA, False),
+    (("flats",) + F2, BASE | SPECTRA | {"flats"}, False),
+    (("sumfree",) + F2 + ("--k", "2"), BASE | SPECTRA | {"flats"}, False),
+    (("ddt",) + TABLE, BASE | SPECTRA, False),
+    (("fbct",) + TABLE, BASE | SPECTRA, False),
+    (("spectrum",) + TABLE, BASE | SPECTRA, False),
+    (("flats",) + TABLE, BASE | SPECTRA | {"flats"}, False),
+    (("sumfree",) + TABLE + ("--k", "2"), BASE | SPECTRA | {"flats"}, False),
+    (("ddt", "--p", "2", "--n", "5", "--fn", "monomial:d=(2^n+1)/3"), BASE | SPECTRA, True),
+    (("kloosterman", "--n", "4"), BASE | {"algebra"}, True),
+    (("verify", "--theorem", "L2", "--p", "2", "--n", "5"), CLAIMS | {"cell_claims"}, False),
+    (("verify", "--theorem", "C_F1_VB", "--n", "6"), CLAIMS | COUNTS, True),
     # S_6 is the value-4 set of C_F2's rows, so C_F2_VB reads it from cell_claims
-    (("verify", "--theorem", "C_F2_VB", "--n", "7"), CLAIMS | COUNTS | {"cell_claims"}),
-    (("verify", "--theorem", "APN_IFF_FBCT0", "--n", "4"), CLAIMS | {"spectrum_claims"}),
-    (("list-theorems",), BASE | {"closed_forms"}),
+    (("verify", "--theorem", "C_F2_VB", "--n", "7"), CLAIMS | COUNTS | {"cell_claims"}, True),
+    (("verify", "--theorem", "PROP_VB", "--n", "3"), CLAIMS | COUNTS, False),
+    (("verify", "--theorem", "APN_IFF_FBCT0", "--n", "4"), CLAIMS | {"spectrum_claims"}, False),
+    (("list-theorems",), BASE | {"closed_forms"}, False),
 ]
 
 
 def _name(argv):
-    """The command word, and the claim of a verify of any id but L2."""
-    return " ".join(argv[:1] + argv[2:3] * (argv[:1] == ("verify",) and argv[2] != "L2"))
+    """The command word, the claim of a verify of any id but L2, and "table" or
+    "division" for a `table:` function or a formula with a division."""
+    fn = dict(zip(argv, argv[1:])).get("--fn", "")
+    return " ".join(argv[:1] + argv[2:3] * (argv[:1] == ("verify",) and argv[2] != "L2")
+                    + ("table",) * fn.startswith("table:") + ("division",) * ("/" in fn))
 
 
-@pytest.mark.parametrize("argv,ran", COMMANDS, ids=[_name(a) or "import" for a, _ in COMMANDS])
-def test_each_command_runs_only_the_modules_it_uses(argv, ran):
+@pytest.mark.parametrize("argv,ran,rational", COMMANDS,
+                         ids=[_name(a) or "import" for a, _, _ in COMMANDS])
+def test_each_command_runs_only_the_modules_it_uses(argv, ran, rational):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, "-c", RAN, *argv], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert set(out.stdout.split()) == ran
+    modules, loaded = out.stdout.split("\n")[:2]
+    assert set(modules.split()) == ran
+    assert loaded.split() == (["decimal", "fractions"] if rational else [])
 
 
 #: Walk the registry's globals as a tracer that wraps each layer does, then
