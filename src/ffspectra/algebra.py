@@ -202,8 +202,8 @@ def kloosterman(n: int, method: str = "direct") -> int:
     ``direct`` evaluates sum_x (-1)^Tr(x^(-1) + x) with the x = 0 term
     contributing +1 (the inverse of 0 is taken as 0), as q minus twice the
     number of x with trace 1, read off the narrow tables.  ``carlitz`` evaluates
-    the closed form 1 + ((-1)^(n-1)/2^(n-1)) * sum_i (-1)^i C(n,2i) 7^i in
-    exact rational arithmetic; a non-integer result indicates a bug, never an
+    the closed form 1 + ((-1)^(n-1)/2^(n-1)) * sum_i (-1)^i C(n,2i) 7^i as an
+    integer numerator over 2^(n-1); a remainder is a program fault, never an
     input condition.
     """
     if n < 1:
@@ -217,14 +217,10 @@ def kloosterman(n: int, method: str = "direct") -> int:
         if n > _CARLITZ_LIMIT:
             raise ValueError(f"n={n} exceeds the supported n <= {_CARLITZ_LIMIT} "
                              f"of the closed form")
-        from fractions import Fraction  # here, so `direct` loads no `decimal`
         acc = sum((-1) ** i * math.comb(n, 2 * i) * 7 ** i
                   for i in range(n // 2 + 1))
-        val = 1 + Fraction((-1) ** (n - 1), 2 ** (n - 1)) * acc
-        if val.denominator != 1:
-            raise RuntimeError(
-                f"closed-form Kloosterman evaluation for n={n} is not an "
-                f"integer: {val}"
-            )
-        return int(val)
+        quo, rem = divmod((-1) ** (n - 1) * acc, 2 ** (n - 1))
+        if rem:
+            raise InvariantError(f"closed-form Kloosterman sum for n={n} is not an integer")
+        return 1 + quo
     raise ValueError(f"unknown method {method!r}; use 'direct' or 'carlitz'")

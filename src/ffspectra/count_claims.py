@@ -4,6 +4,7 @@ code is the function named by its id; `closed_forms` loads the module on use."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from .algebra import kloosterman
@@ -13,56 +14,46 @@ from .flats import check_prop_identity, vanishing_flats
 from .functions import Monomial, TableFunction
 
 
-def _exact_int(val: Fraction, what: str) -> int:
-    if val.denominator != 1:
-        raise HypothesisError(f"inexact division in {what}: {val}")
-    return int(val)
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer: a remainder signals parameters outside
+    the formula's scope, so it raises HypothesisError naming the reduced quotient."""
+    quo, rem = divmod(num, den)
+    if rem:
+        g = math.gcd(num, den)
+        raise HypothesisError(f"inexact division in {what}: {num // g}/{den // g}")
+    return quo
 
 
 def vanishing_count_formula(theorem_id: str, n: int) -> int:
-    """Claimed number of vanishing flats for the family named by the id.
-
-    All divisions are performed exactly; an inexact division raises
-    :class:`HypothesisError` since it signals parameters outside the formula's
-    scope.
-    """
-    claim = CLAIMS.get(theorem_id)
-    if claim is None or globals().get(theorem_id) is not _run_vb:
+    """Claimed number of vanishing flats for the family named by the id: an integer
+    numerator over 3 (C_F1_VB) or, through K(1), over 24 (C_F2_VB, C_F3_VB)."""
+    if theorem_id not in ("C_F1_VB", "C_F2_VB", "C_F3_VB"):
         raise ValueError(f"no vanishing-flat count formula for id {theorem_id!r}")
-    _check(theorem_id, claim, _arguments(claim, n=n))
-    from fractions import Fraction  # here, so a run that forms no rational loads no `decimal`
+    _check(theorem_id, CLAIMS[theorem_id], _arguments(CLAIMS[theorem_id], n=n))
     what = f"vanishing-flat count for {theorem_id}"
     if theorem_id == "C_F1_VB":
         m = n // 2
-        base = (2 ** (m - 2) - 1) * (2 ** (m - 1) - 1)
-        if m % 2 == 1:
-            base += 1
-        return _exact_int(Fraction(base * (2 ** n - 1), 3), what)
+        base = (2 ** (m - 2) - 1) * (2 ** (m - 1) - 1) + m % 2
+        return _exact(base * (2 ** n - 1), 3, what)
+    shift = 7 if theorem_id == "C_F2_VB" and ((n - 1) // 2) % 3 == 1 else 1
     K = kloosterman(n, "direct")
-    if theorem_id == "C_F2_VB":
-        shift = 7 if ((n - 1) // 2) % 3 == 1 else 1
-        val = (Fraction(2 ** (n - 2) + shift, 6) - Fraction(K, 8)) * (2 ** n - 1)
-        return _exact_int(val, what)
-    val = (2 ** n - 1) * (Fraction(2 ** (n - 2) + 1, 6) - Fraction(K, 8))
-    return _exact_int(val, what)
+    return _exact((4 * (2 ** (n - 2) + shift) - 3 * K) * (2 ** n - 1), 24, what)
 
 
 def s6_count_formula(theorem_id: str, n: int) -> int:
     """Claimed size of the value-4 support set S_6 (the b outside the named
     special sets whose row-one differential count at B equals 6) for the
-    C_F2 / C_F3 families, expressed through K(1).  Its range of n is that of
+    C_F2 / C_F3 families, (4·lead - 3K(1)) / 4.  Its range of n is that of
     the family's vanishing-flat formula."""
     family = theorem_id.removesuffix("_VB")
     if family not in ("C_F2", "C_F3"):
         raise ValueError(f"no S_6 count formula for id {theorem_id!r}")
     vb = family + "_VB"
     _check(vb, CLAIMS[vb], _arguments(CLAIMS[vb], n=n))
-    from fractions import Fraction
     rich = ((n - 1) // 2) % 3 == 1 if family == "C_F2" else n % 3 == 0
     K = kloosterman(n, "direct")
     lead = 2 ** (n - 2) - 5 if rich else 2 ** (n - 2) + 1
-    val = 6 * (Fraction(lead, 6) - Fraction(K, 8))
-    return _exact_int(val, f"S_6 count for {theorem_id}")
+    return _exact(4 * lead - 3 * K, 4, f"S_6 count for {theorem_id}")
 
 
 def _run_vb(theorem_id: str, field: Field, setting: dict, kw: dict):

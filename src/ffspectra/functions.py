@@ -229,9 +229,10 @@ def eval_exponent_expr(text: str, field: Field, k: int | None = None,
     except SyntaxError as e:
         raise FunctionError(f"bad exponent expression {text!r}") from e
     val = ev(node)
-    if val.denominator != 1:
-        raise FunctionError(f"exponent expression {text!r} is not an integer "
-                            f"(got {val}); check the divisibility hypothesis")
+    if val.denominator != 1:  # (got ...) only where Python's default limit can print it
+        got = f" (got {val})" if max(abs(val.numerator), val.denominator) < 10 ** 4300 else ""
+        raise FunctionError(f"exponent expression {text!r} is not an integer{got}; "
+                            f"check the divisibility hypothesis")
     return int(val)
 
 
@@ -264,12 +265,15 @@ def parse_function(field: Field, text: str, k: int | None = None,
     if s.startswith("table:"):
         body = s[len("table:"):]
         if body.startswith("@"):
-            path = body[1:]
+            path, limit = body[1:], 64 * field.q + (1 << 16)  # 64 characters a code
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    body = fh.read()
+                    body = fh.read(limit + 1)
             except OSError as e:
                 raise FunctionError(f"cannot read table file {path!r}: {e}") from e
+            if len(body) > limit:
+                raise FunctionError(f"table file {path!r} has more than {limit} characters "
+                                    f"(64 a code, plus 2^16)")
         return TableFunction(field, _table_codes(field.q, body))
     raise FunctionError(f"unparseable function text {text!r}")
 

@@ -4,14 +4,19 @@ Each recomputes one quantity straight from its definition, one cell or one
 element at a time, with no row kernel, orbit or closed form in between.
 Field arithmetic here is coefficient-level: digits added mod p, and the
 polynomial-basis product `Field.mul_code`/`pow_code`, which use no table.
+The exponent-formula evaluator, the vanishing-flat and S_6 count formulas and
+the Kloosterman closed form are kept as they were when they computed in
+`Fraction`, so the integer forms of the program are checked against them.
 """
 
 import ast
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 
+from ffspectra.closed_forms import HypothesisError
 from ffspectra.field import Field, FieldElement, InvariantError
 from ffspectra.functions import (_POWER_BITS, FunctionError, FunctionUnderTest,
                                  GammaTraceInverse, InversePlusTrace, Monomial, TableFunction)
@@ -192,6 +197,50 @@ def eval_exponent_expr(text: str, field: Field, k: int | None = None,
         raise FunctionError(f"bad exponent expression {text!r}") from e
     val = ev(node)
     if val.denominator != 1:
-        raise FunctionError(f"exponent expression {text!r} is not an integer "
-                            f"(got {val}); check the divisibility hypothesis")
+        got = f" (got {val})" if max(abs(val.numerator), val.denominator) < 10 ** 4300 else ""
+        raise FunctionError(f"exponent expression {text!r} is not an integer{got}; "
+                            f"check the divisibility hypothesis")
+    return int(val)
+
+
+def _exact_int(val: Fraction, what: str) -> int:
+    if val.denominator != 1:
+        raise HypothesisError(f"inexact division in {what}: {val}")
+    return int(val)
+
+
+def vanishing_count_formula(theorem_id: str, n: int, K: int) -> int:
+    """The vanishing-flat count of C_F1_VB, C_F2_VB or C_F3_VB in Fraction terms,
+    given K(1) and with no hypothesis check."""
+    what = f"vanishing-flat count for {theorem_id}"
+    if theorem_id == "C_F1_VB":
+        m = n // 2
+        base = (2 ** (m - 2) - 1) * (2 ** (m - 1) - 1)
+        if m % 2 == 1:
+            base += 1
+        return _exact_int(Fraction(base * (2 ** n - 1), 3), what)
+    if theorem_id == "C_F2_VB":
+        shift = 7 if ((n - 1) // 2) % 3 == 1 else 1
+        val = (Fraction(2 ** (n - 2) + shift, 6) - Fraction(K, 8)) * (2 ** n - 1)
+        return _exact_int(val, what)
+    val = (2 ** n - 1) * (Fraction(2 ** (n - 2) + 1, 6) - Fraction(K, 8))
+    return _exact_int(val, what)
+
+
+def s6_count_formula(theorem_id: str, n: int, K: int) -> int:
+    """The S_6 size of C_F2 or C_F3 (with or without _VB) in Fraction terms, given K(1)."""
+    family = theorem_id.removesuffix("_VB")
+    rich = ((n - 1) // 2) % 3 == 1 if family == "C_F2" else n % 3 == 0
+    lead = 2 ** (n - 2) - 5 if rich else 2 ** (n - 2) + 1
+    val = 6 * (Fraction(lead, 6) - Fraction(K, 8))
+    return _exact_int(val, f"S_6 count for {theorem_id}")
+
+
+def kloosterman_carlitz(n: int) -> int:
+    """Carlitz's closed form of K(1) over GF(2^n) in Fraction terms."""
+    acc = sum((-1) ** i * math.comb(n, 2 * i) * 7 ** i for i in range(n // 2 + 1))
+    val = 1 + Fraction((-1) ** (n - 1), 2 ** (n - 1)) * acc
+    if val.denominator != 1:
+        raise InvariantError(f"closed-form Kloosterman evaluation for n={n} is not an "
+                             f"integer: {val}")
     return int(val)

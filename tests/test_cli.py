@@ -162,6 +162,34 @@ def test_a_zero_to_a_negative_power_exits_2_without_a_traceback(expr):
         f"error: division by zero in exponent expression {expr!r}"], out.stderr
 
 
+def test_a_non_integer_formula_too_long_to_print_exits_2_with_its_message():
+    """2^15000/3 has 4,516 digits, past Python's default int-to-str limit."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-m", "ffspectra.cli", "ddt", "--p", "2", "--n", "3",
+                          "--fn", "monomial:d=2^15000/3"],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2 and out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == [
+        "error: exponent expression '2^15000/3' is not an integer; "
+        "check the divisibility hypothesis"], out.stderr
+
+
+def test_an_endless_table_file_exits_2_under_a_memory_cap():
+    """/dev/zero never ends: its read stops at the bound for GF(2^4), long before
+    a 400 MB address-space cap (one BLAS thread, so the cap fits any core count)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (400_000_000,) * 2)\n"
+              "import ffspectra.cli; sys.exit(ffspectra.cli.run())")
+    out = subprocess.run([sys.executable, "-c", capped,
+                          "ddt", "--p", "2", "--n", "4", "--fn", "table:@/dev/zero"],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2 and out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == [
+        "error: table file '/dev/zero' has more than 66560 characters (64 a code, plus 2^16)"]
+
+
 def test_identical_configs_are_byte_identical(tmp_path, capsys):
     argv = ["spectrum", "--p", "2", "--n", "5", "--fn", "monomial:d=30"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,18 +1,21 @@
 """Closed-form verifiers: count formulas, per-cell predictors, verdicts."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
 import time
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from ffspectra import cell_claims, count_claims, spectra, spectrum_claims
+from ffspectra import algebra, cell_claims, count_claims, spectra, spectrum_claims
 from ffspectra.algebra import kloosterman, linearized_kernel_dim
-from ffspectra.closed_forms import CLAIMS, THEOREMS, HypothesisError, predict, verify
+from ffspectra.closed_forms import (CLAIMS, THEOREMS, HypothesisError, _arguments, _check,
+                                   predict, verify)
 from ffspectra.count_claims import s6_count_formula, vanishing_count_formula
 from ffspectra.spectrum_claims import _admissible_gammas, _first_outside
 from ffspectra.field import FieldError, InvariantError, make_field, omega
@@ -45,6 +48,17 @@ def test_kloosterman_validation():
         kloosterman(4097, method="carlitz")
     with pytest.raises(ValueError):
         kloosterman(4, method="guess")
+
+
+def test_kloosterman_closed_form_matches_its_fraction_oracle():
+    for n in [*range(1, 601), 4096]:
+        assert kloosterman(n, "carlitz") == ref.kloosterman_carlitz(n), n
+
+
+def test_kloosterman_closed_form_remainder_is_a_program_fault(monkeypatch):
+    monkeypatch.setattr(algebra, "math", types.SimpleNamespace(comb=lambda n, k: 1))
+    with pytest.raises(InvariantError, match="n=4 is not an integer"):
+        kloosterman(4, "carlitz")  # 1 - 7 + 49 = 43 is odd
 
 
 # --- counting formulas ------------------------------------------------------
@@ -80,6 +94,34 @@ def test_vanishing_count_formula_validation():
         vanishing_count_formula("C_F3_VB", 3)
     with pytest.raises(ValueError):
         vanishing_count_formula("T1", 4)
+
+
+def _count_outcome(formula, *args):
+    try:
+        return formula(*args)
+    except HypothesisError as exc:
+        return str(exc)
+
+
+def test_count_formulas_in_ints_match_their_fraction_oracles(monkeypatch):
+    """Every planted K(1) in [-64, 64] at every admissible n <= 40 gives the Fraction
+    forms' count, or their inexact-division message."""
+    kinds = Counter()
+    for tid in ("C_F1_VB", "C_F2_VB", "C_F3_VB"):
+        ns = [n for n in range(1, 41) if _count_outcome(
+            _check, tid, CLAIMS[tid], _arguments(CLAIMS[tid], n=n)) is None]
+        assert ns[0] == CLAIMS[tid].n[1] and len(ns) == (42 - ns[0]) // 2, ns
+        formulas = [(vanishing_count_formula, ref.vanishing_count_formula, tid)]
+        if tid != "C_F1_VB":
+            formulas += [(s6_count_formula, ref.s6_count_formula, family)
+                         for family in (tid, tid.removesuffix("_VB"))]
+        for n, K in itertools.product(ns, range(-64, 65)):
+            monkeypatch.setattr(count_claims, "kloosterman", lambda n, method, K=K: K)
+            for formula, oracle, name in formulas:
+                got = _count_outcome(formula, name, n)
+                assert got == _count_outcome(oracle, name, n, K), (name, n, K)
+                kinds[isinstance(got, str)] += 1
+    assert kinds[True] > 1000 and kinds[False] > 1000, kinds
 
 
 def test_s6_count_formula_frozen():

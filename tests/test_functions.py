@@ -216,6 +216,28 @@ def test_a_zero_to_a_negative_power_is_a_division_by_zero(expr):
     assert str(info.value) == f"division by zero in exponent expression {expr!r}"
 
 
+def test_a_non_integer_formula_prints_its_value_while_python_can():
+    """10^4300 - 1 has 4,300 digits, the most Python prints by default; 10^4300 has one more."""
+    f = make_field(2, 3)
+    with pytest.raises(FunctionError, match=r"is not an integer \(got 9{4300}/7\); check"):
+        functions.eval_exponent_expr("(10^4300-1)/7", f)
+    for expr in ("10^4300/7", "2^15000/3"):
+        with pytest.raises(FunctionError) as info:
+            functions.eval_exponent_expr(expr, f)
+        assert str(info.value) == (f"exponent expression {expr!r} is not an integer; "
+                                   "check the divisibility hypothesis")
+
+
+def test_a_table_file_is_read_up_to_64_characters_a_code_plus_2_16(tmp_path):
+    f, limit = make_field(2, 2), 64 * 4 + 2 ** 16
+    path = tmp_path / "tab.txt"
+    path.write_text("3,2,1,0".ljust(limit), encoding="utf-8")
+    assert parse_function(f, f"table:@{path}").table().tolist() == [3, 2, 1, 0]
+    path.write_text("3,2,1,0".ljust(limit + 1), encoding="utf-8")
+    with pytest.raises(FunctionError, match=f"has more than {limit} characters"):
+        parse_function(f, f"table:@{path}")
+
+
 #: Atoms of the exponent grammar and its near misses (a leading zero, a digit
 #: separator, a bool literal, implicit products, unknown names) and its
 #: operators, two of them unsupported.

@@ -67,9 +67,10 @@ TABLE = ("--p", "2", "--n", "4", "--fn", "table:" + ",".join(map(str, range(15, 
 #: load): `import ffspectra.cli` alone runs cli, field and functions; only
 #: verify and list-theorems run closed_forms, and a verify runs the family
 #: module of its claim and what that imports.  Only a rational number loads
-#: `fractions`, and `decimal` with it: an exponent formula with a division,
-#: the Kloosterman closed form (`kloosterman` runs both methods by default)
-#: and the vanishing-flat count formulas.
+#: `fractions`, and `decimal` with it: an exponent formula with a division or
+#: a negative power.  The Kloosterman closed form (`kloosterman` runs both
+#: methods by default) and the vanishing-flat and S_6 count formulas divide
+#: integer numerators by their common denominators in ints.
 COMMANDS = [
     ((), BASE, False),
     (("field", "--p", "3", "--n", "2"), BASE, False),
@@ -85,11 +86,11 @@ COMMANDS = [
     (("flats",) + TABLE, BASE | SPECTRA | {"flats"}, False),
     (("sumfree",) + TABLE + ("--k", "2"), BASE | SPECTRA | {"flats"}, False),
     (("ddt", "--p", "2", "--n", "5", "--fn", "monomial:d=(2^n+1)/3"), BASE | SPECTRA, True),
-    (("kloosterman", "--n", "4"), BASE | {"algebra"}, True),
+    (("kloosterman", "--n", "4"), BASE | {"algebra"}, False),
     (("verify", "--theorem", "L2", "--p", "2", "--n", "5"), CLAIMS | {"cell_claims"}, False),
-    (("verify", "--theorem", "C_F1_VB", "--n", "6"), CLAIMS | COUNTS, True),
+    (("verify", "--theorem", "C_F1_VB", "--n", "6"), CLAIMS | COUNTS, False),
     # S_6 is the value-4 set of C_F2's rows, so C_F2_VB reads it from cell_claims
-    (("verify", "--theorem", "C_F2_VB", "--n", "7"), CLAIMS | COUNTS | {"cell_claims"}, True),
+    (("verify", "--theorem", "C_F2_VB", "--n", "7"), CLAIMS | COUNTS | {"cell_claims"}, False),
     (("verify", "--theorem", "PROP_VB", "--n", "3"), CLAIMS | COUNTS, False),
     (("verify", "--theorem", "APN_IFF_FBCT0", "--n", "4"), CLAIMS | {"spectrum_claims"}, False),
     (("list-theorems",), BASE | {"closed_forms"}, False),
